@@ -4,6 +4,7 @@ from . import bernoulli, lattice, lvalues, quadfield, serialize, survey
 from .errors import (
     CovolumeError,
     DiscriminantMismatch,
+    InternalDefect,
     InvalidDimension,
     InvalidInput,
     NonFundamentalDiscriminant,
@@ -40,6 +41,7 @@ __all__ = [
     "DiscriminantMismatch",
     "EpsilonStatus",
     "GrowthReport",
+    "InternalDefect",
     "Interval",
     "InvalidDimension",
     "InvalidInput",

@@ -14,18 +14,14 @@ from functools import lru_cache
 from math import comb, lcm
 
 from . import quadfield
-from .errors import InvalidInput, NonFundamentalDiscriminant
+from .errors import NonFundamentalDiscriminant, require_int
 
 __all__ = [
-    "MAX_CACHED_INDEX",
     "bernoulli_number",
     "bernoulli_polynomial_value",
     "generalized_bernoulli",
     "clear_caches",
 ]
-
-# Even indices up to here are memoized; larger ones recompute each call.
-MAX_CACHED_INDEX = 200
 
 _lock = threading.Lock()
 _even_table: list[Fraction] = [Fraction(1)]  # _even_table[j] holds B_{2j}
@@ -53,10 +49,7 @@ def bernoulli_number(k: int) -> Fraction:
     mutated afterwards, so concurrent callers always observe identical
     values no matter how their calls interleave.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidInput(f"index must be an integer, got {k!r}")
-    if k < 0:
-        raise InvalidInput(f"index must be >= 0, got {k}")
+    require_int(k, "index", 0)
     if k == 0:
         return Fraction(1)
     if k == 1:
@@ -64,26 +57,16 @@ def bernoulli_number(k: int) -> Fraction:
     if k % 2:
         return Fraction(0)
     j = k // 2
-    if k <= MAX_CACHED_INDEX:
-        if j >= len(_even_table):
-            with _lock:
-                while j >= len(_even_table):
-                    _even_table.append(_next_even(_even_table))
-        return _even_table[j]
-    # beyond the cache: extend a private copy, accepting the O(k^2) cost
-    with _lock:
-        table = list(_even_table)
-    while j >= len(table):
-        table.append(_next_even(table))
-    return table[j]
+    if j >= len(_even_table):
+        with _lock:
+            while j >= len(_even_table):
+                _even_table.append(_next_even(_even_table))
+    return _even_table[j]
 
 
 def bernoulli_polynomial_value(k: int, x: Fraction | int) -> Fraction:
     """B_k(x) = sum_i C(k, i) B_i x^(k-i), evaluated exactly."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidInput(f"index must be an integer, got {k!r}")
-    if k < 0:
-        raise InvalidInput(f"index must be >= 0, got {k}")
+    require_int(k, "index", 0)
     x = Fraction(x)
     acc = Fraction(0)
     for i in range(k + 1):
@@ -115,8 +98,7 @@ def generalized_bernoulli(k: int, D: int) -> Fraction:
     Validation happens out here: bool hashes like int, so a cached
     worker would hand back the entry for k = 1 on k = True.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidInput(f"index must be an integer >= 1, got {k!r}")
+    require_int(k, "index", 1)
     if D >= 0 or not quadfield.is_fundamental_discriminant(D):
         raise NonFundamentalDiscriminant(
             f"{D} is not the discriminant of an imaginary quadratic field"

@@ -2,10 +2,10 @@
 
 Subcommands: nu, scan, minimal, growth, hwang, classgroup, selfcheck.
 stdout carries data, stderr carries diagnostics.  Exit codes: 0 on
-success, 1 when selfcheck finds a discrepancy, 2 on usage or input
-errors.  --format selects json (one object per line), csv (fixed
-headers), or table (aligned text); table is the default on a TTY, json
-otherwise, so piped output is machine-readable without flags.
+success, 1 on a selfcheck discrepancy or an internal defect, 2 on usage
+or input errors.  --format selects json (one object per line), csv
+(fixed headers), or table (aligned text); table is the default on a
+TTY, json otherwise, so piped output is machine-readable without flags.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from typing import Any
 
 from . import lattice, quadfield, serialize, survey
-from .errors import CovolumeError, InvalidInput
+from .errors import CovolumeError, InternalDefect, InvalidInput
 from .survey import SurveyRow
 
 __all__ = ["main", "run", "build_parser"]
@@ -334,11 +334,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # nu past n ~ 100 has more digits than the int/str limit (Python >= 3.10.7)
+    saved_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved_limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
+    except InternalDefect as exc:
+        print(f"covolume: internal defect: {exc}", file=sys.stderr)
+        return 1
     except CovolumeError as exc:
         print(f"covolume: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved_limit:
+            sys.set_int_max_str_digits(saved_limit)
 
 
 def run() -> None:

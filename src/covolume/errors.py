@@ -11,6 +11,8 @@ __all__ = [
     "InvalidDimension",
     "UnknownMultiplicity",
     "TieDetected",
+    "InternalDefect",
+    "require_int",
 ]
 
 
@@ -47,3 +49,17 @@ class UnknownMultiplicity(CovolumeError):
 
 class TieDetected(CovolumeError):
     """Two candidate fields attain the same minimal value in a search."""
+
+
+class InternalDefect(CovolumeError):
+    """A computed result broke an invariant: a bug, not a bad argument."""
+
+
+def require_int(
+    value: object, name: str, minimum: int, error: type[InvalidInput] = InvalidInput
+) -> None:
+    """Raise error unless value is an int (bool excluded) of at least minimum."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")

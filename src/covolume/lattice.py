@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple, Union
 
 from . import lvalues, quadfield
-from .errors import InvalidDimension, UnknownMultiplicity
+from .errors import InvalidDimension, UnknownMultiplicity, require_int
 from .lvalues import NumericValue
 from .quadfield import QuadField
 
@@ -111,16 +111,9 @@ def h_torsion(field: QuadField, m: int) -> int:
     return quadfield.torsion_count(quadfield.reduced_forms(field), m)
 
 
-def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidDimension(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise InvalidDimension(f"n must be >= 2, got {n}")
-
-
 def nu_even(field: QuadField, n: int) -> Fraction:
     """nu for even n: (n+1) / (2^n h_{ell,n+1}) * prod zeta(1-2j) L(-2j)."""
-    _check_dimension(n)
+    require_int(n, "n", 2, InvalidDimension)
     if n % 2:
         raise InvalidDimension(f"n must be even, got {n}")
     acc = Fraction(n + 1, 2**n * h_torsion(field, n + 1))
@@ -137,7 +130,7 @@ def nu_odd(field: QuadField, n: int) -> ExactOrInterval:
     * prod_{j<=(n-1)/2} zeta(1-2j) L(-2j), with eps = 2 when r = 1 and
     eps in [2, 2^r] otherwise, which widens the value to an interval.
     """
-    _check_dimension(n)
+    require_int(n, "n", 2, InvalidDimension)
     if n % 2 == 0:
         raise InvalidDimension(f"n must be odd, got {n}")
     sign = -1 if (n + 1) // 2 % 2 else 1
@@ -154,7 +147,7 @@ def nu_odd(field: QuadField, n: int) -> ExactOrInterval:
 
 def nu(field: QuadField, n: int) -> ExactOrInterval:
     """Normalized Euler-Poincare covolume of Gamma_ell in PU(n,1)."""
-    _check_dimension(n)
+    require_int(n, "n", 2, InvalidDimension)
     return nu_even(field, n) if n % 2 == 0 else nu_odd(field, n)
 
 
@@ -208,7 +201,7 @@ def index_gamma_lambda(field: QuadField, n: int) -> ExactOrInterval:
     (n+1) h_{ell,n+1} for even n; divided by epsilon for odd n, hence an
     interval when epsilon is only bounded.
     """
-    _check_dimension(n)
+    require_int(n, "n", 2, InvalidDimension)
     base = Fraction((n + 1) * h_torsion(field, n + 1))
     if n % 2 == 0:
         return base
@@ -227,7 +220,7 @@ def prasad_principal_covolume_numeric(field: QuadField, n: int) -> NumericValue:
     space; the returned bound accumulates every factor's truncation
     error and is well below 1e-9 relative throughout the tested range.
     """
-    _check_dimension(n)
+    require_int(n, "n", 2, InvalidDimension)
     if n % 2 == 0:
         s = n * (n + 3) / 4
     else:
@@ -272,7 +265,7 @@ def multiplicity_bounds(field: QuadField, n: int) -> tuple[int, int]:
     count is 1 and 8 does not divide n+1.  Odd n with r > 1 raises
     UnknownMultiplicity.
     """
-    _check_dimension(n)
+    require_int(n, "n", 2, InvalidDimension)
     h_t = h_torsion(field, n + 1)
     if n % 2 == 0:
         lo = 2**field.r
@@ -317,7 +310,7 @@ class CovolumeResult:
 
 def covolume_result(field: QuadField, n: int) -> CovolumeResult:
     """Assemble the full record for one (field, n) pair."""
-    _check_dimension(n)
+    require_int(n, "n", 2, InvalidDimension)
     value = nu(field, n)
     try:
         mult = multiplicity_bounds(field, n)
@@ -376,7 +369,6 @@ def cross_path_check(
         for n in n_values:
             exact_val = float(nu(field, n))
             numeric = ep_normalization(field, n)
-            assert isinstance(numeric, NumericValue)
             rel = abs(numeric.value - exact_val) / exact_val
             rows.append(
                 CrossPathRow(

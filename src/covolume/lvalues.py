@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import bernoulli, quadfield
-from .errors import InvalidInput
+from .errors import InvalidInput, require_int
 from .quadfield import QuadField
 
 __all__ = [
@@ -46,19 +46,17 @@ class NumericValue:
 
 def zeta_negative(k: int) -> Fraction:
     """zeta(1 - k) = -B_k / k for even k >= 2, as an exact rational."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidInput(f"k must be an integer, got {k!r}")
-    if k < 2 or k % 2:
-        raise InvalidInput(f"k must be even and >= 2, got {k}")
+    require_int(k, "k", 2)
+    if k % 2:
+        raise InvalidInput(f"k must be even, got {k}")
     return -bernoulli.bernoulli_number(k) / k
 
 
 def l_negative(field: QuadField, k: int) -> Fraction:
     """L(1 - k, chi) = -B_{k,chi} / k for odd k >= 1, as an exact rational."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise InvalidInput(f"k must be an integer, got {k!r}")
-    if k < 1 or k % 2 == 0:
-        raise InvalidInput(f"k must be odd and >= 1, got {k}")
+    require_int(k, "k", 1)
+    if k % 2 == 0:
+        raise InvalidInput(f"k must be odd, got {k}")
     return -bernoulli.generalized_bernoulli(k, field.disc_signed) / k
 
 
@@ -113,10 +111,7 @@ def _hurwitz(s: int, x: float, target: float) -> tuple[float, float]:
 @lru_cache(maxsize=None)
 def zeta_numeric(s: int) -> NumericValue:
     """zeta(s) for integer s >= 2, with truncation error below 1e-12."""
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise InvalidInput(f"s must be an integer, got {s!r}")
-    if s < 2:
-        raise InvalidInput(f"s must be >= 2, got {s}")
+    require_int(s, "s", 2)
     value, bound = _hurwitz(s, 1.0, 2.5e-13)
     return NumericValue(value, bound + 4e-16 * abs(value))
 
@@ -149,10 +144,7 @@ def l_numeric(field: QuadField, s: int) -> NumericValue:
     sharing the same Euler-Maclaurin treatment as zeta_numeric; the
     reported bound covers the truncation of every class.
     """
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise InvalidInput(f"s must be an integer, got {s!r}")
-    if s < 2:
-        raise InvalidInput(f"s must be >= 2, got {s}")
+    require_int(s, "s", 2)
     return _l_numeric_by_disc(field.disc_signed, s)
 
 

@@ -16,9 +16,10 @@ from functools import lru_cache
 
 from .errors import (
     DiscriminantMismatch,
-    InvalidInput,
+    InternalDefect,
     NonFundamentalDiscriminant,
     NotSquarefree,
+    require_int,
 )
 
 __all__ = [
@@ -91,10 +92,7 @@ class QuadField:
 
 def from_squarefree_d(d: int) -> QuadField:
     """Build the field Q(sqrt(-d)) from a squarefree integer d >= 1."""
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise InvalidInput(f"d must be an integer, got {d!r}")
-    if d < 1:
-        raise InvalidInput(f"d must be >= 1, got {d}")
+    require_int(d, "d", 1)
     if not is_squarefree(d):
         raise NotSquarefree(f"d = {d} has a square factor")
     disc = d if d % 4 == 3 else 4 * d
@@ -153,10 +151,7 @@ def kronecker_symbol(D: int, m: int) -> int:
     integers sharing a factor with D.
     """
     _require_fundamental(D)
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InvalidInput(f"m must be an integer, got {m!r}")
-    if m < 0:
-        raise InvalidInput(f"m must be >= 0, got {m}")
+    require_int(m, "m", 0)
     if m == 0:
         return 1 if abs(D) == 1 else 0
     a = D
@@ -268,7 +263,8 @@ def reduced_forms(field: QuadField) -> ClassGroup:
             classes.append(FormClass(a, b, c))
     classes.sort()
     principal = FormClass(*_principal_triple(D))
-    assert principal in classes
+    if principal not in classes:
+        raise InternalDefect(f"no principal form among the reduced forms of {field}")
     return ClassGroup(field=field, classes=tuple(classes), principal=principal)
 
 
@@ -327,7 +323,8 @@ def _compose_triples(
     a3 = a1 * a2
     b3 = b2 + 2 * a2 * A
     t = b3 * b3 - D
-    assert t % (4 * a3) == 0, "composition produced an invalid form"
+    if t % (4 * a3):
+        raise InternalDefect(f"composition produced an invalid form at D = {D}")
     c3 = t // (4 * a3)
     return _reduce_triple(a3, b3, c3)
 
@@ -349,8 +346,7 @@ def inverse_class(g: FormClass) -> FormClass:
 
 def class_power(g: FormClass, m: int, group: ClassGroup) -> FormClass:
     """g composed with itself m times (m >= 0; m = 0 gives the identity)."""
-    if m < 0:
-        raise InvalidInput(f"exponent must be >= 0, got {m}")
+    require_int(m, "exponent", 0)
     result = group.principal
     base = g
     while m:
@@ -364,8 +360,7 @@ def class_power(g: FormClass, m: int, group: ClassGroup) -> FormClass:
 
 def torsion_count(group: ClassGroup, m: int) -> int:
     """Number of classes g with g^m equal to the principal class."""
-    if m < 1:
-        raise InvalidInput(f"m must be >= 1, got {m}")
+    require_int(m, "m", 1)
     e = group.principal
     return sum(1 for g in group.classes if class_power(g, m, group) == e)
 

@@ -15,14 +15,13 @@ Q(sqrt(-3)) outright, so enumerating discriminants up to that threshold
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import lattice, lvalues, quadfield
-from .errors import InvalidDimension, InvalidInput, TieDetected
+from .errors import InternalDefect, InvalidDimension, TieDetected, require_int
 from .lattice import CovolumeResult, EpsilonStatus, ExactOrInterval, Interval
 from .lvalues import NumericValue
 from .quadfield import QuadField
@@ -45,13 +44,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2 * math.pi
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidDimension(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise InvalidDimension(f"n must be >= 2, got {n}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +187,7 @@ def discriminant_bound(n: int) -> NumericValue:
     principal covolume.  The exponent decays like 1/n, so the bound
     tends to 3 from above; it never exceeds 4 for n >= 4.
     """
-    _check_n(n)
+    require_int(n, "n", 2, InvalidDimension)
     if n % 2 == 0:
         s = Fraction(n * (n + 3), 4)
         t = 1
@@ -214,8 +206,7 @@ def brauer_siegel_h_bound(field: QuadField, m: int) -> NumericValue:
     is the unit-group order of the field.  Any m >= 2 works; small m
     gives the tightest bound.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise InvalidInput(f"m must be an integer >= 2, got {m!r}")
+    require_int(m, "m", 2)
     z = lvalues.zeta_numeric(m)
     l = lvalues.l_numeric(field, m)
     value = (
@@ -231,21 +222,12 @@ def brauer_siegel_h_bound(field: QuadField, m: int) -> NumericValue:
     return NumericValue(value, abs(value) * rel)
 
 
-def _pmap(fn, items):
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as ex:
-        return list(ex.map(fn, items))
-
-
 def scan(n: int, max_disc: int) -> tuple[SurveyRow, ...]:
     """All survey rows for |disc| <= max_disc, ascending discriminant."""
-    _check_n(n)
-    if not isinstance(max_disc, int) or max_disc < 3:
-        raise InvalidInput(f"max_disc must be an integer >= 3, got {max_disc!r}")
+    require_int(n, "n", 2, InvalidDimension)
+    require_int(max_disc, "max_disc", 3)
     fields = quadfield.fields_with_disc_at_most(max_disc)
-    results = _pmap(lambda f: lattice.covolume_result(f, n), fields)
-    return tuple(SurveyRow.from_result(res) for res in results)
+    return tuple(SurveyRow.from_result(lattice.covolume_result(f, n)) for f in fields)
 
 
 def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
@@ -257,16 +239,12 @@ def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
     exact).  A tie for the minimum, or an inexact winner, raises
     TieDetected rather than guessing.
     """
-    _check_n(n)
-    if not isinstance(safety_margin, int) or safety_margin < 1:
-        raise InvalidInput(
-            f"safety_margin must be a positive integer, got {safety_margin!r}"
-        )
+    require_int(n, "n", 2, InvalidDimension)
+    require_int(safety_margin, "safety_margin", 1)
     bound = discriminant_bound(n)
     limit = max(math.ceil(bound.value), 4) + safety_margin
     fields = quadfield.fields_with_disc_at_most(limit)
-    results = _pmap(lambda f: lattice.covolume_result(f, n), fields)
-    candidates = tuple(Candidate(f, res) for f, res in zip(fields, results))
+    candidates = tuple(Candidate(f, lattice.covolume_result(f, n)) for f in fields)
     best = min(c.result.nu_lower for c in candidates)
     winners = [c for c in candidates if c.result.nu_lower == best]
     if len(winners) > 1:
@@ -297,8 +275,7 @@ def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
     computed and must name the same unique dimension; the growth
     threshold n1 certifies monotone growth above it.
     """
-    if not isinstance(n_max, int) or n_max < 10:
-        raise InvalidInput(f"n_max must be an integer >= 10, got {n_max!r}")
+    require_int(n_max, "n_max", 10)
     per_n = tuple(minimal_field(n, safety_margin) for n in range(2, n_max + 1))
 
     best_nu = min(mr.result.nu_lower for mr in per_n)
@@ -345,7 +322,7 @@ def _ratio(numer: ExactOrInterval, denom: ExactOrInterval) -> ExactOrInterval:
         return Interval(numer.lower / denom, numer.upper / denom)
     # nu alternates exact/interval with parity, so both-interval cannot
     # arise from consecutive dimensions of one field
-    raise InvalidInput("cannot form the ratio of two interval values")
+    raise InternalDefect("cannot form the ratio of two interval values")
 
 
 def _closed_form_ratio(field: QuadField, n: int) -> float:
@@ -378,11 +355,11 @@ def growth_ratio(field: QuadField, n: int) -> GrowthReport:
     to within 1e-6 relative (in practice it matches to near machine
     precision); a larger deviation means an internal defect and raises.
     """
-    _check_n(n)
+    require_int(n, "n", 2, InvalidDimension)
     q = _ratio(lattice.nu(field, n + 1), lattice.nu(field, n))
     q_low = q.lower if isinstance(q, Interval) else q
     if q_low <= 0:
-        raise InvalidInput(f"growth ratio at n = {n} is not positive: {q}")
+        raise InternalDefect(f"growth ratio at n = {n} is not positive: {q}")
     log_q_over_n = (math.log(q_low.numerator) - math.log(q_low.denominator)) / n
     closed_form = None
     rel_err = None
@@ -391,7 +368,7 @@ def growth_ratio(field: QuadField, n: int) -> GrowthReport:
         exact_float = float(q)
         rel_err = abs(closed_form - exact_float) / exact_float
         if rel_err > 1e-6:
-            raise InvalidInput(
+            raise InternalDefect(
                 f"growth ratio cross-check failed at {field}, n = {n}: "
                 f"exact {exact_float!r} vs closed form {closed_form!r}"
             )
@@ -422,9 +399,8 @@ def hwang_bound(n: int, k: int) -> NumericValue:
     integer arithmetic; only the final power of pi is floating point,
     so the bound is exactly linear in k.  Decays to zero as n grows.
     """
-    _check_n(n)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidInput(f"k must be a positive integer, got {k!r}")
+    require_int(n, "n", 2, InvalidDimension)
+    require_int(k, "k", 1)
     value = k * _hwang_base(n)
     return NumericValue(value, abs(value) * (n + 2) * 5e-16)
 

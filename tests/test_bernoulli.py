@@ -55,11 +55,25 @@ class TestBernoulliNumber:
             assert total == 0, m
 
     def test_beyond_cache_limit(self):
-        k = bernoulli.MAX_CACHED_INDEX + 2
-        value = bernoulli.bernoulli_number(k)
-        assert value.denominator == oracles.von_staudt_clausen_denominator(k)
-        # B_{2j} grows super-exponentially; the numerator must be huge
-        assert abs(value) > 10**200
+        expected = oracles.bernoulli_series(262)
+        for k in (202, 262):
+            assert bernoulli.bernoulli_number(k) == expected[k], k
+
+    def test_each_even_index_computed_once(self, monkeypatch):
+        # B_0..B_262 in order must extend the table one entry at a time,
+        # never rebuilding it, however far the index runs
+        bernoulli.clear_caches()
+        next_even = bernoulli._next_even
+        calls = []
+
+        def counting(table):
+            calls.append(len(table))
+            return next_even(table)
+
+        monkeypatch.setattr(bernoulli, "_next_even", counting)
+        for k in range(263):
+            bernoulli.bernoulli_number(k)
+        assert len(calls) == 131
 
     @pytest.mark.parametrize("bad", [-1, -4, 2.0, "2", None, Fraction(2)])
     def test_rejects_bad_index(self, bad):

@@ -5,14 +5,17 @@ that exercises the installed console script and the piped-output
 default.
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 import covolume
-from covolume import bernoulli, cli, serialize
+from covolume import bernoulli, cli, lattice, quadfield, serialize, survey
 from covolume.survey import SurveyRow
 
 
@@ -74,6 +77,25 @@ class TestNuCommand:
         lines = out.splitlines()
         assert lines[0].split()[:4] == ["d", "disc", "n", "nu"]
         assert "1/72" in lines[1]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this Python has no int/str digit limit",
+    )
+    def test_past_int_str_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "nu", "--d", "3", "--n", "101", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        record = json.loads(out)
+        sys.set_int_max_str_digits(0)
+        try:
+            nu = Fraction(record["nu"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert nu == lattice.nu(quadfield.from_squarefree_d(3), 101)
 
 
 class TestScanCommand:
@@ -203,6 +225,17 @@ class TestGrowthCommand:
         records = [json.loads(line) for line in out.splitlines()]
         assert records[0]["q"] == {"lower": "1/180", "upper": "1/90"}
         assert records[0]["closed_form"] is None
+
+    def test_internal_defect_exits_one(self, capsys, monkeypatch):
+        closed_form = survey._closed_form_ratio
+        monkeypatch.setattr(
+            survey, "_closed_form_ratio", lambda f, n: 2 * closed_form(f, n)
+        )
+        code, out, err = run_cli(
+            capsys, "growth", "--d", "3", "--n-min", "4", "--n-max", "4"
+        )
+        assert code == 1 and out == ""
+        assert "internal defect" in err
 
     def test_rejects_inverted_range(self, capsys):
         code, _, err = run_cli(
@@ -351,6 +384,29 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+# SHA-256 of stdout for a fixed command set.  A refactor must leave every
+# printed byte, and so every exact value, unchanged.
+GOLDEN_STDOUT = {
+    "nu --d 3 --n 9 --format json": "1c73e1a2fd0ca09edcaf46a6544309516bb004958e9e958ea85417695394e27a",
+    "nu --d 3 --n 9 --format csv": "f980820ff1c5ca870cfd910636da5b976b256e7eeca5c2ce60941c8200e339ae",
+    "nu --d 3 --n 9 --format table": "566631c4b0fa730ea3ec636207cb03ff3452f8dd1b858bd6deb06fe6deb3615e",
+    "scan --n 2 --max-disc 100 --format csv": "1768a6669b95b630399ad60b03cd8f2e08297d2a45ad78b3937ef9bb66d218db",
+    "minimal --n 4 --verbose": "2aabe577b42bb04402bd76052401c29b46bebc0be49db06a9bd28002a1713d60",
+    "minimal --overall --n-max 30 --verbose": "fb9a306ef749ed1dbe30cd96d9e827429bae6c7a9f0f90f5fbaf4ce7973d07b7",
+    "growth --d 3 --n-max 20": "df394470eae987c986107d3e22edd63894fd2b42aacd5e22dfa691ebab78231c",
+    "classgroup --d 23 --m 3": "25ac635ae9682dafd3cb214053ba1ea76faa8b952c0cfc81003a767d0d7e5d43",
+    "selfcheck --quick": "c418bd3e3592bc184482d134592f5798811f9af27016d6c2c24d9f12f557fc5c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_stdout_bytes_unchanged(command, capsys, monkeypatch):
+    monkeypatch.delenv("COVOLUME_PRECISION", raising=False)
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 class TestConsoleScript:
