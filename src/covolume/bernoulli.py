@@ -77,13 +77,15 @@ def bernoulli_polynomial_value(k: int, x: Fraction | int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _cleared_poly(k: int, q: int) -> tuple[tuple[int, ...], int]:
-    """Integer coefficients of M * q^k * B_k(a/q) as a polynomial in a.
+def _cleared_poly(k: int) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients M * C(k, i) * B_i of M * B_k(x), for i = 0..k.
 
-    Returns (coefficients in degree-descending order, M) where M is the
-    least common denominator that clears every coefficient.
+    Returns (coefficients in ascending i, M), where M is the least common
+    denominator of the C(k, i) B_i; entry i multiplies x^(k - i).  M does
+    not depend on any conductor, so one entry per index k serves every
+    field.
     """
-    coeffs = [comb(k, i) * bernoulli_number(i) * q**i for i in range(k + 1)]
+    coeffs = [comb(k, i) * bernoulli_number(i) for i in range(k + 1)]
     m = lcm(*(c.denominator for c in coeffs))
     return tuple(int(c * m) for c in coeffs), m
 
@@ -91,9 +93,16 @@ def _cleared_poly(k: int, q: int) -> tuple[tuple[int, ...], int]:
 def generalized_bernoulli(k: int, D: int) -> Fraction:
     """B_{k,chi} = |D|^(k-1) * sum_{a=1..|D|} chi_D(a) B_k(a/|D|).
 
-    D must be the discriminant of an imaginary quadratic field.  The
-    conductor sum is evaluated with cleared denominators (one integer
-    Horner pass per residue), which is the same sum term for term.
+    D must be the discriminant of an imaginary quadratic field, so chi_D
+    is odd and B_{k,chi} vanishes for even k.  For odd k the terms at a
+    and |D| - a are equal (B_k(1 - x) = -B_k(x)), so with q = |D|,
+    T_j = sum_{0<a<q/2} chi(a) a^j and the cleared coefficients
+    c_i = M C(k, i) B_i of _cleared_poly,
+
+      B_{k,chi} = 2 / (M q) * sum_i c_i q^i T_{k-i},
+
+    an exact rearrangement of the defining sum: every power sum T_j is
+    taken once per call, over half the residues.
 
     Validation happens out here: bool hashes like int, so a cached
     worker would hand back the entry for k = 1 on k = True.
@@ -108,19 +117,23 @@ def generalized_bernoulli(k: int, D: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _generalized_bernoulli(k: int, D: int) -> Fraction:
+    if k % 2 == 0:
+        return Fraction(0)
     q = -D
     chi = quadfield.chi_table(D)
-    ints, m = _cleared_poly(k, q)
-    total = 0
-    for a in range(1, q + 1):
-        sign = chi[a % q]
-        if sign:
-            acc = 0
-            for coeff in ints:
-                acc = acc * a + coeff
-            total += acc if sign > 0 else -acc
-    # q^(k-1) * sum chi(a) B_k(a/q) = sum chi(a) * (M q^k B_k(a/q)) / (M q)
-    return Fraction(total, m * q)
+    # when q is even, chi(q/2) = 0, so a < q/2 covers the half range
+    half = range(1, (q + 1) // 2)
+    plus = [a for a in half if chi[a] > 0]
+    minus = [a for a in half if chi[a] < 0]
+    sums = [len(plus) - len(minus), sum(plus) - sum(minus)]  # T_0, T_1
+    plus_pow, minus_pow = plus, minus
+    for _ in range(k - 1):
+        plus_pow = [x * a for x, a in zip(plus_pow, plus)]
+        minus_pow = [x * a for x, a in zip(minus_pow, minus)]
+        sums.append(sum(plus_pow) - sum(minus_pow))
+    ints, m = _cleared_poly(k)
+    total = sum(c * q**i * sums[k - i] for i, c in enumerate(ints) if c)
+    return Fraction(2 * total, m * q)
 
 
 def clear_caches() -> None:

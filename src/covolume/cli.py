@@ -145,7 +145,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
             f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}"
         )
     field = quadfield.from_squarefree_d(args.d)
-    reports = [survey.growth_ratio(field, n) for n in range(args.n_min, args.n_max + 1)]
+    reports = list(survey._growth_reports(field, range(args.n_min, args.n_max + 1)))
     _emit(
         args.format or _default_format(),
         serialize.GROWTH_HEADER,

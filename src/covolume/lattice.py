@@ -151,14 +151,17 @@ def nu(field: QuadField, n: int) -> ExactOrInterval:
     return nu_even(field, n) if n % 2 == 0 else nu_odd(field, n)
 
 
-def euler_characteristic(field: QuadField, n: int) -> ExactOrInterval:
-    """chi = (-1)^n nu: negative in odd dimension, positive in even."""
-    v = nu(field, n)
+def _chi_of(v: ExactOrInterval, n: int) -> ExactOrInterval:
     if n % 2 == 0:
         return v
     if is_exact(v):
         return -v
     return Interval(-v.upper, -v.lower)
+
+
+def euler_characteristic(field: QuadField, n: int) -> ExactOrInterval:
+    """chi = (-1)^n nu: negative in odd dimension, positive in even."""
+    return _chi_of(nu(field, n), n)
 
 
 def _log_fraction(x: Fraction) -> float:
@@ -185,14 +188,19 @@ def _volume_numeric(value: Fraction, n: int) -> NumericValue:
     return NumericValue(val, abs(val) * 1e-13)
 
 
+def _volume_of(
+    v: ExactOrInterval, n: int
+) -> NumericValue | tuple[NumericValue, NumericValue]:
+    if is_exact(v):
+        return _volume_numeric(v, n)
+    return _volume_numeric(v.lower, n), _volume_numeric(v.upper, n)
+
+
 def hyperbolic_volume(
     field: QuadField, n: int
 ) -> NumericValue | tuple[NumericValue, NumericValue]:
     """vol(H^n_C / Gamma) = (4 pi)^n / (n+1)! * nu, via Gauss-Bonnet."""
-    v = nu(field, n)
-    if is_exact(v):
-        return _volume_numeric(v, n)
-    return _volume_numeric(v.lower, n), _volume_numeric(v.upper, n)
+    return _volume_of(nu(field, n), n)
 
 
 def index_gamma_lambda(field: QuadField, n: int) -> ExactOrInterval:
@@ -320,8 +328,8 @@ def covolume_result(field: QuadField, n: int) -> CovolumeResult:
         field=field,
         n=n,
         nu=value,
-        chi=euler_characteristic(field, n),
-        volume=hyperbolic_volume(field, n),
+        chi=_chi_of(value, n),
+        volume=_volume_of(value, n),
         h=class_number(field),
         h_torsion=h_torsion(field, n + 1),
         epsilon=epsilon_status(field, n),

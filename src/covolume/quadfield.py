@@ -179,10 +179,33 @@ def kronecker_symbol(D: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def chi_table(D: int) -> tuple[int, ...]:
-    """One full period of the character: chi_D(0), ..., chi_D(|D| - 1)."""
+    """One full period of the character: chi_D(0), ..., chi_D(|D| - 1).
+
+    chi_D is completely multiplicative, so the table is sieved from its
+    values at the primes p < |D|, one Kronecker symbol each: a zero at p
+    clears every multiple of p, and a -1 flips the sign of every multiple
+    of each power p^e, so m picks up (-1)^(v_p(m)).  Slices do the
+    marking; no per-residue factorization is stored.
+    """
     _require_fundamental(D)
     q = abs(D)
-    return tuple(kronecker_symbol(D, m) for m in range(q))
+    chi = [1] * q
+    if q > 1:
+        chi[0] = 0
+    composite = bytearray(q)
+    for p in range(2, q):
+        if composite[p]:
+            continue
+        composite[p * p :: p] = b"\x01" * len(range(p * p, q, p))
+        c = kronecker_symbol(D, p)
+        if c == 0:
+            chi[p::p] = [0] * len(range(p, q, p))
+        elif c < 0:
+            pe = p
+            while pe < q:
+                chi[pe::pe] = [-x for x in chi[pe::pe]]
+                pe *= p
+    return tuple(chi)
 
 
 @dataclass(frozen=True, order=True)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import lattice, lvalues, quadfield
 from .errors import InternalDefect, InvalidDimension, TieDetected, require_int
@@ -296,13 +296,11 @@ def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
     # smallest n1 with q(m) > 1 for every m in [n1, n_max - 1], taking
     # the winner's field and ratio lower endpoints (sound: growth is
     # only claimed where even the smallest possible ratio exceeds 1)
-    field = winner.field
     n1 = n_max
-    for m in range(n_max - 1, 1, -1):
-        report = growth_ratio(field, m)
+    for report in _growth_reports(winner.field, range(n_max - 1, 1, -1)):
         q_low = report.q.lower if isinstance(report.q, Interval) else report.q
         if q_low > 1:
-            n1 = m
+            n1 = report.n
         else:
             break
 
@@ -370,7 +368,28 @@ def growth_ratio(field: QuadField, n: int) -> GrowthReport:
     Ratios past double range are compared through their logarithms.
     """
     require_int(n, "n", 2, InvalidDimension)
-    q = _ratio(lattice.nu(field, n + 1), lattice.nu(field, n))
+    return _growth_report(field, n, lattice.nu(field, n), lattice.nu(field, n + 1))
+
+
+def _growth_reports(field: QuadField, dims: range) -> Iterator[GrowthReport]:
+    """growth_ratio(field, n) for each n of dims, a range of step +1 or -1.
+
+    Consecutive ratios share one nu value, which is carried to the next
+    step, so the whole run computes every nu once.
+    """
+    carried: dict[int, ExactOrInterval] = {}
+    for n in dims:
+        carried = {
+            m: carried[m] if m in carried else lattice.nu(field, m)
+            for m in (n, n + 1)
+        }
+        yield _growth_report(field, n, carried[n], carried[n + 1])
+
+
+def _growth_report(
+    field: QuadField, n: int, nu_n: ExactOrInterval, nu_next: ExactOrInterval
+) -> GrowthReport:
+    q = _ratio(nu_next, nu_n)
     q_low = q.lower if isinstance(q, Interval) else q
     if q_low <= 0:
         raise InternalDefect(f"growth ratio at n = {n} is not positive: {q}")

@@ -5,15 +5,21 @@ different from the production code path: power-series division instead
 of the recurrence for Bernoulli numbers, Euler's criterion instead of
 reciprocity for the character, brute-force predicate checks instead of
 the production enumeration for reduced forms, and mpmath's Hurwitz zeta
-at high precision for the analytic values.
+at high precision for the analytic values.  The character table one
+Kronecker symbol per residue and the full-period Horner sum for B_{k,chi}
+are the exact kernels the sieved table and the half-range power sums
+replaced, kept as their differential oracles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
+
+from covolume import quadfield
 
 
 def bernoulli_series(k_max: int) -> list[Fraction]:
@@ -77,6 +83,46 @@ def naive_reduced_forms(D: int) -> set[tuple[int, int, int]]:
                 continue
             found.add((a, b, c))
     return found
+
+
+@lru_cache(maxsize=16)
+def chi_table_per_residue(D: int) -> tuple[int, ...]:
+    """chi_D(0), ..., chi_D(|D| - 1), one Kronecker symbol per residue."""
+    return tuple(quadfield.kronecker_symbol(D, m) for m in range(abs(D)))
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_tuple(k: int) -> tuple[Fraction, ...]:
+    return tuple(bernoulli_series(k))
+
+
+@lru_cache(maxsize=None)
+def _cleared_poly_horner(k: int, q: int) -> tuple[tuple[int, ...], int]:
+    """Coefficients of M * q^k * B_k(a/q) in a, degree-descending, and M."""
+    series = _bernoulli_tuple(k)
+    coeffs = [math.comb(k, i) * series[i] * q**i for i in range(k + 1)]
+    m = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * m) for c in coeffs), m
+
+
+def generalized_bernoulli_horner(k: int, D: int) -> Fraction:
+    """B_{k,chi} = q^(k-1) sum_{a=1..q} chi(a) B_k(a/q), q = |D|.
+
+    One integer Horner pass per residue over the whole period, with the
+    denominators cleared; no parity or half-range shortcut.
+    """
+    q = abs(D)
+    chi = chi_table_per_residue(D)
+    ints, m = _cleared_poly_horner(k, q)
+    total = 0
+    for a in range(1, q + 1):
+        sign = chi[a % q]
+        if sign:
+            acc = 0
+            for coeff in ints:
+                acc = acc * a + coeff
+            total += acc if sign > 0 else -acc
+    return Fraction(total, m * q)
 
 
 def zeta_mp(s: int, dps: int = 40) -> float:

@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from covolume import bernoulli
+from covolume import bernoulli, quadfield
 from covolume.errors import InvalidInput, NonFundamentalDiscriminant
 
 from . import oracles
@@ -175,3 +175,26 @@ class TestGeneralizedBernoulli:
     def test_rejects_bad_index(self, k):
         with pytest.raises(InvalidInput):
             bernoulli.generalized_bernoulli(k, -3)
+
+
+class TestHalfRangeKernel:
+    """Half-range power sums against the full-period Horner sum they replaced."""
+
+    @pytest.mark.parametrize(
+        "max_disc, k_max", [(1000, 11), (300, 31)], ids=["k11", "k31"]
+    )
+    def test_matches_horner_oracle(self, max_disc, k_max):
+        for field in quadfield.fields_with_disc_at_most(max_disc):
+            D = field.disc_signed
+            for k in range(1, k_max + 1):
+                assert bernoulli.generalized_bernoulli(k, D) == (
+                    oracles.generalized_bernoulli_horner(k, D)
+                ), (k, D)
+
+    def test_cleared_coefficients_shared_across_fields(self, fields_100):
+        # M no longer depends on the conductor: one entry per index k
+        bernoulli.clear_caches()
+        for field in fields_100:
+            for k in (3, 5, 7, 9, 11):
+                bernoulli.generalized_bernoulli(k, field.disc_signed)
+        assert bernoulli._cleared_poly.cache_info().currsize == 5

@@ -252,6 +252,21 @@ class TestGrowthCommand:
         header, row = out.splitlines()
         assert dict(zip(header.split(","), row.split(",")))["closed_form"] == "inf"
 
+    def test_each_nu_computed_once(self, capsys, monkeypatch):
+        calls = []
+        nu = lattice.nu
+
+        def counting(field, n):
+            calls.append(n)
+            return nu(field, n)
+
+        monkeypatch.setattr(lattice, "nu", counting)
+        code, _, _ = run_cli(
+            capsys, "growth", "--d", "3", "--n-min", "2", "--n-max", "40"
+        )
+        assert code == 0
+        assert sorted(calls) == list(range(2, 42))  # 40 calls for 39 ratios
+
     def test_rejects_inverted_range(self, capsys):
         code, _, err = run_cli(
             capsys, "growth", "--n-min", "5", "--n-max", "4"
@@ -408,6 +423,8 @@ GOLDEN_STDOUT = {
     "nu --d 3 --n 9 --format csv": "f980820ff1c5ca870cfd910636da5b976b256e7eeca5c2ce60941c8200e339ae",
     "nu --d 3 --n 9 --format table": "566631c4b0fa730ea3ec636207cb03ff3452f8dd1b858bd6deb06fe6deb3615e",
     "scan --n 2 --max-disc 100 --format csv": "1768a6669b95b630399ad60b03cd8f2e08297d2a45ad78b3937ef9bb66d218db",
+    "scan --n 11 --max-disc 300 --format csv": "f7d81290bd92027f5b04439dbf8409a200f6de6f5235fa504e8792567e21cfb1",
+    "scan --n 10 --max-disc 600 --format json": "195bd27b97114748028f686c2ca642f9132c6126bcf36511a7786523b2b6a88c",
     "minimal --n 4 --verbose": "2aabe577b42bb04402bd76052401c29b46bebc0be49db06a9bd28002a1713d60",
     "minimal --overall --n-max 30 --verbose": "fb9a306ef749ed1dbe30cd96d9e827429bae6c7a9f0f90f5fbaf4ce7973d07b7",
     "growth --d 3 --n-max 20": "df394470eae987c986107d3e22edd63894fd2b42aacd5e22dfa691ebab78231c",

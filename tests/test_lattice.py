@@ -294,3 +294,20 @@ class TestCovolumeResult:
         result = lattice.covolume_result(f23, 4)
         direct = lattice.hyperbolic_volume(f23, 4)
         assert result.volume == direct
+
+    @pytest.mark.parametrize("d, n", [(3, 9), (5, 3), (23, 4)])
+    def test_nu_computed_once(self, monkeypatch, d, n):
+        field = _field_for(d)
+        calls = []
+        nu = lattice.nu
+
+        def counting(field, n):
+            calls.append(n)
+            return nu(field, n)
+
+        monkeypatch.setattr(lattice, "nu", counting)
+        result = lattice.covolume_result(field, n)
+        assert calls == [n]
+        monkeypatch.undo()
+        assert result.chi == lattice.euler_characteristic(field, n)
+        assert result.volume == lattice.hyperbolic_volume(field, n)

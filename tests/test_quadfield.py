@@ -167,6 +167,33 @@ class TestKroneckerSymbol:
                 assert table[a] == -table[q - a], (field.d, a)
 
 
+class TestSievedChiTable:
+    """The sieved table against one Kronecker symbol per residue."""
+
+    def test_matches_per_residue_oracle(self):
+        count = 0
+        for D in range(-3000, 3001):
+            if quadfield.is_fundamental_discriminant(D):
+                # the unmemoized body, so the suite does not keep millions of entries
+                table = quadfield.chi_table.__wrapped__(D)
+                assert table == oracles.chi_table_per_residue(D), D
+                count += 1
+        assert count > 1800  # both signs, D = 1 included
+
+    @pytest.mark.parametrize("D", [1, 5, 8, 12, -3, -4, -84, -163, -1995, 2993])
+    def test_kronecker_called_once_per_prime(self, monkeypatch, D):
+        calls = []
+        kronecker = quadfield.kronecker_symbol
+
+        def counting(D, m):
+            calls.append(m)
+            return kronecker(D, m)
+
+        monkeypatch.setattr(quadfield, "kronecker_symbol", counting)
+        quadfield.chi_table.__wrapped__(D)
+        assert calls == oracles.primes_below(abs(D))
+
+
 class TestReducedForms:
     def test_known_class_groups(self):
         for disc_abs, expected in oracles.KNOWN_CLASS_GROUPS.items():

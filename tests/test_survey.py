@@ -168,6 +168,20 @@ class TestOverallMinimum:
         with pytest.raises(InvalidInput):
             survey.overall_minimum(9)
 
+    def test_growth_threshold_computes_each_nu_once(self, monkeypatch):
+        # minimal_field asks for each (field, n) once; the n1 loop over
+        # the winner's ratios adds at most one more request per dimension
+        calls = []
+        nu = lattice.nu
+
+        def counting(field, n):
+            calls.append((field.d, n))
+            return nu(field, n)
+
+        monkeypatch.setattr(lattice, "nu", counting)
+        assert survey.overall_minimum(16).growth_threshold_n1 == 15
+        assert [calls.count((3, n)) for n in (14, 15, 16)] == [2, 2, 2]
+
 
 class TestGrowthRatio:
     def test_known_exact_ratios(self, f3):
@@ -204,6 +218,13 @@ class TestGrowthRatio:
     def test_rejects_bad_dimension(self, f3):
         with pytest.raises(InvalidDimension):
             survey.growth_ratio(f3, 1)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_carried_run_matches_single_ratios(self, d):
+        field = quadfield.from_squarefree_d(d)
+        for dims in (range(2, 14), range(13, 1, -1)):
+            expected = [survey.growth_ratio(field, n) for n in dims]
+            assert list(survey._growth_reports(field, dims)) == expected
 
     @pytest.mark.parametrize("n", [199, 260])
     def test_past_double_range(self, f3, n):
