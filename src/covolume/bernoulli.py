@@ -101,8 +101,10 @@ def generalized_bernoulli(k: int, D: int) -> Fraction:
 
       B_{k,chi} = 2 / (M q) * sum_i c_i q^i T_{k-i},
 
-    an exact rearrangement of the defining sum: every power sum T_j is
-    taken once per call, over half the residues.
+    an exact rearrangement of the defining sum.  The power sums T_j do not
+    depend on k, so every odd k of one field reads them from a single
+    _PowerSums, which keeps one running power list per sign and grows
+    one j at a time: nu in dimension n takes n power passes in all.
 
     Validation happens out here: bool hashes like int, so a cached
     worker would hand back the entry for k = 1 on k = True.
@@ -115,22 +117,62 @@ def generalized_bernoulli(k: int, D: int) -> Fraction:
     return _generalized_bernoulli(k, D)
 
 
+def _times(xs: list[int], ys: list[int]) -> list[int]:
+    """One power pass, a function of its own so that passes can be counted."""
+    return [x * y for x, y in zip(xs, ys)]
+
+
+class _PowerSums:
+    """T_0, T_1, ... of one field: T_j = sum_{0<a<q/2} chi(a) a^j.
+
+    plus and minus hold the half-range residues with chi = +1 and -1,
+    and plus_pow, minus_pow their j-th powers for the last j in sums.
+    sums only grows, so a prefix read from it never goes stale.
+    """
+
+    def __init__(self, D: int, chi: tuple[int, ...]):
+        self.D = D
+        q = -D
+        # when q is even, chi(q/2) = 0, so a < q/2 covers the half range
+        half = range(1, (q + 1) // 2)
+        self.plus = self.plus_pow = [a for a in half if chi[a] > 0]
+        self.minus = self.minus_pow = [a for a in half if chi[a] < 0]
+        self.sums = [
+            len(self.plus) - len(self.minus),
+            sum(self.plus) - sum(self.minus),
+        ]
+
+    def extend(self, j: int) -> None:
+        while len(self.sums) <= j:
+            self.plus_pow = _times(self.plus_pow, self.plus)
+            self.minus_pow = _times(self.minus_pow, self.minus)
+            self.sums.append(sum(self.plus_pow) - sum(self.minus_pow))
+
+
+_powers: _PowerSums | None = None  # the field read last; replaced on a new D
+
+
+def _power_sums(D: int, chi: tuple[int, ...], j: int) -> list[int]:
+    """T_0, ..., T_j (at least) of the field of discriminant D < 0."""
+    global _powers
+    with _lock:
+        if _powers is None or _powers.D != D:
+            _powers = _PowerSums(D, chi)
+        _powers.extend(j)
+        return _powers.sums
+
+
 @lru_cache(maxsize=None)
 def _generalized_bernoulli(k: int, D: int) -> Fraction:
+    """Memoized body of generalized_bernoulli for validated arguments.
+
+    A miss reads chi_table(D), a memo hit after the field's first k,
+    and takes T_0..T_k from the field's shared _PowerSums.
+    """
     if k % 2 == 0:
         return Fraction(0)
     q = -D
-    chi = quadfield.chi_table(D)
-    # when q is even, chi(q/2) = 0, so a < q/2 covers the half range
-    half = range(1, (q + 1) // 2)
-    plus = [a for a in half if chi[a] > 0]
-    minus = [a for a in half if chi[a] < 0]
-    sums = [len(plus) - len(minus), sum(plus) - sum(minus)]  # T_0, T_1
-    plus_pow, minus_pow = plus, minus
-    for _ in range(k - 1):
-        plus_pow = [x * a for x, a in zip(plus_pow, plus)]
-        minus_pow = [x * a for x, a in zip(minus_pow, minus)]
-        sums.append(sum(plus_pow) - sum(minus_pow))
+    sums = _power_sums(D, quadfield.chi_table(D), k)
     ints, m = _cleared_poly(k)
     total = sum(c * q**i * sums[k - i] for i, c in enumerate(ints) if c)
     return Fraction(2 * total, m * q)
@@ -138,8 +180,9 @@ def _generalized_bernoulli(k: int, D: int) -> Fraction:
 
 def clear_caches() -> None:
     """Reset every memo table in this module (used by tests)."""
-    global _even_table
+    global _even_table, _powers
     with _lock:
         _even_table = [Fraction(1)]
+        _powers = None
     _cleared_poly.cache_clear()
     _generalized_bernoulli.cache_clear()

@@ -107,8 +107,16 @@ def class_number(field: QuadField) -> int:
 
 @lru_cache(maxsize=None)
 def h_torsion(field: QuadField, m: int) -> int:
-    """Number of ideal classes killed by m, written h_{ell,m}."""
-    return quadfield.torsion_count(quadfield.reduced_forms(field), m)
+    """Number of ideal classes killed by m, written h_{ell,m}.
+
+    Every class satisfies g^h = 1, so g^m = 1 exactly when
+    g^gcd(m, h) = 1: h_{ell,m} = h_{ell,gcd(m,h)}, which is 1, with no
+    composition, when m is prime to the class number.
+    """
+    require_int(m, "m", 1)
+    group = quadfield.reduced_forms(field)
+    g = math.gcd(m, group.h)
+    return 1 if g == 1 else quadfield.torsion_count(group, g)
 
 
 def nu_even(field: QuadField, n: int) -> Fraction:

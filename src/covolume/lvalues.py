@@ -6,7 +6,9 @@ exact rationals built from Bernoulli numbers.  Values at integer s >= 2
 are floats obtained by direct series summation accelerated with
 Euler-Maclaurin tail corrections, and each carries a rigorous bound on
 the truncation error.  The numeric route deliberately shares nothing
-with the exact route: its tail coefficients are hardcoded constants.
+with the exact route: its tail coefficients are hardcoded constants, and
+its character comes from one Kronecker symbol per residue, not from the
+tiled table the exact route reads.
 """
 
 from __future__ import annotations
@@ -117,9 +119,19 @@ def zeta_numeric(s: int) -> NumericValue:
 
 
 @lru_cache(maxsize=None)
+def _kronecker_row(D: int) -> tuple[int, ...]:
+    """chi_D(0), ..., chi_D(|D| - 1), one Kronecker symbol per residue.
+
+    The exact route tiles its table from prime discriminants; this route
+    keeps its own, so the two share no character code.
+    """
+    return tuple(quadfield.kronecker_symbol(D, a) for a in range(abs(D)))
+
+
+@lru_cache(maxsize=None)
 def _l_numeric_by_disc(D: int, s: int) -> NumericValue:
     q = -D
-    chi = quadfield.chi_table(D)
+    chi = _kronecker_row(D)
     # total error scales by q^(-s); give each residue class its share
     per_target = 2.5e-13 * float(q) ** (s - 1)
     acc = 0.0
@@ -151,4 +163,5 @@ def l_numeric(field: QuadField, s: int) -> NumericValue:
 def clear_caches() -> None:
     """Reset the numeric memo tables (used by tests)."""
     zeta_numeric.cache_clear()
+    _kronecker_row.cache_clear()
     _l_numeric_by_disc.cache_clear()

@@ -177,34 +177,48 @@ def kronecker_symbol(D: int, m: int) -> int:
     return sign if n == 1 else 0
 
 
+# one period of the characters of the prime discriminants -4, 8 and -8
+_TWO_PART_TABLES = {
+    -4: (0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
+
+
+def _legendre_table(p: int) -> list[int]:
+    """(a/p) for a = 0..p-1, an odd prime p, by marking the squares."""
+    table = [-1] * p
+    table[0] = 0
+    for x in range(1, p // 2 + 1):
+        table[x * x % p] = 1
+    return table
+
+
 @lru_cache(maxsize=None)
 def chi_table(D: int) -> tuple[int, ...]:
     """One full period of the character: chi_D(0), ..., chi_D(|D| - 1).
 
-    chi_D is completely multiplicative, so the table is sieved from its
-    values at the primes p < |D|, one Kronecker symbol each: a zero at p
-    clears every multiple of p, and a -1 flips the sign of every multiple
-    of each power p^e, so m picks up (-1)^(v_p(m)).  Slices do the
-    marking; no per-residue factorization is stored.
+    D factors into prime discriminants, and chi_D is the product of their
+    characters (Washington, Cyclotomic Fields, ch. 3).  The 2-part is
+    -4, 8 or -8, with a fixed table of period 4 or 8; the odd part
+    D' = 1 mod 4 contributes the Legendre symbol (a/p) for each prime
+    p | D', whatever the sign of p* = +-p.  Each factor's table is tiled
+    to length |D| and the tiles are multiplied elementwise, so no
+    Kronecker symbol is evaluated.
     """
     _require_fundamental(D)
     q = abs(D)
-    chi = [1] * q
-    if q > 1:
-        chi[0] = 0
-    composite = bytearray(q)
-    for p in range(2, q):
-        if composite[p]:
-            continue
-        composite[p * p :: p] = b"\x01" * len(range(p * p, q, p))
-        c = kronecker_symbol(D, p)
-        if c == 0:
-            chi[p::p] = [0] * len(range(p, q, p))
-        elif c < 0:
-            pe = p
-            while pe < q:
-                chi[pe::pe] = [-x for x in chi[pe::pe]]
-                pe *= p
+    odd = D
+    factors = []
+    if D % 4 == 0:
+        two = -4 if D // 4 % 4 == 3 else 8 if D // 8 % 4 == 1 else -8
+        factors.append(_TWO_PART_TABLES[two])
+        odd = D // two
+    factors += [_legendre_table(p) for p in _prime_factors(abs(odd))]
+    tiles = [table * (q // len(table)) for table in factors] or [[1]]
+    chi = tiles[0]
+    for tile in tiles[1:]:
+        chi = [x * y for x, y in zip(chi, tile)]
     return tuple(chi)
 
 

@@ -5,9 +5,10 @@ different from the production code path: power-series division instead
 of the recurrence for Bernoulli numbers, Euler's criterion instead of
 reciprocity for the character, brute-force predicate checks instead of
 the production enumeration for reduced forms, and mpmath's Hurwitz zeta
-at high precision for the analytic values.  The character table one
-Kronecker symbol per residue and the full-period Horner sum for B_{k,chi}
-are the exact kernels the sieved table and the half-range power sums
+at high precision for the analytic values.  The character table with
+one Kronecker symbol per residue, the table sieved from one Kronecker
+symbol per prime, and the full-period Horner sum for B_{k,chi} are the
+exact kernels that the tiled table and the half-range power sums
 replaced, kept as their differential oracles.
 """
 
@@ -89,6 +90,33 @@ def naive_reduced_forms(D: int) -> set[tuple[int, int, int]]:
 def chi_table_per_residue(D: int) -> tuple[int, ...]:
     """chi_D(0), ..., chi_D(|D| - 1), one Kronecker symbol per residue."""
     return tuple(quadfield.kronecker_symbol(D, m) for m in range(abs(D)))
+
+
+def chi_table_sieved(D: int) -> tuple[int, ...]:
+    """chi_D(0), ..., chi_D(|D| - 1), sieved from one Kronecker symbol per prime.
+
+    chi_D is completely multiplicative: a zero at a prime p < |D| clears
+    every multiple of p, and a -1 flips the sign of every multiple of each
+    power p^e, so m picks up (-1)^(v_p(m)).
+    """
+    q = abs(D)
+    chi = [1] * q
+    if q > 1:
+        chi[0] = 0
+    composite = bytearray(q)
+    for p in range(2, q):
+        if composite[p]:
+            continue
+        composite[p * p :: p] = b"\x01" * len(range(p * p, q, p))
+        c = quadfield.kronecker_symbol(D, p)
+        if c == 0:
+            chi[p::p] = [0] * len(range(p, q, p))
+        elif c < 0:
+            pe = p
+            while pe < q:
+                chi[pe::pe] = [-x for x in chi[pe::pe]]
+                pe *= p
+    return tuple(chi)
 
 
 @lru_cache(maxsize=None)

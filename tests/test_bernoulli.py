@@ -5,14 +5,16 @@ The reference values come from an independent power-series oracle
 uses, so agreement actually checks something.
 """
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from covolume import bernoulli, quadfield
+from covolume import bernoulli, lattice, quadfield
 from covolume.errors import InvalidInput, NonFundamentalDiscriminant
 
 from . import oracles
@@ -198,3 +200,73 @@ class TestHalfRangeKernel:
             for k in (3, 5, 7, 9, 11):
                 bernoulli.generalized_bernoulli(k, field.disc_signed)
         assert bernoulli._cleared_poly.cache_info().currsize == 5
+
+
+class TestSharedPowerSums:
+    """One power-sum state per field, shared by every odd k, never stale."""
+
+    FIELDS = (-3, -4, -20, -23, -84, -299, -420)
+
+    def _check(self, pairs):
+        for k, D in pairs:
+            assert bernoulli.generalized_bernoulli(k, D) == (
+                oracles.generalized_bernoulli_horner(k, D)
+            ), (k, D)
+
+    def test_descending_k(self):
+        bernoulli.clear_caches()
+        self._check((k, D) for D in self.FIELDS for k in range(31, 0, -1))
+
+    def test_interleaved_fields(self):
+        bernoulli.clear_caches()
+        self._check(
+            (k, D) for k in range(1, 24) for D in (self.FIELDS[k % 7], -299)
+        )
+
+    def test_across_clear_caches(self):
+        bernoulli.clear_caches()
+        self._check((k, -84) for k in (3, 5, 7))
+        bernoulli.clear_caches()
+        self._check((k, D) for D in (-84, -20) for k in (9, 3, 11))
+        quadfield.clear_caches()
+        self._check((k, -84) for k in (13, 1, 15))
+
+    def test_one_state_and_n_power_passes_per_nu(self, monkeypatch):
+        field = quadfield.from_squarefree_d(23)
+        bernoulli.clear_caches()
+        built = []
+        passes = Counter()
+        init, times = bernoulli._PowerSums.__init__, bernoulli._times
+
+        def counting_init(self, D, chi):
+            built.append(D)
+            init(self, D, chi)
+
+        def counting_times(xs, ys):
+            passes[id(ys)] += 1
+            return times(xs, ys)
+
+        monkeypatch.setattr(bernoulli._PowerSums, "__init__", counting_init)
+        monkeypatch.setattr(bernoulli, "_times", counting_times)
+        lattice.nu(field, 10)
+        assert built == [-23]
+        # a^2 .. a^11 for k = 3, 5, ..., 11: ten passes over each list
+        assert sorted(passes.values()) == [10, 10]
+
+    def test_concurrent_fields(self):
+        pairs = [(k, D) for D in self.FIELDS for k in range(1, 16, 2)] * 3
+        random.Random(11).shuffle(pairs)
+        expected = {p: oracles.generalized_bernoulli_horner(*p) for p in set(pairs)}
+        bernoulli.clear_caches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [
+                    pool.submit(bernoulli.generalized_bernoulli, *p) for p in pairs
+                ]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for p, value in zip(pairs, results):
+            assert value == expected[p], p

@@ -425,6 +425,8 @@ GOLDEN_STDOUT = {
     "scan --n 2 --max-disc 100 --format csv": "1768a6669b95b630399ad60b03cd8f2e08297d2a45ad78b3937ef9bb66d218db",
     "scan --n 11 --max-disc 300 --format csv": "f7d81290bd92027f5b04439dbf8409a200f6de6f5235fa504e8792567e21cfb1",
     "scan --n 10 --max-disc 600 --format json": "195bd27b97114748028f686c2ca642f9132c6126bcf36511a7786523b2b6a88c",
+    "scan --n 2 --max-disc 1500 --format json": "ddd43713c92dab681815be5f8e8b2823746dd043d0dbead7d9b29af0c1094615",
+    "scan --n 5 --max-disc 1500 --format csv": "2fb4d9670c69f539af6e6021f424458eed5ab2e23205cbbf18471ee27c73b06f",
     "minimal --n 4 --verbose": "2aabe577b42bb04402bd76052401c29b46bebc0be49db06a9bd28002a1713d60",
     "minimal --overall --n-max 30 --verbose": "fb9a306ef749ed1dbe30cd96d9e827429bae6c7a9f0f90f5fbaf4ce7973d07b7",
     "growth --d 3 --n-max 20": "df394470eae987c986107d3e22edd63894fd2b42aacd5e22dfa691ebab78231c",

@@ -201,6 +201,34 @@ class TestIndexAndEpsilon:
                 assert status.exact == (field.r == 1 or n % 2 == 0)
 
 
+class TestTorsionByGcd:
+    """h_torsion reduces m to gcd(m, h) before composing any class."""
+
+    def test_matches_composing_count(self):
+        for field in quadfield.fields_with_disc_at_most(2000):
+            group = quadfield.reduced_forms(field)
+            for m in range(2, 13):
+                assert lattice.h_torsion(field, m) == (
+                    quadfield.torsion_count(group, m)
+                ), (field.d, m)
+
+    def test_two_torsion_from_genus_theory(self):
+        # the 2-rank of the class group is r - 1
+        for field in quadfield.fields_with_disc_at_most(2000):
+            count = 2 ** (field.r - 1)
+            assert lattice.h_torsion(field, 2) == count, field.d
+            group = quadfield.reduced_forms(field)
+            assert quadfield.torsion_count(group, 2) == count, field.d
+
+    def test_prime_to_class_number_composes_nothing(self, monkeypatch, f23):
+        def forbidden(*args):
+            raise AssertionError("torsion_count called")
+
+        lattice.clear_caches()
+        monkeypatch.setattr(quadfield, "torsion_count", forbidden)
+        assert [lattice.h_torsion(f23, m) for m in (2, 4, 5, 7, 11)] == [1] * 5
+
+
 class TestMultiplicity:
     def test_even_dimensions_smallest_field(self, f3):
         for n in range(2, 41, 2):

@@ -146,6 +146,15 @@ class TestLNumeric:
         with pytest.raises(InvalidInput):
             lvalues.l_numeric(f3, s)
 
+    def test_reads_no_exact_route_table(self, monkeypatch, f23):
+        # the numeric route keeps its own Kronecker table
+        def forbidden(D):
+            raise AssertionError("chi_table called")
+
+        lvalues.clear_caches()
+        monkeypatch.setattr(quadfield, "chi_table", forbidden)
+        assert lvalues.l_numeric(f23, 2).value > 0
+
 
 class TestFunctionalEquations:
     @pytest.mark.parametrize("k", list(range(2, 21, 2)))

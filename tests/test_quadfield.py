@@ -168,7 +168,8 @@ class TestKroneckerSymbol:
 
 
 class TestSievedChiTable:
-    """The sieved table against one Kronecker symbol per residue."""
+    """The tiled table against the kernels it replaced: one Kronecker
+    symbol per residue, and the sieve with one Kronecker symbol per prime."""
 
     def test_matches_per_residue_oracle(self):
         count = 0
@@ -177,21 +178,19 @@ class TestSievedChiTable:
                 # the unmemoized body, so the suite does not keep millions of entries
                 table = quadfield.chi_table.__wrapped__(D)
                 assert table == oracles.chi_table_per_residue(D), D
+                assert table == oracles.chi_table_sieved(D), D
                 count += 1
-        assert count > 1800  # both signs, D = 1 included
+        assert count == 1821  # both signs, D = 1 included
 
     @pytest.mark.parametrize("D", [1, 5, 8, 12, -3, -4, -84, -163, -1995, 2993])
-    def test_kronecker_called_once_per_prime(self, monkeypatch, D):
-        calls = []
-        kronecker = quadfield.kronecker_symbol
+    def test_tiled_table_calls_no_kronecker(self, monkeypatch, D):
+        expected = oracles.chi_table_per_residue(D)
 
-        def counting(D, m):
-            calls.append(m)
-            return kronecker(D, m)
+        def forbidden(D, m):
+            raise AssertionError(f"kronecker_symbol({D}, {m}) called")
 
-        monkeypatch.setattr(quadfield, "kronecker_symbol", counting)
-        quadfield.chi_table.__wrapped__(D)
-        assert calls == oracles.primes_below(abs(D))
+        monkeypatch.setattr(quadfield, "kronecker_symbol", forbidden)
+        assert quadfield.chi_table.__wrapped__(D) == expected
 
 
 class TestReducedForms:
