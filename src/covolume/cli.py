@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import lattice, quadfield, serialize, survey
 from .errors import CovolumeError, InternalDefect, InvalidInput
@@ -42,26 +42,25 @@ def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
 def _emit(
     fmt: str,
     header: tuple[str, ...],
-    csv_rows: list[tuple[str, ...]],
-    records: list[dict[str, Any]],
+    items: list[Any],
+    to_csv: Callable[[Any], tuple[str, ...]],
+    to_record: Callable[[Any], dict[str, Any]],
 ) -> None:
+    """Print items in fmt, converting each only to the form printed."""
     if fmt == "json":
-        for record in records:
-            print(serialize.dumps(record))
+        for item in items:
+            print(serialize.dumps(to_record(item)))
     elif fmt == "csv":
         print(serialize.csv_join(header))
-        for row in csv_rows:
-            print(serialize.csv_join(row))
+        for item in items:
+            print(serialize.csv_join(to_csv(item)))
     else:
-        _print_table(header, csv_rows)
+        _print_table(header, [to_csv(item) for item in items])
 
 
 def _emit_survey_rows(rows: list[SurveyRow], fmt: str) -> None:
     _emit(
-        fmt,
-        SurveyRow.CSV_HEADER,
-        [serialize.row_to_csv(r) for r in rows],
-        [serialize.row_to_record(r) for r in rows],
+        fmt, SurveyRow.CSV_HEADER, rows, serialize.row_to_csv, serialize.row_to_record
     )
 
 
@@ -149,8 +148,9 @@ def cmd_growth(args: argparse.Namespace) -> int:
     _emit(
         args.format or _default_format(),
         serialize.GROWTH_HEADER,
-        [serialize.growth_to_csv(r) for r in reports],
-        [serialize.growth_to_record(r) for r in reports],
+        reports,
+        serialize.growth_to_csv,
+        serialize.growth_to_record,
     )
     return 0
 
@@ -160,8 +160,9 @@ def cmd_hwang(args: argparse.Namespace) -> int:
     _emit(
         args.format or _default_format(),
         ("n", "k", "bound"),
-        [(str(args.n), str(args.k), serialize.format_float(bound.value))],
-        [{"n": args.n, "k": args.k, "bound": bound.value}],
+        [bound.value],
+        lambda b: (str(args.n), str(args.k), serialize.format_float(b)),
+        lambda b: {"n": args.n, "k": args.k, "bound": b},
     )
     return 0
 

@@ -17,6 +17,7 @@ precision exercises every layer of the package at once.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +52,12 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2 * math.pi)
+
+_lock = threading.Lock()
+# P(0), P(1), ... of the field read last (see _l_product); replaced on a
+# new discriminant, dropped by clear_caches
+_prefix_disc: int | None = None
+_prefix: list[Fraction] = [Fraction(1)]
 
 
 class Interval(NamedTuple):
@@ -119,24 +126,50 @@ def h_torsion(field: QuadField, m: int) -> int:
     return 1 if g == 1 else quadfield.torsion_count(group, g)
 
 
+def _l_product(field: QuadField, m: int) -> Fraction:
+    """P(m) = prod_{j<=m} zeta(1-2j) L(-2j, chi), with P(0) = 1.
+
+    Read from one append-only list P(0), P(1), ... that belongs to the
+    field asked last and grows one factor pair at a time under _lock, so
+    a sweep over n = 2..N of one field pays for each L-value once.  A new
+    field replaces the list and clear_caches drops it; entries are never
+    mutated, so a prefix read from the list never goes stale.
+    """
+    global _prefix, _prefix_disc
+    with _lock:
+        if _prefix_disc != field.disc_signed:
+            _prefix_disc = field.disc_signed
+            _prefix = [Fraction(1)]
+        while len(_prefix) <= m:
+            j = len(_prefix)
+            _prefix.append(
+                _prefix[-1]
+                * lvalues.zeta_negative(2 * j)
+                * lvalues.l_negative(field, 2 * j + 1)
+            )
+        return _prefix[m]
+
+
 def nu_even(field: QuadField, n: int) -> Fraction:
-    """nu for even n: (n+1) / (2^n h_{ell,n+1}) * prod zeta(1-2j) L(-2j)."""
+    """nu for even n: (n+1) / (2^n h_{ell,n+1}) * P(n/2).
+
+    P(m) = prod_{j<=m} zeta(1-2j) L(-2j) is read from the field's prefix
+    list (_l_product), so consecutive dimensions share their factors.
+    """
     require_int(n, "n", 2, InvalidDimension)
     if n % 2:
         raise InvalidDimension(f"n must be even, got {n}")
     acc = Fraction(n + 1, 2**n * h_torsion(field, n + 1))
-    for j in range(1, n // 2 + 1):
-        acc *= lvalues.zeta_negative(2 * j)
-        acc *= lvalues.l_negative(field, 2 * j + 1)
-    return acc
+    return acc * _l_product(field, n // 2)
 
 
 def nu_odd(field: QuadField, n: int) -> ExactOrInterval:
     """nu for odd n, exact when the field has one ramified prime.
 
-    (-1)^((n+1)/2) (n+1) eps / (2^n h_{ell,n+1}) * zeta(-n)
-    * prod_{j<=(n-1)/2} zeta(1-2j) L(-2j), with eps = 2 when r = 1 and
-    eps in [2, 2^r] otherwise, which widens the value to an interval.
+    (-1)^((n+1)/2) (n+1) eps / (2^n h_{ell,n+1}) * zeta(-n) * P((n-1)/2),
+    with P read from the field's prefix list as in nu_even, eps = 2 when
+    r = 1 and eps in [2, 2^r] otherwise, which widens the value to an
+    interval.
     """
     require_int(n, "n", 2, InvalidDimension)
     if n % 2 == 0:
@@ -144,9 +177,7 @@ def nu_odd(field: QuadField, n: int) -> ExactOrInterval:
     sign = -1 if (n + 1) // 2 % 2 else 1
     core = Fraction(sign * (n + 1), 2**n * h_torsion(field, n + 1))
     core *= lvalues.zeta_negative(n + 1)  # zeta(-n)
-    for j in range(1, (n - 1) // 2 + 1):
-        core *= lvalues.zeta_negative(2 * j)
-        core *= lvalues.l_negative(field, 2 * j + 1)
+    core *= _l_product(field, (n - 1) // 2)
     eps = epsilon_status(field, n)
     if eps.kind == "exact":
         return core * 2
@@ -400,5 +431,9 @@ def cross_path_check(
 
 
 def clear_caches() -> None:
-    """Reset this module's memo tables (used by tests)."""
+    """Reset this module's memo tables and the prefix list (used by tests)."""
+    global _prefix, _prefix_disc
+    with _lock:
+        _prefix_disc = None
+        _prefix = [Fraction(1)]
     h_torsion.cache_clear()

@@ -232,21 +232,16 @@ def scan(n: int, max_disc: int) -> tuple[SurveyRow, ...]:
     return tuple(SurveyRow.from_result(lattice.covolume_result(f, n)) for f in fields)
 
 
-def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
-    """Field of minimal covolume at dimension n, with a full certificate.
+def _limit(n: int, safety_margin: int) -> tuple[float, int]:
+    """discriminant_bound(n) and the enumeration limit it implies."""
+    bound = discriminant_bound(n).value
+    return bound, max(math.ceil(bound), 4) + safety_margin
 
-    Enumerates every field with |disc| <= max(discriminant_bound(n), 4)
-    + safety_margin and compares exact nu values (lower endpoints for
-    interval candidates, which is sound because the winner must be
-    exact).  A tie for the minimum, or an inexact winner, raises
-    TieDetected rather than guessing.
-    """
-    require_int(n, "n", 2, InvalidDimension)
-    require_int(safety_margin, "safety_margin", 1)
-    bound = discriminant_bound(n)
-    limit = max(math.ceil(bound.value), 4) + safety_margin
-    fields = quadfield.fields_with_disc_at_most(limit)
-    candidates = tuple(Candidate(f, lattice.covolume_result(f, n)) for f in fields)
+
+def _certify(
+    n: int, bound: float, limit: int, candidates: tuple[Candidate, ...]
+) -> MinimalResult:
+    """Pick the unique exact minimum among candidates, or raise TieDetected."""
     best = min(c.result.nu_lower for c in candidates)
     winners = [c for c in candidates if c.result.nu_lower == best]
     if len(winners) > 1:
@@ -259,9 +254,26 @@ def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
             f"({winner.field}); comparison by lower endpoint is inconclusive"
         )
     certificate = MinimalCertificate(
-        n=n, bound=bound.value, limit=limit, candidates=candidates
+        n=n, bound=bound, limit=limit, candidates=candidates
     )
     return MinimalResult(winner.field, winner.result, certificate)
+
+
+def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
+    """Field of minimal covolume at dimension n, with a full certificate.
+
+    Enumerates every field with |disc| <= max(discriminant_bound(n), 4)
+    + safety_margin and compares exact nu values (lower endpoints for
+    interval candidates, which is sound because the winner must be
+    exact).  A tie for the minimum, or an inexact winner, raises
+    TieDetected rather than guessing.
+    """
+    require_int(n, "n", 2, InvalidDimension)
+    require_int(safety_margin, "safety_margin", 1)
+    bound, limit = _limit(n, safety_margin)
+    fields = quadfield.fields_with_disc_at_most(limit)
+    candidates = tuple(Candidate(f, lattice.covolume_result(f, n)) for f in fields)
+    return _certify(n, bound, limit, candidates)
 
 
 def _volume_value(result: CovolumeResult) -> float:
@@ -273,12 +285,30 @@ def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
     """Global minimum over 2 <= n <= n_max of the per-dimension minima.
 
     Requires n_max >= 10 so the scan range safely brackets the minimum.
-    Both rankings (Euler-Poincare value and hyperbolic volume) are
-    computed and must name the same unique dimension; the growth
-    threshold n1 certifies monotone growth above it.
+    Every per-dimension certificate equals minimal_field(n), but the
+    candidates are computed field by field: each field is swept across
+    the dimensions whose limit includes it, in ascending n, so its
+    L-product prefix and power sums are built once for the whole run.
+    The certificates are then checked for n = 2..n_max in order, so a
+    tie raises at the lowest tied dimension.  Both rankings
+    (Euler-Poincare value and hyperbolic volume) are computed and must
+    name the same unique dimension; the growth threshold n1 certifies
+    monotone growth above it.
     """
     require_int(n_max, "n_max", 10)
-    per_n = tuple(minimal_field(n, safety_margin) for n in range(2, n_max + 1))
+    require_int(safety_margin, "safety_margin", 1)
+    limits = {n: _limit(n, safety_margin) for n in range(2, n_max + 1)}
+    candidates: dict[int, list[Candidate]] = {n: [] for n in limits}
+    widest = max(limit for _, limit in limits.values())
+    for field in quadfield.fields_with_disc_at_most(widest):
+        for n, (_, limit) in limits.items():
+            if field.disc_abs <= limit:
+                result = lattice.covolume_result(field, n)
+                candidates[n].append(Candidate(field, result))
+    per_n = tuple(
+        _certify(n, bound, limit, tuple(candidates[n]))
+        for n, (bound, limit) in limits.items()
+    )
 
     best_nu = min(mr.result.nu_lower for mr in per_n)
     nu_winners = [mr for mr in per_n if mr.result.nu_lower == best_nu]

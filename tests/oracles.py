@@ -9,7 +9,9 @@ at high precision for the analytic values.  The character table with
 one Kronecker symbol per residue, the table sieved from one Kronecker
 symbol per prime, and the full-period Horner sum for B_{k,chi} are the
 exact kernels that the tiled table and the half-range power sums
-replaced, kept as their differential oracles.
+replaced, kept as their differential oracles; likewise nu with its
+L-product rebuilt from j = 1 on every call, which the prefix list of
+lattice._l_product replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 
 import mpmath
 
-from covolume import quadfield
+from covolume import lattice, lvalues, quadfield
 
 
 def bernoulli_series(k_max: int) -> list[Fraction]:
@@ -151,6 +153,23 @@ def generalized_bernoulli_horner(k: int, D: int) -> Fraction:
                 acc = acc * a + coeff
             total += acc if sign > 0 else -acc
     return Fraction(total, m * q)
+
+
+def nu_by_loop(field: quadfield.QuadField, n: int) -> lattice.ExactOrInterval:
+    """nu(field, n) with prod_{j<=n/2} zeta(1-2j) L(-2j) looped per call."""
+    sign = 1 if n % 2 == 0 or (n + 1) // 2 % 2 == 0 else -1
+    acc = Fraction(sign * (n + 1), 2**n * lattice.h_torsion(field, n + 1))
+    if n % 2:
+        acc *= lvalues.zeta_negative(n + 1)  # zeta(-n)
+    for j in range(1, n // 2 + 1):
+        acc *= lvalues.zeta_negative(2 * j)
+        acc *= lvalues.l_negative(field, 2 * j + 1)
+    if n % 2 == 0:
+        return acc
+    eps = lattice.epsilon_status(field, n)
+    if eps.kind == "exact":
+        return acc * 2
+    return lattice.Interval(acc * eps.lower, acc * eps.upper)
 
 
 def zeta_mp(s: int, dps: int = 40) -> float:

@@ -418,6 +418,39 @@ class TestUsageErrors:
 
 # SHA-256 of stdout for a fixed command set.  A refactor must leave every
 # printed byte, and so every exact value, unchanged.
+class TestEmitConvertsOnlyPrinted:
+    """Each command converts its rows only to the form it prints."""
+
+    COMMANDS = (
+        ("nu", "--d", "3", "--n", "9"),
+        ("scan", "--n", "4", "--max-disc", "40"),
+        ("growth", "--d", "5", "--n-min", "2", "--n-max", "6"),
+    )
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def forbidden(*args):
+            raise AssertionError("converter for an unprinted form called")
+
+        for name in names:
+            monkeypatch.setattr(serialize, name, forbidden)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_json_builds_no_csv_row(self, capsys, monkeypatch, command):
+        self._forbid(monkeypatch, "row_to_csv", "growth_to_csv")
+        code, out, _ = run_cli(capsys, *command, "--format", "json")
+        assert code == 0
+        assert all(json.loads(line) for line in out.splitlines())
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_csv_and_table_build_no_record(self, capsys, monkeypatch, command, fmt):
+        self._forbid(monkeypatch, "row_to_record", "growth_to_record")
+        code, out, _ = run_cli(capsys, *command, "--format", fmt)
+        assert code == 0
+        assert len(out.splitlines()) >= 2
+
+
 GOLDEN_STDOUT = {
     "nu --d 3 --n 9 --format json": "1c73e1a2fd0ca09edcaf46a6544309516bb004958e9e958ea85417695394e27a",
     "nu --d 3 --n 9 --format csv": "f980820ff1c5ca870cfd910636da5b976b256e7eeca5c2ce60941c8200e339ae",
@@ -432,6 +465,11 @@ GOLDEN_STDOUT = {
     "growth --d 3 --n-max 20": "df394470eae987c986107d3e22edd63894fd2b42aacd5e22dfa691ebab78231c",
     "classgroup --d 23 --m 3": "25ac635ae9682dafd3cb214053ba1ea76faa8b952c0cfc81003a767d0d7e5d43",
     "selfcheck --quick": "c418bd3e3592bc184482d134592f5798811f9af27016d6c2c24d9f12f557fc5c",
+    "minimal --overall --n-max 60 --verbose --format csv": "2f400c779242bb6f89870ad3977063734ebfbaf44df7733ae9807102ccf03ca0",
+    "growth --d 5 --n-min 2 --n-max 40 --format csv": "ad6202082d2be2d4f2dac04a7dd9c4f5b2a8eb995ba285d5400efa554766014c",
+    "nu --d 3 --n 250 --format json": "4a3ec4c8dcd2ccc5d68fff0566ea17b7c11eed400ddfec024e435e387b2f6c9c",
+    "growth --d 3 --n-min 2 --n-max 40 --format table": "a90cc1ef2997740c2f021ed53140ab170ddf17d3d6eee1dc70a8344500e4ead2",
+    "hwang --n 6 --k 3 --format csv": "ded72b272e366fffa26617351339848ff4cdb72e6ebb92e51c75e69981daadbd",
 }
 
 

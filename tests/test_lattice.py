@@ -3,10 +3,14 @@ volumes, indices, multiplicities, and the exact-vs-adelic cross check.
 """
 
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+import covolume
 from covolume import lattice, lvalues, quadfield
 from covolume.errors import InvalidDimension, UnknownMultiplicity
 from covolume.lattice import Interval, is_exact
@@ -227,6 +231,92 @@ class TestTorsionByGcd:
         lattice.clear_caches()
         monkeypatch.setattr(quadfield, "torsion_count", forbidden)
         assert [lattice.h_torsion(f23, m) for m in (2, 4, 5, 7, 11)] == [1] * 5
+
+
+class TestPrefixProduct:
+    """nu reads P(m) from the append-only prefix list of the field asked
+    last; every order of requests gives the per-call loop's value."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        covolume.clear_caches()
+        return {
+            (field, n): oracles.nu_by_loop(field, n)
+            for field in quadfield.fields_with_disc_at_most(300)
+            for n in range(2, 31)
+        }
+
+    def _check(self, pairs, expected):
+        for field, n in pairs:
+            assert lattice.nu(field, n) == expected[field, n], (field.d, n)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+    def test_matches_loop_oracle(self, expected, order):
+        fields = sorted({field for field, _ in expected}, key=lambda f: f.disc_abs)
+        dims = range(2, 31) if order == "ascending" else range(30, 1, -1)
+        if order == "interleaved":
+            pairs = [(field, n) for n in range(2, 31) for field in fields]
+        else:
+            pairs = [(field, n) for field in fields for n in dims]
+        lattice.clear_caches()
+        self._check(pairs, expected)
+
+    def test_across_clear_caches(self, expected, f3, f23):
+        lattice.clear_caches()
+        self._check([(f23, n) for n in (12, 3, 20)], expected)
+        lattice.clear_caches()
+        self._check([(f23, n) for n in (30, 2)], expected)
+        covolume.clear_caches()
+        self._check([(f3, 9), (f23, 7), (f23, 25), (f3, 30)], expected)
+
+    @pytest.mark.parametrize(
+        "clear",
+        [covolume.clear_caches, lattice.clear_caches],
+        ids=["package", "lattice"],
+    )
+    def test_perturbed_l_value_is_not_masked(self, monkeypatch, f23, clear):
+        covolume.clear_caches()
+        before = lattice.nu(f23, 10)  # leaves f23's prefix list warm
+        clear()
+        real = lvalues.l_negative
+        monkeypatch.setattr(lvalues, "l_negative", lambda field, k: 2 * real(field, k))
+        try:
+            after = lattice.nu(f23, 10)
+            assert after == oracles.nu_by_loop(f23, 10) == 2**5 * before
+        finally:
+            monkeypatch.undo()
+            covolume.clear_caches()
+
+    def test_concurrent_fields(self, expected):
+        fields = [quadfield.from_squarefree_d(d) for d in (1, 2, 3, 5, 23, 71)]
+        pairs = [(field, n) for field in fields for n in range(2, 31)] * 2
+        random.Random(7).shuffle(pairs)
+        lattice.clear_caches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lattice.nu, *p) for p in pairs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (field, n), value in zip(pairs, results):
+            assert value == expected[field, n], (field.d, n)
+
+    def test_sweep_computes_each_l_value_once(self, monkeypatch, f3):
+        covolume.clear_caches()
+        calls = []
+        real = lvalues.l_negative
+
+        def counting(field, k):
+            calls.append(k)
+            return real(field, k)
+
+        monkeypatch.setattr(lvalues, "l_negative", counting)
+        for n in range(2, 201):
+            lattice.nu(f3, n)
+        # k = 3, 5, ..., 201 once each; a loop per call makes 10000 calls
+        assert calls == list(range(3, 202, 2))
 
 
 class TestMultiplicity:

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from covolume import lattice, quadfield, survey
+import covolume
+from covolume import bernoulli, lattice, quadfield, survey
 from covolume.errors import InvalidDimension, InvalidInput, TieDetected
 from covolume.lattice import Interval
 
@@ -181,6 +182,71 @@ class TestOverallMinimum:
         monkeypatch.setattr(lattice, "nu", counting)
         assert survey.overall_minimum(16).growth_threshold_n1 == 15
         assert [calls.count((3, n)) for n in (14, 15, 16)] == [2, 2, 2]
+
+
+class TestFieldMajorSweep:
+    """overall_minimum sweeps field by field; each certificate must equal
+    the per-dimension path's."""
+
+    def test_per_n_matches_minimal_field(self):
+        overall = survey.overall_minimum(40)
+        assert len(overall.per_n) == 39
+        for n, mr in enumerate(overall.per_n, start=2):
+            assert mr == survey.minimal_field(n), n
+
+    @pytest.mark.parametrize("tied", [{2, 3}, {7, 11}, {40}])
+    def test_tie_raises_at_lowest_tied_dimension(self, monkeypatch, tied):
+        real = lattice.covolume_result
+
+        def tied_at(field, n):
+            result = real(field, n)
+            if n not in tied:
+                return result
+            return dataclasses.replace(result, nu=Fraction(1, 7))
+
+        monkeypatch.setattr(lattice, "covolume_result", tied_at)
+        with pytest.raises(TieDetected, match=f"minimum at n = {min(tied)} is shared"):
+            survey.overall_minimum(40)
+
+    def test_inexact_winner_raises_at_lowest_dimension(self, monkeypatch):
+        real = lattice.covolume_result
+
+        def widened(field, n):
+            result = real(field, n)
+            if n not in (6, 9):
+                return result
+            low = Fraction(1, 1000 + field.disc_abs)
+            return dataclasses.replace(result, nu=Interval(low, 2 * low))
+
+        monkeypatch.setattr(lattice, "covolume_result", widened)
+        with pytest.raises(TieDetected, match="minimum at n = 6 falls on an interval"):
+            survey.overall_minimum(40)
+
+    def test_rejects_bad_margin(self):
+        with pytest.raises(InvalidInput):
+            survey.overall_minimum(10, safety_margin=0)
+
+    def test_one_power_state_per_field(self, monkeypatch):
+        covolume.clear_caches()
+        built = []
+        passes = [0]
+        init, times = bernoulli._PowerSums.__init__, bernoulli._times
+
+        def counting_init(self, D, chi):
+            built.append(D)
+            init(self, D, chi)
+
+        def counting_times(xs, ys):
+            passes[0] += 1
+            return times(xs, ys)
+
+        monkeypatch.setattr(bernoulli._PowerSums, "__init__", counting_init)
+        monkeypatch.setattr(bernoulli, "_times", counting_times)
+        survey.overall_minimum(60)
+        # 10 fields up to the widest limit; a sweep by dimension rebuilt
+        # 300 states and made 18600 passes
+        assert len(built) == len(set(built)) == 10
+        assert passes[0] == 1200
 
 
 class TestGrowthRatio:
