@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from typing import Any, Callable
 
 from . import lattice, quadfield, serialize, survey
@@ -329,16 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # nu past n ~ 100 has more digits than the int/str limit (Python >= 3.10.7)
-    saved_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if saved_limit:
-        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except InternalDefect as exc:
@@ -347,9 +349,6 @@ def main(argv: list[str] | None = None) -> int:
     except CovolumeError as exc:
         print(f"covolume: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if saved_limit:
-            sys.set_int_max_str_digits(saved_limit)
 
 
 def run() -> None:

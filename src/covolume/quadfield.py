@@ -194,7 +194,7 @@ def _legendre_table(p: int) -> list[int]:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def chi_table(D: int) -> tuple[int, ...]:
     """One full period of the character: chi_D(0), ..., chi_D(|D| - 1).
 
@@ -204,7 +204,9 @@ def chi_table(D: int) -> tuple[int, ...]:
     D' = 1 mod 4 contributes the Legendre symbol (a/p) for each prime
     p | D', whatever the sign of p* = +-p.  Each factor's table is tiled
     to length |D| and the tiles are multiplied elementwise, so no
-    Kronecker symbol is evaluated.
+    Kronecker symbol is evaluated.  Only the field being computed reads
+    its table, so the memo keeps one: a scan holds O(|D|) residues, not
+    the sum over every field.
     """
     _require_fundamental(D)
     q = abs(D)

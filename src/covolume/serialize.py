@@ -7,14 +7,27 @@ is the identity.  Interval values are "lower..upper" in CSV and
 {"lower": ..., "upper": ...} objects in JSON.  Every emitted record
 parses back to an equal row, and re-serializing the parsed form
 reproduces the original bytes.
+
+Large n: nu(n) has about n^2 log n digits (546k at n = 800 over
+Q(sqrt(-3))), and CPython before 3.12 converts int to str in quadratic
+time.  format_rational is the one place where exact rationals become
+text.  It hands magnitudes of at most _LEAF_BITS bits to str() and
+converts larger ones by the divide-and-conquer radix conversion of
+Brent & Zimmermann, Modern Computer Arithmetic, sec. 1.7, on the
+decimal module, in time subquadratic in the size.  Either way it never
+meets the interpreter's int/str digit limit, so nothing here or in the
+CLI touches that limit.  row_to_record and row_to_csv convert each
+distinct magnitude of a record once: chi's numerator is usually +-nu's,
+and an interval's endpoints swap between nu and chi.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .lattice import EpsilonStatus, ExactOrInterval, Interval
 from .survey import GrowthReport, SurveyRow
@@ -47,18 +60,88 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
+# str() converts magnitudes of at most this many bits: 617 decimal digits,
+# under the lowest int/str digit limit Python allows (640).  Larger ones
+# split into leaves of this size converted by Decimal(int), which the
+# limit does not cover.  On Python 3.11 the split costs 2.2x str() just
+# above this size, 1.15x at 16k bits, and 0.57x at 64k bits; leaves of
+# 4k to 32k bits were no faster.
+_LEAF_BITS = 2048
+
+Digits = Callable[[int], str]
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n >= 0, equal to str(n), in subquadratic time.
+
+    Splits n by bits into halves, converts them recursively, and
+    recombines them as hi * 2^h + lo with exact Decimal products by
+    powers of two memoized for this call.  MAX_PREC keeps every
+    operation exact; the Inexact trap turns a lost digit into an error.
+    """
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power_of_two(w: int) -> decimal.Decimal:
+        p = powers.get(w)
+        if p is None:
+            if w <= _LEAF_BITS:
+                p = decimal.Decimal(1 << w)
+            else:
+                p = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
+            powers[w] = p
+        return p
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        # m < 2^w
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        h = w >> 1
+        hi = m >> h
+        return convert(m - (hi << h), h) + convert(hi, w - h) * power_of_two(h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX  # past 10^6 digits
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
+
+
+def _record_digits() -> Digits:
+    """_digits for one record: each distinct magnitude is converted once."""
+    seen: dict[int, str] = {}
+
+    def digits(n: int) -> str:
+        text = seen.get(n)
+        if text is None:
+            text = seen[n] = _digits(n)
+        return text
+
+    return digits
+
+
+def format_rational(x: Fraction, digits: Digits | None = None) -> str:
+    """str(x): "numerator/denominator", or the numerator alone for an integer.
+
+    digits converts a magnitude (default: _digits); pass one from
+    _record_digits to share conversions across the values of a record.
+    """
+    digits = digits or _digits
+    num, den = x.numerator, x.denominator
+    text = "-" + digits(-num) if num < 0 else digits(num)
+    return text if den == 1 else f"{text}/{digits(den)}"
 
 
 def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
-def format_value(x: ExactOrInterval) -> str:
+def format_value(x: ExactOrInterval, digits: Digits | None = None) -> str:
     if isinstance(x, Interval):
-        return f"{x.lower}..{x.upper}"
-    return str(x)
+        lower = format_rational(x.lower, digits)
+        return f"{lower}..{format_rational(x.upper, digits)}"
+    return format_rational(x, digits)
 
 
 def parse_value(s: str) -> ExactOrInterval:
@@ -133,7 +216,8 @@ def _write(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, Fraction):
-        parts.append(json.dumps(str(obj)))
+        # digits, "-" and "/" need no JSON escaping
+        parts.append(f'"{format_rational(obj)}"')
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -161,10 +245,13 @@ def csv_join(values: tuple[str, ...]) -> str:
     return ",".join(values)
 
 
-def _value_json(x: ExactOrInterval) -> str | dict[str, str]:
+def _value_json(x: ExactOrInterval, digits: Digits) -> str | dict[str, str]:
     if isinstance(x, Interval):
-        return {"lower": str(x.lower), "upper": str(x.upper)}
-    return str(x)
+        return {
+            "lower": format_rational(x.lower, digits),
+            "upper": format_rational(x.upper, digits),
+        }
+    return format_rational(x, digits)
 
 
 def _value_from_json(obj: str | dict[str, str]) -> ExactOrInterval:
@@ -198,12 +285,13 @@ def _volume_from_json(obj: Any) -> float | tuple[float, float]:
 
 def row_to_record(row: SurveyRow) -> dict[str, Any]:
     mult = row.multiplicity
+    digits = _record_digits()
     return {
         "d": row.d,
         "disc": row.disc,
         "n": row.n,
-        "nu": _value_json(row.nu),
-        "chi": _value_json(row.chi),
+        "nu": _value_json(row.nu, digits),
+        "chi": _value_json(row.chi, digits),
         "volume": _volume_json(row.volume),
         "h": row.h,
         "h_torsion": row.h_torsion,
@@ -239,12 +327,13 @@ def row_from_record(obj: dict[str, Any]) -> SurveyRow:
 
 def row_to_csv(row: SurveyRow) -> tuple[str, ...]:
     mult = row.multiplicity
+    digits = _record_digits()
     return (
         str(row.d),
         str(row.disc),
         str(row.n),
-        format_value(row.nu),
-        format_value(row.chi),
+        format_value(row.nu, digits),
+        format_value(row.chi, digits),
         format_volume(row.volume),
         str(row.h),
         str(row.h_torsion),
@@ -285,7 +374,7 @@ def growth_to_record(report: GrowthReport) -> dict[str, Any]:
     return {
         "d": report.field.d,
         "n": report.n,
-        "q": _value_json(report.q),
+        "q": _value_json(report.q, _record_digits()),
         "log_q_over_n": report.log_q_over_n,
         "closed_form": None if cf is None else _json_saturated(cf),
         "rel_err": report.closed_form_rel_err,
@@ -298,7 +387,7 @@ def growth_to_csv(report: GrowthReport) -> tuple[str, ...]:
     return (
         str(report.field.d),
         str(report.n),
-        format_value(report.q),
+        format_value(report.q, _record_digits()),
         format_float(report.log_q_over_n),
         "" if cf is None else _format_saturated(cf),
         "" if err is None else format_float(err),

@@ -99,6 +99,17 @@ class TestNuCommand:
             sys.set_int_max_str_digits(limit)
         assert nu == lattice.nu(quadfield.from_squarefree_d(3), 101)
 
+    def test_leaves_the_digit_limit_alone(self, capsys, monkeypatch):
+        def forbidden(limit):
+            raise AssertionError("the int/str digit limit was changed")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", forbidden, raising=False)
+        code, out, err = run_cli(
+            capsys, "nu", "--d", "3", "--n", "300", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["nu"]) > 10_000
+
 
 class TestScanCommand:
     def test_csv_shape(self, capsys):
@@ -470,6 +481,19 @@ GOLDEN_STDOUT = {
     "nu --d 3 --n 250 --format json": "4a3ec4c8dcd2ccc5d68fff0566ea17b7c11eed400ddfec024e435e387b2f6c9c",
     "growth --d 3 --n-min 2 --n-max 40 --format table": "a90cc1ef2997740c2f021ed53140ab170ddf17d3d6eee1dc70a8344500e4ead2",
     "hwang --n 6 --k 3 --format csv": "ded72b272e366fffa26617351339848ff4cdb72e6ebb92e51c75e69981daadbd",
+    "nu --d 3 --n 400 --format json": "34ce6ae4d8383f9f07013db9573df156b69314e013421e9297627db6bfd12830",
+    "nu --d 3 --n 400 --format csv": "1bff03d13ac704f3c3a84fa4441970c8f700807b53508a41a102254b8177abcc",
+    "nu --d 15 --n 301 --format table": "4304bb60de82b84b0b076d05afaec92c6a8f9579529cd2a07b65cfc0114edbf1",
+    "growth --d 3 --n-min 300 --n-max 302 --format json": "16f8a4db4e62881f47812c421cb18de27ffa86583efc8e7416376051094c44ae",
+}
+
+# `python -m covolume nu --d 3 --n 300` (58k digits per value) under
+# the lowest int/str digit limit Python allows; the CLI must print it
+# without touching the limit.
+GOLDEN_LOW_LIMIT = {
+    "json": "f882ad5d9fc0e6ab4018c4d9c7a159f1035344123b48b248666b43d9731a418c",
+    "csv": "eac41d2b20ff294dda84498b683e1f64a3d922974d4442039689672aa1d49a81",
+    "table": "9b84fe1afb721cb69d469d1201658949146d0efd35f1ffa9b6836e8c8fc3d191",
 }
 
 
@@ -479,6 +503,61 @@ def test_stdout_bytes_unchanged(command, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def _package_env(**extra):
+    package_root = os.path.dirname(os.path.dirname(covolume.__file__))
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
+        **extra,
+    }
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this Python has no int/str digit limit",
+)
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_LOW_LIMIT))
+def test_stdout_bytes_under_lowest_digit_limit(fmt):
+    argv = ["nu", "--d", "3", "--n", "300", "--format", fmt]
+    proc = subprocess.run(
+        [sys.executable, "-m", "covolume", *argv],
+        capture_output=True,
+        timeout=120,
+        env=_package_env(PYTHONINTMAXSTRDIGITS="640"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_LOW_LIMIT[fmt]
+
+
+class TestParserReuse:
+    def test_two_mains_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert run_cli(capsys, "nu", "--d", "3", "--n", "2")[0] == 0
+            assert run_cli(capsys, "hwang", "--n", "6")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_default_format_resolved_per_call(self, capsys, monkeypatch):
+        for fmt, first in (("table", "d  "), ("json", "{"), ("csv", "d,disc")):
+            monkeypatch.setattr(cli, "_default_format", lambda fmt=fmt: fmt)
+            code, out, _ = run_cli(capsys, "nu", "--d", "3", "--n", "2")
+            assert code == 0 and out.startswith(first), fmt
 
 
 def check_piped_json(argv, env=None):
@@ -498,10 +577,7 @@ def check_piped_json(argv, env=None):
 class TestConsoleScript:
     def test_piped_output_defaults_to_json(self):
         # runs cli.run, the script's entry function, on the imported package
-        package_root = os.path.dirname(os.path.dirname(covolume.__file__))
-        path = [package_root, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        check_piped_json([sys.executable, "-m", "covolume"], env)
+        check_piped_json([sys.executable, "-m", "covolume"], _package_env())
 
     @pytest.mark.skipif(
         shutil.which("covolume") is None, reason="covolume script not installed"

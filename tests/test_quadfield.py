@@ -193,6 +193,22 @@ class TestSievedChiTable:
         assert quadfield.chi_table.__wrapped__(D) == expected
 
 
+class TestChiTableMemo:
+    def test_scan_keeps_one_table(self):
+        from covolume import survey
+
+        quadfield.clear_caches()
+        rows = survey.scan(2, 3000)
+        assert quadfield.chi_table.cache_info().currsize == 1
+        # every 25th field, read again after the scan evicted it
+        for row in rows[::25]:
+            D = -row.disc
+            assert quadfield.chi_table(D) == oracles.chi_table_sieved(D), D
+            assert quadfield.chi_table.cache_info().currsize == 1
+            field = quadfield.from_squarefree_d(row.d)
+            assert row.nu == oracles.nu_by_loop(field, 2), D
+
+
 class TestReducedForms:
     def test_known_class_groups(self):
         for disc_abs, expected in oracles.KNOWN_CLASS_GROUPS.items():

@@ -7,8 +7,12 @@ carry at most 12 significant digits, so the strategies normalize
 through one format/parse pass first.
 """
 
+import contextlib
+import dataclasses
 import json
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,6 +45,14 @@ def _intervals(base):
 
 
 _values = st.one_of(_fractions, _intervals(_fractions))
+
+# past _LEAF_BITS, so the divide-and-conquer path runs, and under the
+# default int/str digit limit (4300 digits), so str() stays an oracle
+_big_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**12000), max_value=2**12000),
+    st.integers(min_value=1, max_value=2**9000),
+)
 
 _volumes = st.one_of(
     _positive_floats,
@@ -86,6 +98,31 @@ _rows = st.builds(
     epsilon=_epsilons,
     multiplicity=_multiplicities,
 )
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the int/str digit limit (Python >= 3.10.7) for a str() oracle."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _magnitudes_of(*values):
+    """The integers a formatter prints for Fractions and Intervals: every
+    |numerator|, and every denominator other than 1."""
+    out = []
+    for v in values:
+        for x in (v.lower, v.upper) if isinstance(v, Interval) else (v,):
+            out.append(abs(x.numerator))
+            if x.denominator != 1:
+                out.append(x.denominator)
+    return out
 
 
 class TestScalarCodecs:
@@ -140,6 +177,162 @@ class TestScalarCodecs:
         for bad in ("a,b", 'say "hi"', "line\nbreak"):
             with pytest.raises(ValueError):
                 serialize.csv_join(("ok", bad))
+
+
+LEAF = serialize._LEAF_BITS
+_EDGE_CASES = sorted(
+    {0, 1, 2, 9, 10, 11}
+    | {10**k + e for k in (616, 617, 618, 1233, 1234, 5000) for e in (-1, 0, 1)}
+    | {
+        2**k + e
+        for k in (LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, 2 * LEAF + 1, 3 * LEAF + 7)
+        for e in (-1, 0, 1)
+    }
+)
+
+
+class TestDecimalDigits:
+    """The divide-and-conquer conversion against str()."""
+
+    @pytest.mark.parametrize("n", _EDGE_CASES, ids=lambda n: f"{n.bit_length()}b")
+    def test_edge_cases_match_str(self, n):
+        with _no_digit_limit():
+            expected = str(n)
+        assert serialize._digits(n) == expected
+        for den in (1, 7, n + 1):
+            for num in (n, -n):
+                x = Fraction(num, den)
+                with _no_digit_limit():
+                    expected = str(x)
+                assert serialize.format_rational(x) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_integers_match_str(self, seed):
+        rng = random.Random(seed)
+        for _ in range(12):
+            bits = int(2 ** rng.uniform(6, 18))
+            n = rng.getrandbits(bits)
+            with _no_digit_limit():
+                expected = str(n)
+            assert serialize._digits(n) == expected
+            d = rng.getrandbits(bits // 2) + 1
+            x = Fraction(-n, d)
+            with _no_digit_limit():
+                expected = str(x)
+            assert serialize.format_rational(x) == expected
+
+    def test_two_million_bits_matches_str(self):
+        n = random.Random(2).getrandbits(2_000_000) | 1 << 1_999_999
+        with _no_digit_limit():
+            expected = str(n)
+        assert serialize._digits(n) == expected
+
+    def test_past_a_million_digits(self):
+        # past the default context's Emax, where only exact 10^k residues
+        # and one prime residue are cheap enough to check
+        n = random.Random(3).getrandbits(3_500_000) | 1 << 3_499_999
+        text = serialize._digits(n)
+        assert len(text) == 1_053_605 and text[0] != "0"
+        assert int(text[-600:]) == n % 10**600
+        p = 2**61 - 1
+        residue = 0
+        for i in range(0, len(text), 600):
+            chunk = text[i : i + 600]
+            residue = (residue * pow(10, len(chunk), p) + int(chunk)) % p
+        assert residue == n % p
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this Python has no int/str digit limit",
+    )
+    def test_independent_of_the_digit_limit(self):
+        values = [
+            Fraction(10**640),  # 641 digits
+            Fraction(2**4096 - 1, 2**3000 + 1),
+            Fraction(-(7**5000), 7**5000 + 2),  # 4226 digits over 4226
+        ]
+        with _no_digit_limit():
+            expected = [str(x) for x in values]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the lowest limit Python allows
+        try:
+            assert [serialize.format_rational(x) for x in values] == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def _conversions(convert, row):
+    """The integers that convert(row) passes to serialize._digits, sorted."""
+    calls = []
+    real = serialize._digits
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    serialize._digits = counting
+    try:
+        convert(row)
+    finally:
+        serialize._digits = real
+    return sorted(calls)
+
+
+class TestEachMagnitudeOnce:
+    """A record converts each distinct magnitude once, whatever its source."""
+
+    CONVERTERS = (serialize.row_to_record, serialize.row_to_csv)
+
+    @pytest.mark.parametrize("d, n", [(3, 9), (3, 300), (15, 5)])
+    def test_nu_record(self, d, n):
+        from covolume import lattice, quadfield
+
+        row = SurveyRow.from_result(
+            lattice.covolume_result(quadfield.from_squarefree_d(d), n)
+        )
+        expected = sorted(set(_magnitudes_of(row.nu, row.chi)))
+        for convert in self.CONVERTERS:
+            assert _conversions(convert, row) == expected
+
+    def test_shares_only_equal_integers(self):
+        row = SurveyRow(
+            d=3,
+            disc=3,
+            n=3,
+            nu=Interval(Fraction(2, 9), Fraction(4, 9)),
+            chi=Interval(Fraction(-5, 2), Fraction(-2, 9)),
+            volume=1.0,
+            h=1,
+            h_torsion=1,
+            r=1,
+            epsilon=EpsilonStatus("bounded", 2, 4),
+            multiplicity=None,
+        )
+        assert _conversions(serialize.row_to_record, row) == [2, 4, 5, 9]
+        record = serialize.row_to_record(row)
+        assert record["chi"] == {"lower": "-5/2", "upper": "-2/9"}
+
+    @given(
+        row=_rows,
+        nu=st.one_of(_values, _intervals(_big_fractions)),
+        relation=st.sampled_from(["unrelated", "negated", "equal"]),
+    )
+    def test_each_distinct_magnitude_once(self, row, nu, relation):
+        if relation == "unrelated":
+            row = dataclasses.replace(row, nu=nu)
+        elif relation == "equal":
+            row = dataclasses.replace(row, nu=nu, chi=nu)
+        else:  # chi = -nu, as for odd n; an interval's endpoints swap
+            chi = Interval(-nu.upper, -nu.lower) if isinstance(nu, Interval) else -nu
+            row = dataclasses.replace(row, nu=nu, chi=chi)
+        expected = sorted(set(_magnitudes_of(row.nu, row.chi)))
+        for convert in self.CONVERTERS:
+            assert _conversions(convert, row) == expected
+        values = serialize.row_to_csv(row)
+        assert values[3:5] == tuple(
+            f"{v.lower}..{v.upper}" if isinstance(v, Interval) else str(v)
+            for v in (row.nu, row.chi)
+        )
 
 
 class TestJsonWriter:
