@@ -25,7 +25,6 @@ from .lattice import (
 from .quadfield import QuadField, from_squarefree_d
 from .survey import (
     GrowthReport,
-    SurveyRow,
     growth_ratio,
     hwang_bound,
     minimal_field,
@@ -48,7 +47,6 @@ __all__ = [
     "NonFundamentalDiscriminant",
     "NotSquarefree",
     "QuadField",
-    "SurveyRow",
     "TieDetected",
     "UnknownMultiplicity",
     "covolume_result",

@@ -18,7 +18,6 @@ from typing import Any, Callable
 
 from . import lattice, quadfield, serialize, survey
 from .errors import CovolumeError, InternalDefect, InvalidInput
-from .survey import SurveyRow
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -59,16 +58,16 @@ def _emit(
         _print_table(header, [to_csv(item) for item in items])
 
 
-def _emit_survey_rows(rows: list[SurveyRow], fmt: str) -> None:
+def _emit_survey_rows(rows: list[lattice.CovolumeResult], fmt: str) -> None:
     _emit(
-        fmt, SurveyRow.CSV_HEADER, rows, serialize.row_to_csv, serialize.row_to_record
+        fmt, serialize.ROW_HEADER, rows, serialize.row_to_csv, serialize.row_to_record
     )
 
 
 def cmd_nu(args: argparse.Namespace) -> int:
     field = quadfield.from_squarefree_d(args.d)
     result = lattice.covolume_result(field, args.n)
-    _emit_survey_rows([SurveyRow.from_result(result)], args.format or _default_format())
+    _emit_survey_rows([result], args.format or _default_format())
     return 0
 
 
@@ -78,64 +77,52 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _overall_summary(om: survey.OverallMinimum) -> dict[str, Any]:
-    return {
-        "n_star": om.n_star,
-        "volume_n_star": om.volume_n_star,
-        "growth_threshold_n1": om.growth_threshold_n1,
-        "winner": serialize.row_to_record(SurveyRow.from_result(om.result)),
-    }
-
-
 def cmd_minimal(args: argparse.Namespace) -> int:
     fmt = args.format or _default_format()
     if args.overall:
         if args.n is not None:
             raise InvalidInput("--overall and --n are mutually exclusive")
         om = survey.overall_minimum(args.n_max, args.safety_margin)
-        per_n_rows = [SurveyRow.from_result(mr.result) for mr in om.per_n]
+        rows = [mr.result for mr in om.per_n] if args.verbose else [om.result]
         if fmt == "json":
-            record = _overall_summary(om)
+            record: dict[str, Any] = {
+                "n_star": om.n_star,
+                "volume_n_star": om.volume_n_star,
+                "growth_threshold_n1": om.growth_threshold_n1,
+                "winner": serialize.row_to_record(om.result),
+            }
             if args.verbose:
-                record["per_n"] = [serialize.row_to_record(r) for r in per_n_rows]
+                record["per_n"] = [serialize.row_to_record(r) for r in rows]
             print(serialize.dumps(record))
-        elif fmt == "csv":
-            rows = per_n_rows if args.verbose else [SurveyRow.from_result(om.result)]
-            _emit_survey_rows(rows, "csv")
-        else:
+            return 0
+        if fmt == "table":
             print(f"overall minimum: n = {om.n_star} (volume ranking: n = {om.volume_n_star})")
             print(f"growth ratio exceeds 1 for every n >= {om.growth_threshold_n1}")
-            rows = per_n_rows if args.verbose else [SurveyRow.from_result(om.result)]
-            _emit_survey_rows(rows, "table")
+        _emit_survey_rows(rows, fmt)
         return 0
 
     if args.n is None:
         raise InvalidInput("one of --n or --overall is required")
     mr = survey.minimal_field(args.n, args.safety_margin)
-    winner_row = SurveyRow.from_result(mr.result)
     cert = mr.certificate
-    candidate_rows = [SurveyRow.from_result(c.result) for c in cert.candidates]
-    if fmt == "json":
-        if args.verbose:
-            record: dict[str, Any] = {
-                "winner": serialize.row_to_record(winner_row),
-                "bound": cert.bound,
-                "limit": cert.limit,
-                "certificate": [serialize.row_to_record(r) for r in candidate_rows],
-            }
-            print(serialize.dumps(record))
-        else:
-            print(serialize.dumps(serialize.row_to_record(winner_row)))
-    elif fmt == "csv":
-        _emit_survey_rows(candidate_rows if args.verbose else [winner_row], "csv")
-    else:
+    rows = [c.result for c in cert.candidates] if args.verbose else [mr.result]
+    if fmt == "json" and args.verbose:
+        record = {
+            "winner": serialize.row_to_record(mr.result),
+            "bound": cert.bound,
+            "limit": cert.limit,
+            "certificate": [serialize.row_to_record(r) for r in rows],
+        }
+        print(serialize.dumps(record))
+        return 0
+    if fmt == "table":
         print(f"minimal field at n = {args.n}: {mr.field}")
         if args.verbose:
             print(
                 f"discriminant bound {serialize.format_float(cert.bound)}, "
                 f"candidates enumerated up to |disc| = {cert.limit}"
             )
-        _emit_survey_rows(candidate_rows if args.verbose else [winner_row], "table")
+    _emit_survey_rows(rows, fmt)
     return 0
 
 

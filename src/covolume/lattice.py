@@ -207,39 +207,44 @@ def _log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _volume_numeric(value: Fraction, n: int) -> NumericValue:
+def _volume(value: Fraction, n: int) -> float:
+    """(4 pi)^n / (n+1)! * value, saturating to inf past double range."""
     try:
-        val = float(value) * (4 * math.pi) ** n / math.factorial(n + 1)
+        return float(value) * (4 * math.pi) ** n / math.factorial(n + 1)
     except OverflowError:
         # the fraction's parts exceed float range even when the volume
-        # does not; go through logarithms, and saturate to inf with an
-        # infinite error bound on genuine overflow (volumes past 1e308
-        # occur for large discriminants in high dimension)
+        # does not; go through logarithms, and saturate to inf on
+        # genuine overflow (volumes past 1e308 occur for large
+        # discriminants in high dimension)
         ln = (
             n * math.log(4 * math.pi)
             - math.lgamma(n + 2)
             + _log_fraction(value)
         )
         try:
-            val = math.exp(ln)
+            return math.exp(ln)
         except OverflowError:
-            return NumericValue(math.inf, math.inf)
-    return NumericValue(val, abs(val) * 1e-13)
+            return math.inf
 
 
-def _volume_of(
-    v: ExactOrInterval, n: int
-) -> NumericValue | tuple[NumericValue, NumericValue]:
+def _volume_of(v: ExactOrInterval, n: int) -> float | tuple[float, float]:
     if is_exact(v):
-        return _volume_numeric(v, n)
-    return _volume_numeric(v.lower, n), _volume_numeric(v.upper, n)
+        return _volume(v, n)
+    return _volume(v.lower, n), _volume(v.upper, n)
 
 
 def hyperbolic_volume(
     field: QuadField, n: int
 ) -> NumericValue | tuple[NumericValue, NumericValue]:
-    """vol(H^n_C / Gamma) = (4 pi)^n / (n+1)! * nu, via Gauss-Bonnet."""
-    return _volume_of(nu(field, n), n)
+    """vol(H^n_C / Gamma) = (4 pi)^n / (n+1)! * nu, via Gauss-Bonnet.
+
+    Each value carries a relative error bound of 1e-13 (infinite once
+    the volume saturates to inf).
+    """
+    volume = _volume_of(nu(field, n), n)
+    if isinstance(volume, tuple):
+        return tuple(NumericValue(v, v * 1e-13) for v in volume)
+    return NumericValue(volume, volume * 1e-13)
 
 
 def index_gamma_lambda(field: QuadField, n: int) -> ExactOrInterval:
@@ -329,17 +334,25 @@ def multiplicity_bounds(field: QuadField, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CovolumeResult:
-    """Every invariant of the pair (field, n) surfaced by this package."""
+    """Every invariant of the pair (field, n) surfaced by this package.
 
-    field: QuadField
+    This is also the printed record: the serialize module writes it as
+    one JSON object or CSV row and parses that text back to an equal
+    CovolumeResult.  d and disc = |D| name the field Q(sqrt(-d)), r
+    counts its ramified primes, and volume is a float (a pair of floats
+    bounding it when nu is an interval).
+    """
+
+    d: int
+    disc: int
     n: int
     nu: ExactOrInterval
     chi: ExactOrInterval
-    volume: NumericValue | tuple[NumericValue, NumericValue]
+    volume: float | tuple[float, float]
     h: int
     h_torsion: int
+    r: int
     epsilon: EpsilonStatus
-    index_gamma_lambda: ExactOrInterval
     multiplicity: tuple[int, int] | None
 
     @property
@@ -364,15 +377,16 @@ def covolume_result(field: QuadField, n: int) -> CovolumeResult:
     except UnknownMultiplicity:
         mult = None
     return CovolumeResult(
-        field=field,
+        d=field.d,
+        disc=field.disc_abs,
         n=n,
         nu=value,
         chi=_chi_of(value, n),
         volume=_volume_of(value, n),
         h=class_number(field),
         h_torsion=h_torsion(field, n + 1),
+        r=field.r,
         epsilon=epsilon_status(field, n),
-        index_gamma_lambda=index_gamma_lambda(field, n),
         multiplicity=mult,
     )
 

@@ -1,24 +1,28 @@
-"""Lossless text codecs for survey rows and growth reports.
+"""Lossless text codecs for covolume records and growth reports.
 
 Exact rationals travel as "numerator/denominator" strings so that JSON
 consumers with 64-bit number parsing cannot corrupt them.  Floats are
 printed with 12 significant digits, few enough that parse-and-reprint
 is the identity.  Interval values are "lower..upper" in CSV and
 {"lower": ..., "upper": ...} objects in JSON.  Every emitted record
-parses back to an equal row, and re-serializing the parsed form
-reproduces the original bytes.
+parses back to an equal CovolumeResult, and re-serializing the parsed
+form reproduces the original bytes.
 
 Large n: nu(n) has about n^2 log n digits (546k at n = 800 over
 Q(sqrt(-3))), and CPython before 3.12 converts int to str in quadratic
-time.  format_rational is the one place where exact rationals become
-text.  It hands magnitudes of at most _LEAF_BITS bits to str() and
-converts larger ones by the divide-and-conquer radix conversion of
-Brent & Zimmermann, Modern Computer Arithmetic, sec. 1.7, on the
-decimal module, in time subquadratic in the size.  Either way it never
-meets the interpreter's int/str digit limit, so nothing here or in the
-CLI touches that limit.  row_to_record and row_to_csv convert each
-distinct magnitude of a record once: chi's numerator is usually +-nu's,
-and an interval's endpoints swap between nu and chi.
+time both ways.  format_rational is the one place where exact
+rationals become text.  It hands magnitudes of at most _LEAF_BITS bits
+to str() and converts larger ones by the divide-and-conquer radix
+conversion of Brent & Zimmermann, Modern Computer Arithmetic, sec. 1.7,
+on the decimal module.  parse_rational is the one place where text
+becomes an exact rational.  It hands digit strings of at most
+_LEAF_DIGITS digits to int() and splits longer ones in halves,
+recombined by products with powers of ten.  Both directions run in
+time subquadratic in the size and never meet the interpreter's int/str
+digit limit, so nothing here or in the CLI touches that limit.
+row_to_record and row_to_csv convert each distinct magnitude of a
+record once: chi's numerator is usually +-nu's, and an interval's
+endpoints swap between nu and chi.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ from __future__ import annotations
 import decimal
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Any, Callable
 
-from .lattice import EpsilonStatus, ExactOrInterval, Interval
-from .survey import GrowthReport, SurveyRow
+from .lattice import CovolumeResult, EpsilonStatus, ExactOrInterval, Interval
+from .survey import GrowthReport
 
 __all__ = [
     "dumps",
@@ -44,6 +49,7 @@ __all__ = [
     "format_epsilon",
     "parse_epsilon",
     "csv_join",
+    "ROW_HEADER",
     "row_to_record",
     "row_from_record",
     "row_to_csv",
@@ -133,8 +139,48 @@ def format_rational(x: Fraction, digits: Digits | None = None) -> str:
     return text if den == 1 else f"{text}/{digits(den)}"
 
 
+# int() converts digit strings of at most this many digits, under the
+# lowest int/str digit limit Python allows (640).
+_LEAF_DIGITS = 600
+
+_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _int_of_digits(s: str) -> int:
+    """int(s) for a string of ASCII digits, in subquadratic time.
+
+    Splits s into halves, converts them recursively, and recombines them
+    as hi * 10^w + lo with powers of ten memoized for this call.
+    """
+    if len(s) <= _LEAF_DIGITS:
+        return int(s)
+    powers: dict[int, int] = {}
+
+    def convert(start: int, stop: int) -> int:
+        if stop - start <= _LEAF_DIGITS:
+            return int(s[start:stop])
+        mid = (start + stop) >> 1
+        w = stop - mid
+        p = powers.get(w)
+        if p is None:
+            p = powers[w] = 10**w
+        return convert(start, mid) * p + convert(mid, stop)
+
+    return convert(0, len(s))
+
+
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    """The rational that format_rational writes as s.
+
+    Accepts exactly "-?digits(/digits)?" and raises ValueError on
+    anything else.
+    """
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise ValueError(f"not a rational: {s[:40]!r}")
+    sign, num, den = match.groups()
+    numerator = -_int_of_digits(num) if sign else _int_of_digits(num)
+    return Fraction(numerator, 1 if den is None else _int_of_digits(den))
 
 
 def format_value(x: ExactOrInterval, digits: Digits | None = None) -> str:
@@ -147,8 +193,8 @@ def format_value(x: ExactOrInterval, digits: Digits | None = None) -> str:
 def parse_value(s: str) -> ExactOrInterval:
     if ".." in s:
         lo, hi = s.split("..")
-        return Interval(Fraction(lo), Fraction(hi))
-    return Fraction(s)
+        return Interval(parse_rational(lo), parse_rational(hi))
+    return parse_rational(s)
 
 
 def _format_saturated(v: float) -> str:
@@ -256,8 +302,8 @@ def _value_json(x: ExactOrInterval, digits: Digits) -> str | dict[str, str]:
 
 def _value_from_json(obj: str | dict[str, str]) -> ExactOrInterval:
     if isinstance(obj, dict):
-        return Interval(Fraction(obj["lower"]), Fraction(obj["upper"]))
-    return Fraction(obj)
+        return Interval(parse_rational(obj["lower"]), parse_rational(obj["upper"]))
+    return parse_rational(obj)
 
 
 def _json_saturated(v: float) -> float | str:
@@ -283,7 +329,25 @@ def _volume_from_json(obj: Any) -> float | tuple[float, float]:
     return float(obj)
 
 
-def row_to_record(row: SurveyRow) -> dict[str, Any]:
+ROW_HEADER = (
+    "d",
+    "disc",
+    "n",
+    "nu",
+    "chi",
+    "volume",
+    "h",
+    "h_torsion",
+    "r",
+    "epsilon",
+    "mult_lo",
+    "mult_hi",
+    "exact",
+)
+GROWTH_HEADER = ("d", "n", "q", "log_q_over_n", "closed_form", "rel_err")
+
+
+def row_to_record(row: CovolumeResult) -> dict[str, Any]:
     mult = row.multiplicity
     digits = _record_digits()
     return {
@@ -307,10 +371,10 @@ def row_to_record(row: SurveyRow) -> dict[str, Any]:
     }
 
 
-def row_from_record(obj: dict[str, Any]) -> SurveyRow:
+def row_from_record(obj: dict[str, Any]) -> CovolumeResult:
     mult_lo = obj["mult_lo"]
     eps = obj["epsilon"]
-    return SurveyRow(
+    return CovolumeResult(
         d=int(obj["d"]),
         disc=int(obj["disc"]),
         n=int(obj["n"]),
@@ -325,7 +389,7 @@ def row_from_record(obj: dict[str, Any]) -> SurveyRow:
     )
 
 
-def row_to_csv(row: SurveyRow) -> tuple[str, ...]:
+def row_to_csv(row: CovolumeResult) -> tuple[str, ...]:
     mult = row.multiplicity
     digits = _record_digits()
     return (
@@ -345,13 +409,11 @@ def row_to_csv(row: SurveyRow) -> tuple[str, ...]:
     )
 
 
-def row_from_csv(values: tuple[str, ...]) -> SurveyRow:
-    if len(values) != len(SurveyRow.CSV_HEADER):
-        raise ValueError(
-            f"expected {len(SurveyRow.CSV_HEADER)} CSV fields, got {len(values)}"
-        )
+def row_from_csv(values: tuple[str, ...]) -> CovolumeResult:
+    if len(values) != len(ROW_HEADER):
+        raise ValueError(f"expected {len(ROW_HEADER)} CSV fields, got {len(values)}")
     (d, disc, n, nu, chi, volume, h, h_t, r, eps, m_lo, m_hi, _exact) = values
-    return SurveyRow(
+    return CovolumeResult(
         d=int(d),
         disc=int(disc),
         n=int(n),
@@ -364,9 +426,6 @@ def row_from_csv(values: tuple[str, ...]) -> SurveyRow:
         epsilon=parse_epsilon(eps),
         multiplicity=None if m_lo == "" else (int(m_lo), int(m_hi)),
     )
-
-
-GROWTH_HEADER = ("d", "n", "q", "log_q_over_n", "closed_form", "rel_err")
 
 
 def growth_to_record(report: GrowthReport) -> dict[str, Any]:

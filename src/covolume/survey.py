@@ -22,12 +22,11 @@ from typing import Iterator, NamedTuple
 
 from . import lattice, lvalues, quadfield
 from .errors import InternalDefect, InvalidDimension, TieDetected, require_int
-from .lattice import CovolumeResult, EpsilonStatus, ExactOrInterval, Interval
+from .lattice import CovolumeResult, ExactOrInterval, Interval
 from .lvalues import NumericValue
 from .quadfield import QuadField
 
 __all__ = [
-    "SurveyRow",
     "GrowthReport",
     "Candidate",
     "MinimalCertificate",
@@ -44,69 +43,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2 * math.pi
-
-
-@dataclass(frozen=True)
-class SurveyRow:
-    """One serialization-ready line of a covolume survey.
-
-    Mirror of CovolumeResult with floats in place of error-carrying
-    numerics, so a row can be rebuilt exactly from its own CSV or JSON
-    serialization (see the serialize module).
-    """
-
-    d: int
-    disc: int
-    n: int
-    nu: ExactOrInterval
-    chi: ExactOrInterval
-    volume: float | tuple[float, float]
-    h: int
-    h_torsion: int
-    r: int
-    epsilon: EpsilonStatus
-    multiplicity: tuple[int, int] | None
-
-    CSV_HEADER = (
-        "d",
-        "disc",
-        "n",
-        "nu",
-        "chi",
-        "volume",
-        "h",
-        "h_torsion",
-        "r",
-        "epsilon",
-        "mult_lo",
-        "mult_hi",
-        "exact",
-    )
-
-    @property
-    def exact(self) -> bool:
-        return lattice.is_exact(self.nu)
-
-    @classmethod
-    def from_result(cls, result: CovolumeResult) -> "SurveyRow":
-        vol = result.volume
-        if isinstance(vol, tuple):
-            volume: float | tuple[float, float] = (vol[0].value, vol[1].value)
-        else:
-            volume = vol.value
-        return cls(
-            d=result.field.d,
-            disc=result.field.disc_abs,
-            n=result.n,
-            nu=result.nu,
-            chi=result.chi,
-            volume=volume,
-            h=result.h,
-            h_torsion=result.h_torsion,
-            r=result.field.r,
-            epsilon=result.epsilon,
-            multiplicity=result.multiplicity,
-        )
 
 
 @dataclass(frozen=True)
@@ -224,12 +160,12 @@ def brauer_siegel_h_bound(field: QuadField, m: int) -> NumericValue:
     return NumericValue(value, abs(value) * rel)
 
 
-def scan(n: int, max_disc: int) -> tuple[SurveyRow, ...]:
-    """All survey rows for |disc| <= max_disc, ascending discriminant."""
+def scan(n: int, max_disc: int) -> tuple[CovolumeResult, ...]:
+    """Covolume records for every |disc| <= max_disc, ascending discriminant."""
     require_int(n, "n", 2, InvalidDimension)
     require_int(max_disc, "max_disc", 3)
     fields = quadfield.fields_with_disc_at_most(max_disc)
-    return tuple(SurveyRow.from_result(lattice.covolume_result(f, n)) for f in fields)
+    return tuple(lattice.covolume_result(f, n) for f in fields)
 
 
 def _limit(n: int, safety_margin: int) -> tuple[float, int]:
@@ -278,7 +214,7 @@ def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
 
 def _volume_value(result: CovolumeResult) -> float:
     vol = result.volume
-    return vol[0].value if isinstance(vol, tuple) else vol.value
+    return vol[0] if isinstance(vol, tuple) else vol
 
 
 def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:

@@ -80,7 +80,7 @@ def test_criterion_3_global_minimum_in_dimension_nine():
     checks = {
         "nu ranking": overall.n_star == 9,
         "volume ranking": overall.volume_n_star == 9,
-        "winner field": overall.result.field.d == 3,
+        "winner field": overall.result.d == 3,
         "winner value": overall.result.nu == Fraction(809, 5746705367040),
         "growth certificate": overall.growth_threshold_n1 <= 15,
         "full range": len(overall.per_n) == 29,

@@ -18,7 +18,6 @@ import pytest
 
 import covolume
 from covolume import bernoulli, cli, lattice, quadfield, serialize, survey
-from covolume.survey import SurveyRow
 
 
 def run_cli(capsys, *argv):
@@ -118,7 +117,7 @@ class TestScanCommand:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == ",".join(SurveyRow.CSV_HEADER)
+        assert lines[0] == ",".join(serialize.ROW_HEADER)
         assert len(lines) == 15  # 14 fields with |disc| <= 40
         discs = [int(line.split(",")[1]) for line in lines[1:]]
         assert discs == sorted(discs)
@@ -485,6 +484,12 @@ GOLDEN_STDOUT = {
     "nu --d 3 --n 400 --format csv": "1bff03d13ac704f3c3a84fa4441970c8f700807b53508a41a102254b8177abcc",
     "nu --d 15 --n 301 --format table": "4304bb60de82b84b0b076d05afaec92c6a8f9579529cd2a07b65cfc0114edbf1",
     "growth --d 3 --n-min 300 --n-max 302 --format json": "16f8a4db4e62881f47812c421cb18de27ffa86583efc8e7416376051094c44ae",
+    "minimal --n 4 --format json": "36822a9ae3f64803448fdb1e905701721cfb0c5405351151307cde8a96e709fe",
+    "minimal --n 4 --verbose --format csv": "0f54852b44e395c2feec44e4a1c51e6f01c1bc1a8140fd1a6e74abf4e93c09eb",
+    "minimal --n 4 --verbose --format table": "58259686b18346c2b42dfc257633a6e08f1d0dcbd763c4655c19884afe0df5a7",
+    "minimal --overall --n-max 30 --format csv": "f980820ff1c5ca870cfd910636da5b976b256e7eeca5c2ce60941c8200e339ae",
+    "minimal --overall --n-max 30 --format table": "fdffb5fd59c514656d167827d21c675f6d512fd8b76adc322a14cbf93144dfc4",
+    "minimal --overall --n-max 30 --verbose --format table": "98729c44c08405fbe68c3e81e868373b96509e2d3cd2ba77bbbf0b3a25d674b4",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under

@@ -387,6 +387,12 @@ class TestAdelicCrossPath:
             lattice.cross_path_check((f5,), (2,))
 
 
+def _volume_values(volume):
+    if isinstance(volume, tuple):
+        return tuple(v.value for v in volume)
+    return volume.value
+
+
 class TestCovolumeResult:
     def test_exact_record(self, f3):
         result = lattice.covolume_result(f3, 9)
@@ -395,7 +401,6 @@ class TestCovolumeResult:
         assert result.h == 1
         assert result.h_torsion == 1
         assert result.epsilon.kind == "exact"
-        assert result.index_gamma_lambda == 5
         assert result.multiplicity == (1, 1)
         assert result.exact
         assert result.nu_lower == result.nu_upper == result.nu
@@ -411,7 +416,7 @@ class TestCovolumeResult:
     def test_volume_matches_direct_call(self, f23):
         result = lattice.covolume_result(f23, 4)
         direct = lattice.hyperbolic_volume(f23, 4)
-        assert result.volume == direct
+        assert result.volume == direct.value
 
     @pytest.mark.parametrize("d, n", [(3, 9), (5, 3), (23, 4)])
     def test_nu_computed_once(self, monkeypatch, d, n):
@@ -428,4 +433,4 @@ class TestCovolumeResult:
         assert calls == [n]
         monkeypatch.undo()
         assert result.chi == lattice.euler_characteristic(field, n)
-        assert result.volume == lattice.hyperbolic_volume(field, n)
+        assert result.volume == _volume_values(lattice.hyperbolic_volume(field, n))

@@ -1,4 +1,4 @@
-"""Codec round-trips for survey rows and growth reports.
+"""Codec round-trips for covolume records and growth reports.
 
 Two distinct guarantees are exercised: serialized text parses back to
 an equal row, and re-serializing parsed text reproduces the original
@@ -19,8 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covolume import serialize
-from covolume.lattice import EpsilonStatus, Interval
-from covolume.survey import SurveyRow
+from covolume.lattice import CovolumeResult, EpsilonStatus, Interval
 
 
 def _norm(x: float) -> float:
@@ -85,7 +84,7 @@ _multiplicities = st.one_of(
 )
 
 _rows = st.builds(
-    SurveyRow,
+    CovolumeResult,
     d=st.integers(min_value=1, max_value=10**6),
     disc=st.integers(min_value=3, max_value=4 * 10**6),
     n=st.integers(min_value=2, max_value=200),
@@ -101,16 +100,22 @@ _rows = st.builds(
 
 
 @contextlib.contextmanager
-def _no_digit_limit():
-    """Lift the int/str digit limit (Python >= 3.10.7) for a str() oracle."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+def _digit_limit(limit):
+    """Set the int/str digit limit (Python >= 3.10.7; 0 lifts it)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(saved)
+
+
+def _no_digit_limit():
+    """Lift the int/str digit limit for a str() oracle."""
+    return _digit_limit(0)
 
 
 def _magnitudes_of(*values):
@@ -261,6 +266,60 @@ class TestDecimalDigits:
             sys.set_int_max_str_digits(limit)
 
 
+class TestParseRational:
+    """Text to rational, by divide and conquer, against Fraction(text)."""
+
+    @given(x=_big_fractions)
+    def test_round_trip_matches_fraction(self, x):
+        text = serialize.format_rational(x)
+        assert serialize.parse_rational(text) == x
+        with _no_digit_limit():
+            assert serialize.parse_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize(
+        "width", [1, 599, 600, 601, 640, 641, 700, 1199, 1200, 1201, 5001]
+    )
+    def test_digit_strings_around_the_leaf(self, width):
+        rng = random.Random(width)
+        text = "".join(rng.choice("0123456789") for _ in range(width))
+        for s in (text, "0" * 700 + text, "-" + text + "/7" + text):
+            with _no_digit_limit():
+                expected = Fraction(s)
+            with _digit_limit(640):  # the lowest limit Python allows
+                assert serialize.parse_rational(s) == expected
+
+    def test_unreduced_input_normalizes(self):
+        assert serialize.parse_rational("-6/4") == Fraction(-3, 2)
+        assert serialize.parse_rational("-0") == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["1.5", "1/", "/2", "1_0", " 1", "1 ", "", "-", "+1", "--1", "1/-2",
+         "1e3", "1/2/3", "\u0661", "1\n"],
+    )
+    def test_rejects_malformed_text(self, bad):
+        with pytest.raises(ValueError):
+            serialize.parse_rational(bad)
+        with pytest.raises(ValueError):
+            serialize.parse_value(bad)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this Python has no int/str digit limit",
+    )
+    @pytest.mark.parametrize("limit", [640, 4300])  # the lowest, the default
+    def test_deep_record_round_trips_under_digit_limit(self, limit):
+        from covolume import lattice, quadfield
+
+        row = lattice.covolume_result(quadfield.from_squarefree_d(3), 300)
+        assert row.nu.numerator > 10**50_000
+        with _digit_limit(limit):
+            line = serialize.dumps(serialize.row_to_record(row))
+            assert serialize.row_from_record(json.loads(line)) == row
+            values = serialize.row_to_csv(row)
+            assert serialize.row_from_csv(values) == row
+
+
 def _conversions(convert, row):
     """The integers that convert(row) passes to serialize._digits, sorted."""
     calls = []
@@ -287,15 +346,13 @@ class TestEachMagnitudeOnce:
     def test_nu_record(self, d, n):
         from covolume import lattice, quadfield
 
-        row = SurveyRow.from_result(
-            lattice.covolume_result(quadfield.from_squarefree_d(d), n)
-        )
+        row = lattice.covolume_result(quadfield.from_squarefree_d(d), n)
         expected = sorted(set(_magnitudes_of(row.nu, row.chi)))
         for convert in self.CONVERTERS:
             assert _conversions(convert, row) == expected
 
     def test_shares_only_equal_integers(self):
-        row = SurveyRow(
+        row = CovolumeResult(
             d=3,
             disc=3,
             n=3,
@@ -356,7 +413,7 @@ class TestRowCodecs:
     @given(row=_rows)
     def test_csv_round_trip(self, row):
         values = serialize.row_to_csv(row)
-        assert len(values) == len(SurveyRow.CSV_HEADER)
+        assert len(values) == len(serialize.ROW_HEADER)
         assert serialize.row_from_csv(values) == row
         # and the string level is a fixed point too
         assert serialize.row_to_csv(serialize.row_from_csv(values)) == values
@@ -372,7 +429,7 @@ class TestRowCodecs:
         from covolume import lattice, quadfield
 
         f5 = quadfield.from_squarefree_d(5)
-        row = SurveyRow.from_result(lattice.covolume_result(f5, 3))
+        row = lattice.covolume_result(f5, 3)
         assert not row.exact
         assert serialize.row_to_csv(row)[-1] == "false"
         assert serialize.row_to_record(row)["exact"] is False
@@ -381,7 +438,7 @@ class TestRowCodecs:
         from covolume import lattice, quadfield
 
         f3 = quadfield.from_squarefree_d(3)
-        row = SurveyRow.from_result(lattice.covolume_result(f3, 9))
+        row = lattice.covolume_result(f3, 9)
         record = json.loads(serialize.dumps(serialize.row_to_record(row)))
         assert record["nu"] == "809/5746705367040"
         assert record["chi"] == "-809/5746705367040"
@@ -391,7 +448,7 @@ class TestRowCodecs:
         from covolume import lattice, quadfield
 
         f6 = quadfield.from_squarefree_d(6)
-        row = SurveyRow.from_result(lattice.covolume_result(f6, 30))
+        row = lattice.covolume_result(f6, 30)
         csv_fields = serialize.row_to_csv(row)
         assert csv_fields[5] == "inf"
         assert serialize.row_from_csv(csv_fields) == row
@@ -399,7 +456,7 @@ class TestRowCodecs:
         assert record["volume"] == "inf"
         assert serialize.row_from_record(record) == row
         # odd n widens nu to an interval, so both endpoints saturate
-        pair_row = SurveyRow.from_result(lattice.covolume_result(f6, 31))
+        pair_row = lattice.covolume_result(f6, 31)
         pair_fields = serialize.row_to_csv(pair_row)
         assert pair_fields[5] == "inf..inf"
         assert serialize.row_from_csv(pair_fields) == pair_row

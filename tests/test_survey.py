@@ -66,10 +66,7 @@ class TestScan:
     def test_matches_sequential_assembly(self, fields_200):
         rows = survey.scan(2, 200)
         assert len(rows) == len(fields_200)
-        expected = tuple(
-            survey.SurveyRow.from_result(lattice.covolume_result(f, 2))
-            for f in fields_200
-        )
+        expected = tuple(lattice.covolume_result(f, 2) for f in fields_200)
         assert rows == expected
 
     def test_row_contents(self):
@@ -155,7 +152,7 @@ class TestOverallMinimum:
         overall = survey.overall_minimum(16)
         assert overall.n_star == 9
         assert overall.volume_n_star == 9
-        assert overall.result.field.d == 3
+        assert overall.result.d == 3
         assert overall.result.nu == Fraction(809, 5746705367040)
         assert overall.growth_threshold_n1 == 15
         assert len(overall.per_n) == 15
