@@ -76,4 +76,3 @@ def clear_caches() -> None:
     quadfield.clear_caches()
     lvalues.clear_caches()
     lattice.clear_caches()
-    survey.clear_caches()

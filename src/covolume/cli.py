@@ -164,36 +164,38 @@ def _class_order(g: quadfield.FormClass, group: quadfield.ClassGroup) -> int:
     return order
 
 
+def _class_record(item: tuple[quadfield.FormClass, int]) -> dict[str, int]:
+    g, order = item
+    return {"a": g.a, "b": g.b, "c": g.c, "order": order}
+
+
 def cmd_classgroup(args: argparse.Namespace) -> int:
     fmt = args.format or _default_format()
     field = quadfield.from_squarefree_d(args.d)
     group = quadfield.reduced_forms(field)
     classes = [(g, _class_order(g, group)) for g in group.classes]
     torsion = None if args.m is None else quadfield.torsion_count(group, args.m)
-    header = ("a", "b", "c", "order")
-    csv_rows = [(str(g.a), str(g.b), str(g.c), str(o)) for g, o in classes]
     if fmt == "json":
         record: dict[str, Any] = {
             "d": field.d,
             "disc": field.disc_abs,
             "h": group.h,
-            "classes": [
-                {"a": g.a, "b": g.b, "c": g.c, "order": o} for g, o in classes
-            ],
-            "torsion": None
-            if torsion is None
-            else {"m": args.m, "count": torsion},
+            "classes": [_class_record(c) for c in classes],
+            "torsion": None if torsion is None else {"m": args.m, "count": torsion},
         }
         print(serialize.dumps(record))
-    elif fmt == "csv":
-        print(serialize.csv_join(header))
-        for row in csv_rows:
-            print(serialize.csv_join(row))
-    else:
+        return 0
+    if fmt == "table":
         print(f"{field}: disc -{field.disc_abs}, h = {group.h}")
         if torsion is not None:
             print(f"classes killed by m = {args.m}: {torsion}")
-        _print_table(header, csv_rows)
+    _emit(
+        fmt,
+        ("a", "b", "c", "order"),
+        classes,
+        lambda c: tuple(str(v) for v in _class_record(c).values()),
+        _class_record,
+    )
     return 0
 
 

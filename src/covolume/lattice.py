@@ -150,44 +150,42 @@ def _l_product(field: QuadField, m: int) -> Fraction:
         return _prefix[m]
 
 
-def nu_even(field: QuadField, n: int) -> Fraction:
-    """nu for even n: (n+1) / (2^n h_{ell,n+1}) * P(n/2).
+def nu(field: QuadField, n: int) -> ExactOrInterval:
+    """Normalized Euler-Poincare covolume of Gamma_ell in PU(n,1).
 
-    P(m) = prod_{j<=m} zeta(1-2j) L(-2j) is read from the field's prefix
-    list (_l_product), so consecutive dimensions share their factors.
+    (n+1) / (2^n h_{ell,n+1}) * P(floor(n/2)), times (-1)^((n+1)/2)
+    zeta(-n) eps at odd n, with P read from the field's prefix list
+    (_l_product).  eps = 2 when r = 1; otherwise eps in [2, 2^r] widens
+    the value to an interval.
     """
+    require_int(n, "n", 2, InvalidDimension)
+    sign = -1 if n % 4 == 1 else 1  # (-1)^((n+1)/2) at odd n
+    acc = Fraction(sign * (n + 1), 2**n * h_torsion(field, n + 1))
+    if n % 2:
+        acc *= lvalues.zeta_negative(n + 1)  # zeta(-n)
+    acc *= _l_product(field, n // 2)
+    if n % 2 == 0:
+        return acc
+    eps = epsilon_status(field, n)
+    if eps.kind == "exact":
+        return acc * 2
+    return Interval(acc * eps.lower, acc * eps.upper)
+
+
+def nu_even(field: QuadField, n: int) -> Fraction:
+    """nu for even n: nu after checking that n is even."""
     require_int(n, "n", 2, InvalidDimension)
     if n % 2:
         raise InvalidDimension(f"n must be even, got {n}")
-    acc = Fraction(n + 1, 2**n * h_torsion(field, n + 1))
-    return acc * _l_product(field, n // 2)
+    return nu(field, n)
 
 
 def nu_odd(field: QuadField, n: int) -> ExactOrInterval:
-    """nu for odd n, exact when the field has one ramified prime.
-
-    (-1)^((n+1)/2) (n+1) eps / (2^n h_{ell,n+1}) * zeta(-n) * P((n-1)/2),
-    with P read from the field's prefix list as in nu_even, eps = 2 when
-    r = 1 and eps in [2, 2^r] otherwise, which widens the value to an
-    interval.
-    """
+    """nu for odd n: nu after checking that n is odd."""
     require_int(n, "n", 2, InvalidDimension)
     if n % 2 == 0:
         raise InvalidDimension(f"n must be odd, got {n}")
-    sign = -1 if (n + 1) // 2 % 2 else 1
-    core = Fraction(sign * (n + 1), 2**n * h_torsion(field, n + 1))
-    core *= lvalues.zeta_negative(n + 1)  # zeta(-n)
-    core *= _l_product(field, (n - 1) // 2)
-    eps = epsilon_status(field, n)
-    if eps.kind == "exact":
-        return core * 2
-    return Interval(core * eps.lower, core * eps.upper)
-
-
-def nu(field: QuadField, n: int) -> ExactOrInterval:
-    """Normalized Euler-Poincare covolume of Gamma_ell in PU(n,1)."""
-    require_int(n, "n", 2, InvalidDimension)
-    return nu_even(field, n) if n % 2 == 0 else nu_odd(field, n)
+    return nu(field, n)
 
 
 def _chi_of(v: ExactOrInterval, n: int) -> ExactOrInterval:
@@ -370,7 +368,6 @@ class CovolumeResult:
 
 def covolume_result(field: QuadField, n: int) -> CovolumeResult:
     """Assemble the full record for one (field, n) pair."""
-    require_int(n, "n", 2, InvalidDimension)
     value = nu(field, n)
     try:
         mult = multiplicity_bounds(field, n)

@@ -42,16 +42,7 @@ __all__ = [
 
 def is_squarefree(n: int) -> bool:
     """True when no prime square divides n (n must be positive)."""
-    if n < 1:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    return True
+    return n >= 1 and math.prod(_prime_factors(n)) == n
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:

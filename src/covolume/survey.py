@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import lattice, lvalues, quadfield
 from .errors import InternalDefect, InvalidDimension, TieDetected, require_int
@@ -39,10 +38,11 @@ __all__ = [
     "overall_minimum",
     "growth_ratio",
     "hwang_bound",
-    "clear_caches",
 ]
 
 _TWO_PI = 2 * math.pi
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,14 @@ class MinimalResult(NamedTuple):
 
 
 class OverallMinimum(NamedTuple):
-    """Location of the global covolume minimum across dimensions.
+    """Location of the global covolume minimum over 2 <= n <= n_max.
 
-    n_star minimizes the normalized Euler-Poincare value; the same
-    dimension must also minimize the hyperbolic volume, recorded as
-    volume_n_star.  growth_threshold_n1 is the smallest n1 in the scan
-    range with q(m) > 1 for every m >= n1, certifying that the minimum
-    cannot move if the range is extended.
+    n_star is the unique dimension whose minimal field has the smallest
+    normalized Euler-Poincare value, and volume_n_star the unique
+    dimension with the smallest hyperbolic volume; it is reported, not
+    required to equal n_star.  growth_threshold_n1 is the smallest n1
+    with q(m) > 1 for every n1 <= m < n_max, checked on the lower
+    endpoints of the ratios of the winner's field only.
     """
 
     n_star: int
@@ -168,22 +169,32 @@ def scan(n: int, max_disc: int) -> tuple[CovolumeResult, ...]:
     return tuple(lattice.covolume_result(f, n) for f in fields)
 
 
-def _limit(n: int, safety_margin: int) -> tuple[float, int]:
-    """discriminant_bound(n) and the enumeration limit it implies."""
-    bound = discriminant_bound(n).value
-    return bound, max(math.ceil(bound), 4) + safety_margin
+def _unique_min(
+    items: Sequence[_T],
+    key: Callable[[_T], Any],
+    name: Callable[[_T], str],
+    message: str,
+) -> _T:
+    """The item of least key, or TieDetected(message) naming every item
+    that shares it ("{}" in message receives the comma-joined names)."""
+    keys = [key(item) for item in items]
+    best = min(keys)
+    winners = [item for item, k in zip(items, keys) if k == best]
+    if len(winners) > 1:
+        raise TieDetected(message.format(", ".join(name(w) for w in winners)))
+    return winners[0]
 
 
 def _certify(
     n: int, bound: float, limit: int, candidates: tuple[Candidate, ...]
 ) -> MinimalResult:
     """Pick the unique exact minimum among candidates, or raise TieDetected."""
-    best = min(c.result.nu_lower for c in candidates)
-    winners = [c for c in candidates if c.result.nu_lower == best]
-    if len(winners) > 1:
-        names = ", ".join(str(c.field) for c in winners)
-        raise TieDetected(f"minimum at n = {n} is shared by {names}")
-    winner = winners[0]
+    winner = _unique_min(
+        candidates,
+        lambda c: c.result.nu_lower,
+        lambda c: str(c.field),
+        f"minimum at n = {n} is shared by {{}}",
+    )
     if not winner.result.exact:
         raise TieDetected(
             f"minimum at n = {n} falls on an interval candidate "
@@ -193,6 +204,26 @@ def _certify(
         n=n, bound=bound, limit=limit, candidates=candidates
     )
     return MinimalResult(winner.field, winner.result, certificate)
+
+
+def _sweep(dims: range, safety_margin: int) -> tuple[MinimalResult, ...]:
+    """The certified minimum of each n in dims, checked in that order.
+
+    Each field up to the widest limit is swept across the dimensions
+    whose limit includes it, in ascending n, so its L-product prefix and
+    power sums are built once for the whole range.
+    """
+    bounds = {n: discriminant_bound(n).value for n in dims}
+    limits = {n: max(math.ceil(b), 4) + safety_margin for n, b in bounds.items()}
+    candidates: dict[int, list[Candidate]] = {n: [] for n in dims}
+    for field in quadfield.fields_with_disc_at_most(max(limits.values())):
+        for n, limit in limits.items():
+            if field.disc_abs <= limit:
+                result = lattice.covolume_result(field, n)
+                candidates[n].append(Candidate(field, result))
+    return tuple(
+        _certify(n, bounds[n], limits[n], tuple(candidates[n])) for n in dims
+    )
 
 
 def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
@@ -206,10 +237,7 @@ def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
     """
     require_int(n, "n", 2, InvalidDimension)
     require_int(safety_margin, "safety_margin", 1)
-    bound, limit = _limit(n, safety_margin)
-    fields = quadfield.fields_with_disc_at_most(limit)
-    candidates = tuple(Candidate(f, lattice.covolume_result(f, n)) for f in fields)
-    return _certify(n, bound, limit, candidates)
+    return _sweep(range(n, n + 1), safety_margin)[0]
 
 
 def _volume_value(result: CovolumeResult) -> float:
@@ -220,52 +248,37 @@ def _volume_value(result: CovolumeResult) -> float:
 def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
     """Global minimum over 2 <= n <= n_max of the per-dimension minima.
 
-    Requires n_max >= 10 so the scan range safely brackets the minimum.
-    Every per-dimension certificate equals minimal_field(n), but the
-    candidates are computed field by field: each field is swept across
-    the dimensions whose limit includes it, in ascending n, so its
-    L-product prefix and power sums are built once for the whole run.
-    The certificates are then checked for n = 2..n_max in order, so a
-    tie raises at the lowest tied dimension.  Both rankings
-    (Euler-Poincare value and hyperbolic volume) are computed and must
-    name the same unique dimension; the growth threshold n1 certifies
-    monotone growth above it.
+    Requires n_max >= 10 so the scan range brackets the minimum.  The
+    per-dimension certificates come from the sweep minimal_field uses,
+    run once over n = 2..n_max, so each equals minimal_field(n) and a
+    tie raises at the lowest tied dimension.  The winner of each ranking
+    (Euler-Poincare value, hyperbolic volume) must be unique; the two
+    need not agree.  n1 is the smallest dimension from which q(m) > 1
+    for every m < n_max, by lower endpoints and over the winner's field
+    only, so it says nothing about dimensions past n_max.
     """
     require_int(n_max, "n_max", 10)
     require_int(safety_margin, "safety_margin", 1)
-    limits = {n: _limit(n, safety_margin) for n in range(2, n_max + 1)}
-    candidates: dict[int, list[Candidate]] = {n: [] for n in limits}
-    widest = max(limit for _, limit in limits.values())
-    for field in quadfield.fields_with_disc_at_most(widest):
-        for n, (_, limit) in limits.items():
-            if field.disc_abs <= limit:
-                result = lattice.covolume_result(field, n)
-                candidates[n].append(Candidate(field, result))
-    per_n = tuple(
-        _certify(n, bound, limit, tuple(candidates[n]))
-        for n, (bound, limit) in limits.items()
+    per_n = _sweep(range(2, n_max + 1), safety_margin)
+    winner = _unique_min(
+        per_n,
+        lambda mr: mr.result.nu_lower,
+        lambda mr: str(mr.result.n),
+        "overall minimum is shared by dimensions {}",
     )
-
-    best_nu = min(mr.result.nu_lower for mr in per_n)
-    nu_winners = [mr for mr in per_n if mr.result.nu_lower == best_nu]
-    if len(nu_winners) > 1:
-        dims = ", ".join(str(mr.result.n) for mr in nu_winners)
-        raise TieDetected(f"overall minimum is shared by dimensions {dims}")
-    winner = nu_winners[0]
-
-    best_vol = min(_volume_value(mr.result) for mr in per_n)
-    vol_winners = [mr for mr in per_n if _volume_value(mr.result) == best_vol]
-    if len(vol_winners) > 1:
-        dims = ", ".join(str(mr.result.n) for mr in vol_winners)
-        raise TieDetected(f"volume minimum is shared by dimensions {dims}")
+    volume_winner = _unique_min(
+        per_n,
+        lambda mr: _volume_value(mr.result),
+        lambda mr: str(mr.result.n),
+        "volume minimum is shared by dimensions {}",
+    )
 
     # smallest n1 with q(m) > 1 for every m in [n1, n_max - 1], taking
     # the winner's field and ratio lower endpoints (sound: growth is
     # only claimed where even the smallest possible ratio exceeds 1)
     n1 = n_max
     for report in _growth_reports(winner.field, range(n_max - 1, 1, -1)):
-        q_low = report.q.lower if isinstance(report.q, Interval) else report.q
-        if q_low > 1:
+        if lattice._lower(report.q) > 1:
             n1 = report.n
         else:
             break
@@ -273,22 +286,24 @@ def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
     return OverallMinimum(
         n_star=winner.result.n,
         result=winner.result,
-        volume_n_star=vol_winners[0].result.n,
+        volume_n_star=volume_winner.result.n,
         growth_threshold_n1=n1,
         per_n=per_n,
     )
 
 
 def _ratio(numer: ExactOrInterval, denom: ExactOrInterval) -> ExactOrInterval:
+    """numer / denom for positive values, an interval when either is one."""
     if lattice.is_exact(numer) and lattice.is_exact(denom):
         return numer / denom
-    if lattice.is_exact(numer):
-        return Interval(numer / denom.upper, numer / denom.lower)
-    if lattice.is_exact(denom):
-        return Interval(numer.lower / denom, numer.upper / denom)
-    # nu alternates exact/interval with parity, so both-interval cannot
-    # arise from consecutive dimensions of one field
-    raise InternalDefect("cannot form the ratio of two interval values")
+    if not (lattice.is_exact(numer) or lattice.is_exact(denom)):
+        # nu alternates exact/interval with parity, so consecutive
+        # dimensions of one field never give two intervals
+        raise InternalDefect("cannot form the ratio of two interval values")
+    return Interval(
+        lattice._lower(numer) / lattice._upper(denom),
+        lattice._upper(numer) / lattice._lower(denom),
+    )
 
 
 def _closed_form_ratio(field: QuadField, n: int) -> float:
@@ -356,7 +371,7 @@ def _growth_report(
     field: QuadField, n: int, nu_n: ExactOrInterval, nu_next: ExactOrInterval
 ) -> GrowthReport:
     q = _ratio(nu_next, nu_n)
-    q_low = q.lower if isinstance(q, Interval) else q
+    q_low = lattice._lower(q)
     if q_low <= 0:
         raise InternalDefect(f"growth ratio at n = {n} is not positive: {q}")
     log_q_over_n = lattice._log_fraction(q_low) / n
@@ -389,15 +404,6 @@ def _growth_report(
     )
 
 
-@lru_cache(maxsize=None)
-def _hwang_base(n: int) -> float:
-    p4 = math.comb(4 * n + n + 4, n)
-    p2 = math.comb(2 * n + n + 2, n)
-    gap = p4 - p2
-    rational = Fraction(gap - (n + 1), math.factorial(n) * gap * gap)
-    return float(rational) * (4 * math.pi) ** n
-
-
 def hwang_bound(n: int, k: int) -> NumericValue:
     """Volume lower bound for a smooth quotient with k cusps.
 
@@ -408,10 +414,10 @@ def hwang_bound(n: int, k: int) -> NumericValue:
     """
     require_int(n, "n", 2, InvalidDimension)
     require_int(k, "k", 1)
-    value = k * _hwang_base(n)
+    p4 = math.comb(4 * n + n + 4, n)
+    p2 = math.comb(2 * n + n + 2, n)
+    gap = p4 - p2
+    rational = Fraction(gap - (n + 1), math.factorial(n) * gap * gap)
+    value = k * (float(rational) * (4 * math.pi) ** n)
     return NumericValue(value, abs(value) * (n + 2) * 5e-16)
 
-
-def clear_caches() -> None:
-    """Reset this module's memo tables (used by tests)."""
-    _hwang_base.cache_clear()

@@ -11,7 +11,8 @@ symbol per prime, and the full-period Horner sum for B_{k,chi} are the
 exact kernels that the tiled table and the half-range power sums
 replaced, kept as their differential oracles; likewise nu with its
 L-product rebuilt from j = 1 on every call, which the prefix list of
-lattice._l_product replaced.
+lattice._l_product replaced, and the minimal-field certificate built one
+dimension at a time, which the field-major sweep of survey replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import mpmath
 
-from covolume import lattice, lvalues, quadfield
+from covolume import lattice, lvalues, quadfield, survey
 
 
 def bernoulli_series(k_max: int) -> list[Fraction]:
@@ -170,6 +171,24 @@ def nu_by_loop(field: quadfield.QuadField, n: int) -> lattice.ExactOrInterval:
     if eps.kind == "exact":
         return acc * 2
     return lattice.Interval(acc * eps.lower, acc * eps.upper)
+
+
+def minimal_field_by_loop(n: int, safety_margin: int = 20) -> survey.MinimalResult:
+    """minimal_field(n) with every candidate of dimension n computed on its
+    own, in ascending discriminant, and the winner picked by min().
+
+    Ties and inexact winners are not checked here; minimal_field raises
+    on them, which a comparison with this oracle reports as an error.
+    """
+    bound = survey.discriminant_bound(n).value
+    limit = max(math.ceil(bound), 4) + safety_margin
+    candidates = tuple(
+        survey.Candidate(f, lattice.covolume_result(f, n))
+        for f in quadfield.fields_with_disc_at_most(limit)
+    )
+    winner = min(candidates, key=lambda c: c.result.nu_lower)
+    certificate = survey.MinimalCertificate(n, bound, limit, candidates)
+    return survey.MinimalResult(winner.field, winner.result, certificate)
 
 
 def zeta_mp(s: int, dps: int = 40) -> float:

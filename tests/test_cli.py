@@ -490,6 +490,9 @@ GOLDEN_STDOUT = {
     "minimal --overall --n-max 30 --format csv": "f980820ff1c5ca870cfd910636da5b976b256e7eeca5c2ce60941c8200e339ae",
     "minimal --overall --n-max 30 --format table": "fdffb5fd59c514656d167827d21c675f6d512fd8b76adc322a14cbf93144dfc4",
     "minimal --overall --n-max 30 --verbose --format table": "98729c44c08405fbe68c3e81e868373b96509e2d3cd2ba77bbbf0b3a25d674b4",
+    "classgroup --d 23 --m 3 --format csv": "144436665072689df046ff102e074add4653d432fb6f7a0831a1f91066c6d9f4",
+    "classgroup --d 23 --m 3 --format table": "a560cffebf07f720541cd79b5b020d63147ee2aff9d4ac6c5335420629c43ef0",
+    "classgroup --d 5 --format table": "b4b2f0153946bbe4884a69f41ec7882b3dcd23cd23d33394e54b3c8663686f76",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under

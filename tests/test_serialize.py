@@ -386,10 +386,12 @@ class TestEachMagnitudeOnce:
         for convert in self.CONVERTERS:
             assert _conversions(convert, row) == expected
         values = serialize.row_to_csv(row)
-        assert values[3:5] == tuple(
-            f"{v.lower}..{v.upper}" if isinstance(v, Interval) else str(v)
-            for v in (row.nu, row.chi)
-        )
+        with _no_digit_limit():
+            expected_cells = tuple(
+                f"{v.lower}..{v.upper}" if isinstance(v, Interval) else str(v)
+                for v in (row.nu, row.chi)
+            )
+        assert values[3:5] == expected_cells
 
 
 class TestJsonWriter:

@@ -4,6 +4,7 @@ growth certificates, and the cusped-volume lower bound.
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -182,14 +183,16 @@ class TestOverallMinimum:
 
 
 class TestFieldMajorSweep:
-    """overall_minimum sweeps field by field; each certificate must equal
-    the per-dimension path's."""
+    """minimal_field and overall_minimum share one field-major sweep; each
+    certificate must equal the dimension-by-dimension loop's."""
 
     def test_per_n_matches_minimal_field(self):
         overall = survey.overall_minimum(40)
         assert len(overall.per_n) == 39
         for n, mr in enumerate(overall.per_n, start=2):
-            assert mr == survey.minimal_field(n), n
+            expected = oracles.minimal_field_by_loop(n)
+            assert mr == expected, n
+            assert survey.minimal_field(n) == expected, n
 
     @pytest.mark.parametrize("tied", [{2, 3}, {7, 11}, {40}])
     def test_tie_raises_at_lowest_tied_dimension(self, monkeypatch, tied):
@@ -204,6 +207,30 @@ class TestFieldMajorSweep:
         monkeypatch.setattr(lattice, "covolume_result", tied_at)
         with pytest.raises(TieDetected, match=f"minimum at n = {min(tied)} is shared"):
             survey.overall_minimum(40)
+
+    @pytest.mark.parametrize(
+        "replace, message",
+        [
+            ({3: "nu", 5: "nu"}, "overall minimum is shared by dimensions 3, 5"),
+            ({4: "volume", 6: "volume"}, "volume minimum is shared by dimensions 4, 6"),
+        ],
+        ids=["nu", "volume"],
+    )
+    def test_ranking_tie_raises(self, monkeypatch, replace, message):
+        # only Q(sqrt(-3)), the unique exact winner of every dimension,
+        # is changed, so each per-dimension certificate still passes
+        real = lattice.covolume_result
+        tiny = {"nu": Fraction(1, 10**40), "volume": 1e-300}
+
+        def tied_winners(field, n):
+            result = real(field, n)
+            if field.d != 3 or n not in replace:
+                return result
+            return dataclasses.replace(result, **{replace[n]: tiny[replace[n]]})
+
+        monkeypatch.setattr(lattice, "covolume_result", tied_winners)
+        with pytest.raises(TieDetected, match=f"^{re.escape(message)}$"):
+            survey.overall_minimum(12)
 
     def test_inexact_winner_raises_at_lowest_dimension(self, monkeypatch):
         real = lattice.covolume_result
