@@ -132,16 +132,24 @@ def _kronecker_row(D: int) -> tuple[int, ...]:
 def _l_numeric_by_disc(D: int, s: int) -> NumericValue:
     q = -D
     chi = _kronecker_row(D)
-    # total error scales by q^(-s); give each residue class its share
-    per_target = 2.5e-13 * float(q) ** (s - 1)
-    acc = 0.0
-    err = 0.0
-    for a in range(1, q):
-        sign = chi[a]
-        if sign:
-            v, e = _hurwitz(s, a / q, per_target)
-            acc += v if sign > 0 else -v
-            err += e
+    try:
+        # total error scales by q^(-s); give each residue class its share
+        per_target = 2.5e-13 * float(q) ** (s - 1)
+        acc = 0.0
+        err = 0.0
+        for a in range(1, q):
+            sign = chi[a]
+            if sign:
+                v, e = _hurwitz(s, a / q, per_target)
+                acc += v if sign > 0 else -v
+                err += e
+    except OverflowError:
+        # q^s is past double range (from s = 140 at |D| = 163), where
+        # |L(s) - 1| < 2^(1-s): sum 16 terms of the series itself, and
+        # bound the rest by the integral 16^(1-s)/(s-1)
+        value = math.fsum(chi[m % q] * m ** (-s) for m in range(1, 17))
+        tail = 16.0 ** (1 - s) / (s - 1)
+        return NumericValue(value, tail + 18 * 2.3e-16 * abs(value))
     scale = float(q) ** (-s)
     value = acc * scale
     # roundoff slop: q float additions plus the final scaling
@@ -154,7 +162,8 @@ def l_numeric(field: QuadField, s: int) -> NumericValue:
 
     The sum over each residue class mod |D| is a Hurwitz-type series
     sharing the same Euler-Maclaurin treatment as zeta_numeric; the
-    reported bound covers the truncation of every class.
+    reported bound covers the truncation of every class.  Where |D|^s is
+    past double range, the first terms of the series itself are summed.
     """
     require_int(s, "s", 2)
     return _l_numeric_by_disc(field.disc_signed, s)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .errors import (
     DiscriminantMismatch,
@@ -84,10 +85,24 @@ class QuadField:
 def from_squarefree_d(d: int) -> QuadField:
     """Build the field Q(sqrt(-d)) from a squarefree integer d >= 1."""
     require_int(d, "d", 1)
-    if not is_squarefree(d):
+    field = _field_if_squarefree(d)
+    if field is None:
         raise NotSquarefree(f"d = {d} has a square factor")
+    return field
+
+
+def _field_if_squarefree(d: int) -> QuadField | None:
+    """Q(sqrt(-d)) from one factorization of d, or None if d is not squarefree.
+
+    The discriminant is d or 4d, so its primes are those of d, plus 2
+    when d = 1 mod 4.
+    """
+    primes = _prime_factors(d)
+    if math.prod(primes) != d:
+        return None
+    if d % 4 == 1:
+        primes = (2, *primes)
     disc = d if d % 4 == 3 else 4 * d
-    primes = _prime_factors(disc)
     mu = 6 if d == 3 else 4 if d == 1 else 2
     return QuadField(
         d=d,
@@ -101,13 +116,11 @@ def from_squarefree_d(d: int) -> QuadField:
 
 def fields_with_disc_at_most(limit: int) -> tuple[QuadField, ...]:
     """All imaginary quadratic fields with |discriminant| <= limit, by disc."""
-    fields = []
-    for d in range(1, max(limit, 0) + 1):
-        if not is_squarefree(d):
-            continue
-        disc = d if d % 4 == 3 else 4 * d
-        if disc <= limit:
-            fields.append(from_squarefree_d(d))
+    # |disc| is d when d = 3 mod 4 and 4d otherwise
+    quarter = max(limit, 0) // 4
+    threes = (d for d in range(3, limit + 1, 4) if d > quarter)
+    ds = chain(range(1, quarter + 1), threes)
+    fields = [f for f in map(_field_if_squarefree, ds) if f is not None]
     fields.sort(key=lambda f: (f.disc_abs, f.d))
     return tuple(fields)
 

@@ -40,8 +40,6 @@ __all__ = [
     "hwang_bound",
 ]
 
-_TWO_PI = 2 * math.pi
-
 _T = TypeVar("_T")
 
 
@@ -273,15 +271,13 @@ def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
         "volume minimum is shared by dimensions {}",
     )
 
-    # smallest n1 with q(m) > 1 for every m in [n1, n_max - 1], taking
-    # the winner's field and ratio lower endpoints (sound: growth is
-    # only claimed where even the smallest possible ratio exceeds 1)
-    n1 = n_max
-    for report in _growth_reports(winner.field, range(n_max - 1, 1, -1)):
-        if lattice._lower(report.q) > 1:
-            n1 = report.n
-        else:
-            break
+    # n1 is one past the last m < n_max whose ratio may be <= 1, over the
+    # winner's field and by lower endpoints (sound: growth is only
+    # claimed where even the smallest possible ratio exceeds 1)
+    n1 = 2
+    for report in _growth_reports(winner.field, range(2, n_max)):
+        if lattice._lower(report.q) <= 1:
+            n1 = report.n + 1
 
     return OverallMinimum(
         n_star=winner.result.n,
@@ -306,8 +302,8 @@ def _ratio(numer: ExactOrInterval, denom: ExactOrInterval) -> ExactOrInterval:
     )
 
 
-def _closed_form_ratio(field: QuadField, n: int) -> float:
-    """Numeric growth ratio through the functional equations.
+def _closed_form_terms(field: QuadField, n: int) -> tuple[list[float], list[float]]:
+    """Growth ratio through the functional equations, as its terms.
 
     Rewriting nu(n+1)/nu(n) with both zeta and L values moved to the
     right of 1 by the functional equation collapses the quotient to a
@@ -317,26 +313,25 @@ def _closed_form_ratio(field: QuadField, n: int) -> float:
       odd n:  1/2 (n+2)/(n+1) (n+1)!/(2 pi)^(n+2) disc^(n+3/2) L(n+2) T
 
     with T = h_torsion(n+1)/h_torsion(n+2).  Valid for fields with one
-    ramified prime, where the epsilon factors are pinned to 2.
+    ramified prime, where the epsilon factors are pinned to 2.  Returns
+    the plain factors ((n+2)/(n+1), T, then 2 zeta or L/2) and the
+    logarithms of the rest, so the ratio and its logarithm share terms.
     """
-    log_pref = math.lgamma(n + 2) - (n + 2) * math.log(_TWO_PI)
-    value = (n + 2) / (n + 1) * math.exp(log_pref)
-    value *= lattice.h_torsion(field, n + 1) / lattice.h_torsion(field, n + 2)
+    torsion = lattice.h_torsion(field, n + 1) / lattice.h_torsion(field, n + 2)
+    logs = [math.lgamma(n + 2) - (n + 2) * math.log(2 * math.pi)]
     if n % 2 == 0:
-        return 2.0 * value * lvalues.zeta_numeric(n + 2).value
-    value *= 0.5 * lvalues.l_numeric(field, n + 2).value
-    return value * math.exp((n + 1.5) * math.log(field.disc_abs))
+        special = 2.0 * lvalues.zeta_numeric(n + 2).value
+    else:
+        special = 0.5 * lvalues.l_numeric(field, n + 2).value
+        logs.append((n + 1.5) * math.log(field.disc_abs))
+    return [(n + 2) / (n + 1), torsion, special], logs
 
 
-def _log_closed_form_ratio(field: QuadField, n: int) -> float:
-    """Natural logarithm of _closed_form_ratio, finite past double range."""
-    ln = math.lgamma(n + 2) - (n + 2) * math.log(_TWO_PI)
-    ln += math.log((n + 2) / (n + 1))
-    ln += math.log(lattice.h_torsion(field, n + 1) / lattice.h_torsion(field, n + 2))
-    if n % 2 == 0:
-        return ln + math.log(2.0 * lvalues.zeta_numeric(n + 2).value)
-    ln += math.log(0.5 * lvalues.l_numeric(field, n + 2).value)
-    return ln + (n + 1.5) * math.log(field.disc_abs)
+def _closed_form_ratio(field: QuadField, n: int) -> float:
+    """The closed-form growth ratio as a float; OverflowError past range."""
+    (step, torsion, special), logs = _closed_form_terms(field, n)
+    value = step * math.exp(logs[0]) * torsion * special
+    return value * math.exp(logs[1]) if n % 2 else value
 
 
 def growth_ratio(field: QuadField, n: int) -> GrowthReport:
@@ -349,22 +344,22 @@ def growth_ratio(field: QuadField, n: int) -> GrowthReport:
     Ratios past double range are compared through their logarithms.
     """
     require_int(n, "n", 2, InvalidDimension)
-    return _growth_report(field, n, lattice.nu(field, n), lattice.nu(field, n + 1))
+    return next(_growth_reports(field, range(n, n + 1)))
 
 
 def _growth_reports(field: QuadField, dims: range) -> Iterator[GrowthReport]:
-    """growth_ratio(field, n) for each n of dims, a range of step +1 or -1.
+    """growth_ratio(field, n) for each n of dims, an ascending run of step 1.
 
-    Consecutive ratios share one nu value, which is carried to the next
-    step, so the whole run computes every nu once.
+    nu(n+1) of each step is carried to the next as its nu(n), so the
+    whole run computes every nu once.
     """
-    carried: dict[int, ExactOrInterval] = {}
+    if dims.step != 1:
+        raise InternalDefect(f"growth runs ascend by 1, got {dims}")
+    nu_n = lattice.nu(field, dims.start) if dims else None
     for n in dims:
-        carried = {
-            m: carried[m] if m in carried else lattice.nu(field, m)
-            for m in (n, n + 1)
-        }
-        yield _growth_report(field, n, carried[n], carried[n + 1])
+        nu_next = lattice.nu(field, n + 1)
+        yield _growth_report(field, n, nu_n, nu_next)
+        nu_n = nu_next
 
 
 def _growth_report(
@@ -383,12 +378,15 @@ def _growth_report(
             exact_float = float(q)
             rel_err = abs(closed_form - exact_float) / exact_float
         except OverflowError:
-            # the ratio is past double range (from n = 199 over
-            # Q(sqrt(-3))); compare in logarithms, and saturate the
+            # the ratio is past double range (from n = 199 over Q(sqrt(-3)));
+            # compare the same terms in logarithms, and saturate the
             # closed form to inf as volumes do
             closed_form = math.inf
-            ln_err = _log_closed_form_ratio(field, n) - lattice._log_fraction(q)
-            rel_err = abs(math.expm1(ln_err))
+            factors, logs = _closed_form_terms(field, n)
+            ln = logs[0]
+            for term in (*map(math.log, factors), *logs[1:]):
+                ln += term
+            rel_err = abs(math.expm1(ln - lattice._log_fraction(q)))
         if rel_err > 1e-6:
             raise InternalDefect(
                 f"growth ratio cross-check failed at {field}, n = {n}: "

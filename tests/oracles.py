@@ -13,6 +13,11 @@ replaced, kept as their differential oracles; likewise nu with its
 L-product rebuilt from j = 1 on every call, which the prefix list of
 lattice._l_product replaced, and the minimal-field certificate built one
 dimension at a time, which the field-major sweep of survey replaced.
+The growth closed form written out twice, as a float and as a
+logarithm, the descending search for the growth threshold, and the field
+enumeration that factored each d up to three times are kept the same way
+for the single term list, the ascending run and the one factorization
+per d that replaced them.
 """
 
 from __future__ import annotations
@@ -189,6 +194,57 @@ def minimal_field_by_loop(n: int, safety_margin: int = 20) -> survey.MinimalResu
     winner = min(candidates, key=lambda c: c.result.nu_lower)
     certificate = survey.MinimalCertificate(n, bound, limit, candidates)
     return survey.MinimalResult(winner.field, winner.result, certificate)
+
+
+def fields_by_triple_factoring(limit: int) -> tuple[quadfield.QuadField, ...]:
+    """fields_with_disc_at_most(limit) testing squarefreeness of every d up
+    to limit, then building each field and factoring its discriminant."""
+    fields = []
+    for d in range(1, max(limit, 0) + 1):
+        if not quadfield.is_squarefree(d):
+            continue
+        disc = d if d % 4 == 3 else 4 * d
+        if disc <= limit:
+            primes = quadfield._prime_factors(disc)
+            mu = 6 if d == 3 else 4 if d == 1 else 2
+            fields.append(
+                quadfield.QuadField(d, disc, -disc, primes, len(primes), mu)
+            )
+    fields.sort(key=lambda f: (f.disc_abs, f.d))
+    return tuple(fields)
+
+
+def closed_form_ratio_float(field: quadfield.QuadField, n: int) -> float:
+    """The growth closed form in floating point, as one expression chain."""
+    log_pref = math.lgamma(n + 2) - (n + 2) * math.log(2 * math.pi)
+    value = (n + 2) / (n + 1) * math.exp(log_pref)
+    value *= lattice.h_torsion(field, n + 1) / lattice.h_torsion(field, n + 2)
+    if n % 2 == 0:
+        return 2.0 * value * lvalues.zeta_numeric(n + 2).value
+    value *= 0.5 * lvalues.l_numeric(field, n + 2).value
+    return value * math.exp((n + 1.5) * math.log(field.disc_abs))
+
+
+def closed_form_ratio_log(field: quadfield.QuadField, n: int) -> float:
+    """Natural logarithm of closed_form_ratio_float, finite past double range."""
+    ln = math.lgamma(n + 2) - (n + 2) * math.log(2 * math.pi)
+    ln += math.log((n + 2) / (n + 1))
+    ln += math.log(lattice.h_torsion(field, n + 1) / lattice.h_torsion(field, n + 2))
+    if n % 2 == 0:
+        return ln + math.log(2.0 * lvalues.zeta_numeric(n + 2).value)
+    ln += math.log(0.5 * lvalues.l_numeric(field, n + 2).value)
+    return ln + (n + 1.5) * math.log(field.disc_abs)
+
+
+def growth_threshold_by_descent(field: quadfield.QuadField, n_max: int) -> int:
+    """Smallest n1 with q(m) > 1 (lower endpoint) for every n1 <= m < n_max,
+    walking down from n_max - 1 and stopping at the first m that fails."""
+    n1 = n_max
+    for m in range(n_max - 1, 1, -1):
+        if lattice._lower(survey.growth_ratio(field, m).q) <= 1:
+            break
+        n1 = m
+    return n1
 
 
 def zeta_mp(s: int, dps: int = 40) -> float:

@@ -262,6 +262,19 @@ class TestGrowthCommand:
         header, row = out.splitlines()
         assert dict(zip(header.split(","), row.split(",")))["closed_form"] == "inf"
 
+    @pytest.mark.parametrize(
+        "d, n_min, n_max", [("43", "187", "190"), ("163", "139", "139")]
+    )
+    def test_l_value_past_double_range(self, capsys, d, n_min, n_max):
+        # L(n + 2) at |D|^(n+2) past double range prints like any other
+        # ratio past it
+        argv = ("growth", "--d", d, "--n-min", n_min, "--n-max", n_max)
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0]["closed_form"] == "inf"
+        assert all(r["rel_err"] <= 1e-6 for r in records)
+
     def test_each_nu_computed_once(self, capsys, monkeypatch):
         calls = []
         nu = lattice.nu
@@ -493,6 +506,8 @@ GOLDEN_STDOUT = {
     "classgroup --d 23 --m 3 --format csv": "144436665072689df046ff102e074add4653d432fb6f7a0831a1f91066c6d9f4",
     "classgroup --d 23 --m 3 --format table": "a560cffebf07f720541cd79b5b020d63147ee2aff9d4ac6c5335420629c43ef0",
     "classgroup --d 5 --format table": "b4b2f0153946bbe4884a69f41ec7882b3dcd23cd23d33394e54b3c8663686f76",
+    "growth --d 3 --n-min 196 --n-max 261 --format csv": "40e19f7ca3aeed107a26b5d27ff502f40782eb51bbdbb04a2ca3289715294450",
+    "growth --d 7 --n-min 164 --n-max 169 --format json": "8afdba10f66407b2b4ef5c3043683d08232548f3bc77527e92a4a3dd72a6e3fa",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under

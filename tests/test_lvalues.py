@@ -146,6 +146,18 @@ class TestLNumeric:
         with pytest.raises(InvalidInput):
             lvalues.l_numeric(f3, s)
 
+    @pytest.mark.parametrize("d, s", [(43, 189), (163, 141)])
+    def test_past_double_range_of_q_to_the_s(self, d, s):
+        # q^s overflows a double from here on; the value still lies
+        # within its bound of the mpmath series
+        field = quadfield.from_squarefree_d(d)
+        chi = quadfield.chi_table(field.disc_signed)
+        with pytest.raises(OverflowError):
+            float(field.disc_abs) ** s
+        got = lvalues.l_numeric(field, s)
+        truth = oracles.l_function_mp(field.disc_signed, s, chi)
+        assert abs(got.value - truth) <= got.abs_error_bound <= 1e-12
+
     def test_reads_no_exact_route_table(self, monkeypatch, f23):
         # the numeric route keeps its own Kronecker table
         def forbidden(D):

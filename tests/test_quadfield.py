@@ -86,6 +86,15 @@ class TestFieldConstruction:
     def test_enumeration_empty_below_three(self):
         assert quadfield.fields_with_disc_at_most(2) == ()
 
+    @pytest.mark.parametrize("limits", [range(201), [3000, 10**5]])
+    def test_enumeration_matches_triple_factoring(self, limits):
+        # one factorization per d gives the fields that factoring each d
+        # up to three times gave
+        for limit in limits:
+            assert quadfield.fields_with_disc_at_most(
+                limit
+            ) == oracles.fields_by_triple_factoring(limit), limit
+
 
 class TestFundamentalDiscriminant:
     @pytest.mark.parametrize("D", [1, 5, 8, 12, -3, -4, -7, -8, -20, -163])

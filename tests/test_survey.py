@@ -7,11 +7,17 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import covolume
 from covolume import bernoulli, lattice, quadfield, survey
-from covolume.errors import InvalidDimension, InvalidInput, TieDetected
+from covolume.errors import (
+    InternalDefect,
+    InvalidDimension,
+    InvalidInput,
+    TieDetected,
+)
 from covolume.lattice import Interval
 
 from . import oracles
@@ -312,9 +318,13 @@ class TestGrowthRatio:
     @pytest.mark.parametrize("d", [3, 5])
     def test_carried_run_matches_single_ratios(self, d):
         field = quadfield.from_squarefree_d(d)
-        for dims in (range(2, 14), range(13, 1, -1)):
-            expected = [survey.growth_ratio(field, n) for n in dims]
-            assert list(survey._growth_reports(field, dims)) == expected
+        dims = range(2, 14)
+        expected = [survey.growth_ratio(field, n) for n in dims]
+        assert list(survey._growth_reports(field, dims)) == expected
+
+    def test_rejects_descending_run(self, f3):
+        with pytest.raises(InternalDefect):
+            next(survey._growth_reports(f3, range(13, 1, -1)))
 
     @pytest.mark.parametrize("n", [199, 260])
     def test_past_double_range(self, f3, n):
@@ -325,6 +335,58 @@ class TestGrowthRatio:
         assert report.q == lattice.nu(f3, n + 1) / lattice.nu(f3, n)
         assert report.closed_form_rel_err <= 1e-6
         assert report.closed_form == math.inf
+
+    @pytest.mark.parametrize("n", [4, 199])
+    def test_doubled_term_is_a_defect(self, f3, monkeypatch, n):
+        # both the float path (n = 4) and the logarithm path past double
+        # range (n = 199) read the one term builder
+        terms = survey._closed_form_terms
+
+        def doubled(field, m):
+            factors, logs = terms(field, m)
+            return [2 * factors[0], *factors[1:]], logs
+
+        monkeypatch.setattr(survey, "_closed_form_terms", doubled)
+        with pytest.raises(InternalDefect, match="cross-check failed"):
+            survey.growth_ratio(f3, n)
+
+
+class TestClosedFormOracle:
+    """One term list gives the same floats as the closed form written out
+    twice, as a float and as a logarithm."""
+
+    @pytest.mark.parametrize("d", oracles.CLASS_NUMBER_ONE_D)
+    def test_bitwise_equal_to_both_forms(self, d):
+        field = quadfield.from_squarefree_d(d)
+        for n in range(2, 301):
+            try:
+                expected = oracles.closed_form_ratio_float(field, n)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    survey._closed_form_ratio(field, n)
+            else:
+                assert survey._closed_form_ratio(field, n) == expected, n
+            ln = oracles.closed_form_ratio_log(field, n)
+            if ln > 710:
+                # past double range: the exact ratio exp(ln) sends the
+                # report down its logarithm path, so rel_err shows the
+                # logarithm the report summed
+                with mpmath.workdps(30):
+                    q = Fraction(int(mpmath.exp(ln)))
+                report = survey._growth_report(field, n, Fraction(1), q)
+                expected_err = abs(math.expm1(ln - lattice._log_fraction(q)))
+                assert report.closed_form == math.inf
+                assert report.closed_form_rel_err == expected_err, n
+
+    @pytest.mark.parametrize("n_max", [10, 15, 16, 40, 60])
+    def test_threshold_matches_descending_search(self, n_max):
+        overall = survey.overall_minimum(n_max)
+        winner = overall.per_n[overall.n_star - 2].field
+        expected = oracles.growth_threshold_by_descent(winner, n_max)
+        assert overall.growth_threshold_n1 == expected
+        if n_max == 15:
+            # q(14) < 1, so no dimension below n_max qualifies
+            assert expected == n_max
 
 
 class TestHwangBound:
