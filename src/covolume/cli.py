@@ -43,25 +43,22 @@ def _emit(
     fmt: str,
     header: tuple[str, ...],
     items: list[Any],
-    to_csv: Callable[[Any], tuple[str, ...]],
     to_record: Callable[[Any], dict[str, Any]],
 ) -> None:
-    """Print items in fmt, converting each only to the form printed."""
+    """Print one record per item; CSV and table cells are its values."""
     if fmt == "json":
         for item in items:
             print(serialize.dumps(to_record(item)))
     elif fmt == "csv":
         print(serialize.csv_join(header))
         for item in items:
-            print(serialize.csv_join(to_csv(item)))
+            print(serialize.csv_join(serialize.cells(to_record(item))))
     else:
-        _print_table(header, [to_csv(item) for item in items])
+        _print_table(header, [serialize.cells(to_record(item)) for item in items])
 
 
 def _emit_survey_rows(rows: list[lattice.CovolumeResult], fmt: str) -> None:
-    _emit(
-        fmt, serialize.ROW_HEADER, rows, serialize.row_to_csv, serialize.row_to_record
-    )
+    _emit(fmt, serialize.ROW_HEADER, rows, serialize.row_to_record)
 
 
 def cmd_nu(args: argparse.Namespace) -> int:
@@ -137,7 +134,6 @@ def cmd_growth(args: argparse.Namespace) -> int:
         args.format or _default_format(),
         serialize.GROWTH_HEADER,
         reports,
-        serialize.growth_to_csv,
         serialize.growth_to_record,
     )
     return 0
@@ -149,7 +145,6 @@ def cmd_hwang(args: argparse.Namespace) -> int:
         args.format or _default_format(),
         ("n", "k", "bound"),
         [bound.value],
-        lambda b: (str(args.n), str(args.k), serialize.format_float(b)),
         lambda b: {"n": args.n, "k": args.k, "bound": b},
     )
     return 0
@@ -189,14 +184,23 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
         print(f"{field}: disc -{field.disc_abs}, h = {group.h}")
         if torsion is not None:
             print(f"classes killed by m = {args.m}: {torsion}")
-    _emit(
-        fmt,
-        ("a", "b", "c", "order"),
-        classes,
-        lambda c: tuple(str(v) for v in _class_record(c).values()),
-        _class_record,
-    )
+    _emit(fmt, ("a", "b", "c", "order"), classes, _class_record)
     return 0
+
+
+_SELFCHECK_HEADER = ("d", "disc", "n", "exact", "numeric", "rel_diff", "status")
+
+
+def _selfcheck_record(row: lattice.CrossPathRow) -> dict[str, Any]:
+    return {
+        "d": row.field.d,
+        "disc": row.field.disc_abs,
+        "n": row.n,
+        "exact": row.exact_value,
+        "numeric": row.numeric_value,
+        "rel_diff": row.rel_diff,
+        "status": "ok" if row.ok else "FAIL",
+    }
 
 
 def _selfcheck_tolerance() -> float:
@@ -221,19 +225,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         fields = None
         n_values = None
     rows = lattice.cross_path_check(fields=fields, n_values=n_values, tol=tol)
-    table = [
-        (
-            str(row.field.d),
-            str(row.field.disc_abs),
-            str(row.n),
-            serialize.format_float(row.exact_value),
-            serialize.format_float(row.numeric_value),
-            serialize.format_float(row.rel_diff),
-            "ok" if row.ok else "FAIL",
-        )
-        for row in rows
-    ]
-    _print_table(("d", "disc", "n", "exact", "numeric", "rel_diff", "status"), table)
+    _emit("table", _SELFCHECK_HEADER, rows, _selfcheck_record)
     failures = [row for row in rows if not row.ok]
     worst = max(row.rel_diff for row in rows)
     if failures:

@@ -280,13 +280,15 @@ def _principal_triple(D: int) -> tuple[int, int, int]:
     return 1, b0, (b0 * b0 - D) // 4
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def reduced_forms(field: QuadField) -> ClassGroup:
     """Enumerate every reduced form of the field discriminant.
 
     A triple (a, b, c) with b^2 - 4ac = D < 0 is reduced when
     |b| <= a <= c with b >= 0 if |b| = a or a = c; each ideal class
     contains exactly one such form, so the count is the class number.
+    Every caller walks fields one at a time, so the memo keeps the
+    current field's group only, as chi_table does.
     """
     D = field.disc_signed
     classes = []
@@ -331,45 +333,29 @@ def _compose_triples(
 ) -> tuple[int, int, int]:
     """Gauss composition of two primitive forms of discriminant D.
 
-    Textbook composition: pick A with the composed form
-    (a1*a2, b2 + 2*a2*A, *) of discriminant D, then reduce.  The branch
-    structure handles non-coprime leading coefficients, which occur for
-    composite discriminants (squaring (2,2,3) at D = -20, for instance).
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 5.4.7:
+    with d = gcd(a1, a2) and d1 = gcd(d, (b1 + b2)/2), the composed form
+    is (a1 a2 / d1^2, b2 + 2 (a2/d1) r, *) for an r from the two Bezout
+    identities, then reduced.  Leading coefficients that share a factor
+    (squaring (2,2,3) at D = -20, for instance) need no separate case.
     """
-    if f1[0] < f2[0]:
+    if f1[0] > f2[0]:
         f1, f2 = f2, f1
-    a1, b1, c1 = f1
+    a1, b1, _ = f1
     a2, b2, c2 = f2
     s = (b1 + b2) // 2
     n = b2 - s
-    d, u, v = _ext_gcd(a2, a1)
-    if d == 1:
-        A = -u * n
-        d1 = 1
-    elif s % d == 0:
-        A = -u * n
-        d1 = d
-        a1 //= d1
-        a2 //= d1
-        s //= d1
-    else:
-        d1, u1, _ = _ext_gcd(s, d)
-        if d1 > 1:
-            a1 //= d1
-            a2 //= d1
-            s //= d1
-            d //= d1
-        # d divides n once gcd(s, d) = 1: n*s = a2*c2 - a1*c1
-        ell = (-u1 * (u * (c1 % d) + v * (c2 % d))) % d
-        A = -u * (n // d) + ell * (a1 // d)
-    A %= a1
-    a3 = a1 * a2
-    b3 = b2 + 2 * a2 * A
+    d, y1, _ = _ext_gcd(a2, a1)
+    d1, x2, v = _ext_gcd(s, d)
+    v1 = a1 // d1
+    v2 = a2 // d1
+    r = (-y1 * v * n - x2 * c2) % v1
+    a3 = v1 * v2
+    b3 = b2 + 2 * v2 * r
     t = b3 * b3 - D
     if t % (4 * a3):
         raise InternalDefect(f"composition produced an invalid form at D = {D}")
-    c3 = t // (4 * a3)
-    return _reduce_triple(a3, b3, c3)
+    return _reduce_triple(a3, b3, t // (4 * a3))
 
 
 def compose(g1: FormClass, g2: FormClass, group: ClassGroup) -> FormClass:

@@ -3,10 +3,12 @@
 Exact rationals travel as "numerator/denominator" strings so that JSON
 consumers with 64-bit number parsing cannot corrupt them.  Floats are
 printed with 12 significant digits, few enough that parse-and-reprint
-is the identity.  Interval values are "lower..upper" in CSV and
-{"lower": ..., "upper": ...} objects in JSON.  Every emitted record
-parses back to an equal CovolumeResult, and re-serializing the parsed
-form reproduces the original bytes.
+is the identity.  Every printed item is first a JSON record; its CSV
+and table cells are the record's values flattened by one rule (_cell):
+null is an empty cell, a {"lower": ..., "upper": ...} pair is
+"lower..upper", and the epsilon object is format_epsilon's text.
+Every emitted record parses back to an equal CovolumeResult, and
+re-serializing the parsed form reproduces the original bytes.
 
 Large n: nu(n) has about n^2 log n digits (546k at n = 800 over
 Q(sqrt(-3))), and CPython before 3.12 converts int to str in quadratic
@@ -20,8 +22,8 @@ _LEAF_DIGITS digits to int() and splits longer ones in halves,
 recombined by products with powers of ten.  Both directions run in
 time subquadratic in the size and never meet the interpreter's int/str
 digit limit, so nothing here or in the CLI touches that limit.
-row_to_record and row_to_csv convert each distinct magnitude of a
-record once: chi's numerator is usually +-nu's, and an interval's
+row_to_record, and so row_to_csv, converts each distinct magnitude of
+a record once: chi's numerator is usually +-nu's, and an interval's
 endpoints swap between nu and chi.
 """
 
@@ -48,6 +50,7 @@ __all__ = [
     "parse_volume",
     "format_epsilon",
     "parse_epsilon",
+    "cells",
     "csv_join",
     "ROW_HEADER",
     "row_to_record",
@@ -183,40 +186,59 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(numerator, 1 if den is None else _int_of_digits(den))
 
 
-def format_value(x: ExactOrInterval, digits: Digits | None = None) -> str:
+def _value_json(x: ExactOrInterval, digits: Digits) -> str | dict[str, str]:
     if isinstance(x, Interval):
-        lower = format_rational(x.lower, digits)
-        return f"{lower}..{format_rational(x.upper, digits)}"
+        return {
+            "lower": format_rational(x.lower, digits),
+            "upper": format_rational(x.upper, digits),
+        }
     return format_rational(x, digits)
 
 
+def _value_from_json(obj: str | dict[str, str]) -> ExactOrInterval:
+    if isinstance(obj, dict):
+        return Interval(parse_rational(obj["lower"]), parse_rational(obj["upper"]))
+    return parse_rational(obj)
+
+
+def format_value(x: ExactOrInterval) -> str:
+    return _cell(_value_json(x, _digits))
+
+
 def parse_value(s: str) -> ExactOrInterval:
-    if ".." in s:
-        lo, hi = s.split("..")
-        return Interval(parse_rational(lo), parse_rational(hi))
-    return parse_rational(s)
+    return _value_from_json(_unpair(s))
 
 
-def _format_saturated(v: float) -> str:
+def _json_saturated(v: float) -> float | str:
     # volumes and closed-form growth ratios past IEEE range saturate to
-    # inf upstream; keep that explicit in the serialized form instead of
-    # failing
+    # inf upstream; JSON numbers cannot carry infinity, so the saturated
+    # value travels as the string "inf" and parses back through float()
     if math.isinf(v) and v > 0:
         return "inf"
-    return format_float(v)
+    return v
+
+
+def _volume_json(v: float | tuple[float, float]) -> Any:
+    if isinstance(v, tuple):
+        return {
+            "lower": _json_saturated(v[0]),
+            "upper": _json_saturated(v[1]),
+        }
+    return _json_saturated(v)
+
+
+def _volume_from_json(obj: Any) -> float | tuple[float, float]:
+    if isinstance(obj, dict):
+        return (float(obj["lower"]), float(obj["upper"]))
+    return float(obj)
 
 
 def format_volume(v: float | tuple[float, float]) -> str:
-    if isinstance(v, tuple):
-        return f"{_format_saturated(v[0])}..{_format_saturated(v[1])}"
-    return _format_saturated(v)
+    return _cell(_volume_json(v))
 
 
 def parse_volume(s: str) -> float | tuple[float, float]:
-    if ".." in s:
-        lo, hi = s.split("..")
-        return (float(lo), float(hi))
-    return float(s)
+    return _volume_from_json(_unpair(s))
 
 
 def format_epsilon(eps: EpsilonStatus) -> str:
@@ -284,49 +306,39 @@ def _write(obj: Any, parts: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _cell(value: Any) -> str:
+    """A JSON record value flattened to one CSV or table cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, dict):
+        if "kind" in value:
+            return format_epsilon(EpsilonStatus(**value))
+        return f"{_cell(value['lower'])}..{_cell(value['upper'])}"
+    return str(value)
+
+
+def _unpair(cell: str) -> str | dict[str, str]:
+    """The JSON form of a cell: "lower..upper" becomes a pair object."""
+    if ".." in cell:
+        lower, upper = cell.split("..")
+        return {"lower": lower, "upper": upper}
+    return cell
+
+
+def cells(record: dict[str, Any]) -> tuple[str, ...]:
+    """The CSV or table cells of a record: its values, flattened."""
+    return tuple(_cell(value) for value in record.values())
+
+
 def csv_join(values: tuple[str, ...]) -> str:
     for v in values:
         if any(ch in v for ch in ',"\n\r'):
             raise ValueError(f"CSV field would need quoting: {v!r}")
     return ",".join(values)
-
-
-def _value_json(x: ExactOrInterval, digits: Digits) -> str | dict[str, str]:
-    if isinstance(x, Interval):
-        return {
-            "lower": format_rational(x.lower, digits),
-            "upper": format_rational(x.upper, digits),
-        }
-    return format_rational(x, digits)
-
-
-def _value_from_json(obj: str | dict[str, str]) -> ExactOrInterval:
-    if isinstance(obj, dict):
-        return Interval(parse_rational(obj["lower"]), parse_rational(obj["upper"]))
-    return parse_rational(obj)
-
-
-def _json_saturated(v: float) -> float | str:
-    # JSON numbers cannot carry infinity; the saturated value travels
-    # as the string "inf" and parses back through float()
-    if math.isinf(v) and v > 0:
-        return "inf"
-    return v
-
-
-def _volume_json(v: float | tuple[float, float]) -> Any:
-    if isinstance(v, tuple):
-        return {
-            "lower": _json_saturated(v[0]),
-            "upper": _json_saturated(v[1]),
-        }
-    return _json_saturated(v)
-
-
-def _volume_from_json(obj: Any) -> float | tuple[float, float]:
-    if isinstance(obj, dict):
-        return (float(obj["lower"]), float(obj["upper"]))
-    return float(obj)
 
 
 ROW_HEADER = (
@@ -390,42 +402,18 @@ def row_from_record(obj: dict[str, Any]) -> CovolumeResult:
 
 
 def row_to_csv(row: CovolumeResult) -> tuple[str, ...]:
-    mult = row.multiplicity
-    digits = _record_digits()
-    return (
-        str(row.d),
-        str(row.disc),
-        str(row.n),
-        format_value(row.nu, digits),
-        format_value(row.chi, digits),
-        format_volume(row.volume),
-        str(row.h),
-        str(row.h_torsion),
-        str(row.r),
-        format_epsilon(row.epsilon),
-        "" if mult is None else str(mult[0]),
-        "" if mult is None else str(mult[1]),
-        "true" if row.exact else "false",
-    )
+    return cells(row_to_record(row))
 
 
 def row_from_csv(values: tuple[str, ...]) -> CovolumeResult:
     if len(values) != len(ROW_HEADER):
         raise ValueError(f"expected {len(ROW_HEADER)} CSV fields, got {len(values)}")
-    (d, disc, n, nu, chi, volume, h, h_t, r, eps, m_lo, m_hi, _exact) = values
-    return CovolumeResult(
-        d=int(d),
-        disc=int(disc),
-        n=int(n),
-        nu=parse_value(nu),
-        chi=parse_value(chi),
-        volume=parse_volume(volume),
-        h=int(h),
-        h_torsion=int(h_t),
-        r=int(r),
-        epsilon=parse_epsilon(eps),
-        multiplicity=None if m_lo == "" else (int(m_lo), int(m_hi)),
-    )
+    record = {
+        key: None if cell == "" else _unpair(cell)
+        for key, cell in zip(ROW_HEADER, values)
+    }
+    record["epsilon"] = vars(parse_epsilon(values[ROW_HEADER.index("epsilon")]))
+    return row_from_record(record)
 
 
 def growth_to_record(report: GrowthReport) -> dict[str, Any]:
@@ -441,13 +429,4 @@ def growth_to_record(report: GrowthReport) -> dict[str, Any]:
 
 
 def growth_to_csv(report: GrowthReport) -> tuple[str, ...]:
-    cf = report.closed_form
-    err = report.closed_form_rel_err
-    return (
-        str(report.field.d),
-        str(report.n),
-        format_value(report.q, _record_digits()),
-        format_float(report.log_q_over_n),
-        "" if cf is None else _format_saturated(cf),
-        "" if err is None else format_float(err),
-    )
+    return cells(growth_to_record(report))

@@ -406,9 +406,13 @@ def hwang_bound(n: int, k: int) -> NumericValue:
     """Volume lower bound for a smooth quotient with k cusps.
 
     k (4 pi)^n / (n! (P(4) - P(2))) * (1 - (n+1)/(P(4) - P(2))) with
-    P(l) = (nl+n+l)! / (n! (nl+l)!).  The combinatorial part is exact
-    integer arithmetic; only the final power of pi is floating point,
-    so the bound is exactly linear in k.  Decays to zero as n grows.
+    P(l) = (nl+n+l)! / (n! (nl+l)!).  The combinatorial part is an exact
+    rational; only the final power of pi is floating point, so the bound
+    is exactly k times the k = 1 value.  It decays to zero as n grows.
+    From n = 114 the rational is below the normal double range, so the
+    bound comes from logarithms, with an error bound widened by their
+    rounding.  From n = 179 the bound is below the smallest double: it
+    is 0.0, printed as 0, and its error bound still covers it.
     """
     require_int(n, "n", 2, InvalidDimension)
     require_int(k, "k", 1)
@@ -416,6 +420,14 @@ def hwang_bound(n: int, k: int) -> NumericValue:
     p2 = math.comb(2 * n + n + 2, n)
     gap = p4 - p2
     rational = Fraction(gap - (n + 1), math.factorial(n) * gap * gap)
-    value = k * (float(rational) * (4 * math.pi) ** n)
-    return NumericValue(value, abs(value) * (n + 2) * 5e-16)
-
+    unit = float(rational)
+    if unit >= 2.0**-1022:  # a normal double
+        value = k * (unit * (4 * math.pi) ** n)
+        return NumericValue(value, abs(value) * (n + 2) * 5e-16)
+    log_power = n * math.log(4 * math.pi)
+    value = k * math.exp(lattice._log_fraction(rational) + log_power)
+    # log num, log den and log_power are each off by a few ulps of
+    # themselves, and num < den; exp turns that absolute error into a
+    # relative one, rounds once more, and gives 0.0 below the double range
+    rel = 1e-15 * (2 * math.log(rational.denominator) + log_power) + 5e-16
+    return NumericValue(value, abs(value) * rel + k * math.ulp(0.0))

@@ -17,7 +17,9 @@ The growth closed form written out twice, as a float and as a
 logarithm, the descending search for the growth threshold, and the field
 enumeration that factored each d up to three times are kept the same way
 for the single term list, the ascending run and the one factorization
-per d that replaced them.
+per d that replaced them, and so is the Gauss composition with a branch
+per shared factor of the leading coefficients, replaced by Cohen's
+algorithm with two Bezout identities.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from functools import lru_cache
 import mpmath
 
 from covolume import lattice, lvalues, quadfield, survey
+from covolume.errors import InternalDefect
 
 
 def bernoulli_series(k_max: int) -> list[Fraction]:
@@ -212,6 +215,47 @@ def fields_by_triple_factoring(limit: int) -> tuple[quadfield.QuadField, ...]:
             )
     fields.sort(key=lambda f: (f.disc_abs, f.d))
     return tuple(fields)
+
+
+def compose_triples_by_cases(
+    f1: tuple[int, int, int], f2: tuple[int, int, int], D: int
+) -> tuple[int, int, int]:
+    """Gauss composition picking A with the composed form
+    (a1*a2, b2 + 2*a2*A, *), one branch per way the leading coefficients
+    can share a factor, then reduction."""
+    if f1[0] < f2[0]:
+        f1, f2 = f2, f1
+    a1, b1, c1 = f1
+    a2, b2, c2 = f2
+    s = (b1 + b2) // 2
+    n = b2 - s
+    d, u, v = quadfield._ext_gcd(a2, a1)
+    if d == 1:
+        A = -u * n
+        d1 = 1
+    elif s % d == 0:
+        A = -u * n
+        d1 = d
+        a1 //= d1
+        a2 //= d1
+        s //= d1
+    else:
+        d1, u1, _ = quadfield._ext_gcd(s, d)
+        if d1 > 1:
+            a1 //= d1
+            a2 //= d1
+            s //= d1
+            d //= d1
+        # d divides n once gcd(s, d) = 1: n*s = a2*c2 - a1*c1
+        ell = (-u1 * (u * (c1 % d) + v * (c2 % d))) % d
+        A = -u * (n // d) + ell * (a1 // d)
+    A %= a1
+    a3 = a1 * a2
+    b3 = b2 + 2 * a2 * A
+    t = b3 * b3 - D
+    if t % (4 * a3):
+        raise InternalDefect(f"composition produced an invalid form at D = {D}")
+    return quadfield._reduce_triple(a3, b3, t // (4 * a3))
 
 
 def closed_form_ratio_float(field: quadfield.QuadField, n: int) -> float:

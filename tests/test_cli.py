@@ -8,6 +8,7 @@ through the installed console script where it is on PATH.
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -315,6 +316,11 @@ class TestHwangCommand:
         assert code == 0
         assert out.splitlines() == ["n,k,bound", "2,3,3.580808853"]
 
+    def test_past_double_range_prints_zero(self, capsys):
+        code, out, err = run_cli(capsys, "hwang", "--n", "400", "--format", "json")
+        assert code == 0 and err == ""
+        assert out == '{"n": 400, "k": 1, "bound": 0}\n'
+
     def test_rejects_bad_arguments(self, capsys):
         assert run_cli(capsys, "hwang", "--n", "1")[0] == 2
         assert run_cli(capsys, "hwang", "--n", "2", "--k", "0")[0] == 2
@@ -439,10 +445,8 @@ class TestUsageErrors:
         assert run_cli(capsys, "--help")[0] == 0
 
 
-# SHA-256 of stdout for a fixed command set.  A refactor must leave every
-# printed byte, and so every exact value, unchanged.
 class TestEmitConvertsOnlyPrinted:
-    """Each command converts its rows only to the form it prints."""
+    """JSON prints records; CSV and table print the records' cells."""
 
     COMMANDS = (
         ("nu", "--d", "3", "--n", "9"),
@@ -465,15 +469,48 @@ class TestEmitConvertsOnlyPrinted:
         assert code == 0
         assert all(json.loads(line) for line in out.splitlines())
 
+    @staticmethod
+    def _table_cells(lines):
+        # a column starts where its header name starts
+        starts = [m.start() for m in re.finditer(r"\S+", lines[0])]
+        bounds = list(zip(starts, starts[1:] + [None]))
+        return [tuple(line[a:b].strip() for a, b in bounds) for line in lines]
+
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
-    def test_csv_and_table_build_no_record(self, capsys, monkeypatch, command, fmt):
-        self._forbid(monkeypatch, "row_to_record", "growth_to_record")
+    def test_cells_are_the_json_record(self, capsys, monkeypatch, command, fmt):
+        code, out, _ = run_cli(capsys, *command, "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        self._forbid(monkeypatch, "dumps")
         code, out, _ = run_cli(capsys, *command, "--format", fmt)
         assert code == 0
-        assert len(out.splitlines()) >= 2
+        lines = out.splitlines()
+        if fmt == "csv":
+            rows = [tuple(line.split(",")) for line in lines]
+        else:
+            rows = self._table_cells(lines)
+        assert rows[0] == tuple(records[0])
+        assert rows[1:] == [tuple(map(_flatten, r.values())) for r in records]
 
 
+def _flatten(value):
+    """The cell of a JSON record value: the flattening rule, written out."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, dict) and "kind" in value:
+        return serialize.format_epsilon(lattice.EpsilonStatus(**value))
+    if isinstance(value, dict):
+        return f"{_flatten(value['lower'])}..{_flatten(value['upper'])}"
+    return str(value)
+
+
+# SHA-256 of stdout for a fixed command set.  A refactor must leave every
+# printed byte, and so every exact value, unchanged.
 GOLDEN_STDOUT = {
     "nu --d 3 --n 9 --format json": "1c73e1a2fd0ca09edcaf46a6544309516bb004958e9e958ea85417695394e27a",
     "nu --d 3 --n 9 --format csv": "f980820ff1c5ca870cfd910636da5b976b256e7eeca5c2ce60941c8200e339ae",
@@ -508,6 +545,10 @@ GOLDEN_STDOUT = {
     "classgroup --d 5 --format table": "b4b2f0153946bbe4884a69f41ec7882b3dcd23cd23d33394e54b3c8663686f76",
     "growth --d 3 --n-min 196 --n-max 261 --format csv": "40e19f7ca3aeed107a26b5d27ff502f40782eb51bbdbb04a2ca3289715294450",
     "growth --d 7 --n-min 164 --n-max 169 --format json": "8afdba10f66407b2b4ef5c3043683d08232548f3bc77527e92a4a3dd72a6e3fa",
+    "hwang --n 6 --k 3 --format json": "e24cd14d299accec2b7282fd0416c238f81557346d1283e8085ae182fc5354d4",
+    "hwang --n 2 --format table": "15e27c826016cc9836c2d0c33c40cb5d52234c697ea21b1ca129c16315b0863f",
+    "growth --d 5 --n-min 2 --n-max 8 --format table": "d3576ab0bcf05203a64fb2571a2a7efc48aa49e5038c349f7a3a10d4c5787ba4",
+    "scan --n 3 --max-disc 60 --format table": "a62d2631f088c4411ffeae391dc52d9abfa4e583511fc95008d0997277dc2f54",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under

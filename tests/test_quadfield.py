@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from covolume import quadfield
 from covolume.errors import (
     DiscriminantMismatch,
+    InternalDefect,
     InvalidInput,
     NonFundamentalDiscriminant,
     NotSquarefree,
@@ -219,6 +220,13 @@ class TestChiTableMemo:
 
 
 class TestReducedForms:
+    def test_scan_keeps_one_group(self):
+        from covolume import survey
+
+        quadfield.clear_caches()
+        survey.scan(2, 3000)
+        assert quadfield.reduced_forms.cache_info().currsize == 1
+
     def test_known_class_groups(self):
         for disc_abs, expected in oracles.KNOWN_CLASS_GROUPS.items():
             d = disc_abs if disc_abs % 4 == 3 else disc_abs // 4
@@ -264,6 +272,30 @@ class TestReducedForms:
 
 
 class TestComposition:
+    def test_matches_case_by_case_oracle(self):
+        pairs = 0
+        for field in quadfield.fields_with_disc_at_most(1000):
+            D = field.disc_signed
+            forms = [(g.a, g.b, g.c) for g in quadfield.reduced_forms(field).classes]
+            for x in forms:
+                for y in forms:
+                    got = quadfield._compose_triples(x, y, D)
+                    assert got == oracles.compose_triples_by_cases(x, y, D), (x, y)
+                    pairs += 1
+        assert pairs == 43_097
+
+    def test_invalid_composed_form_is_a_defect(self, monkeypatch):
+        # a wrong Bezout coefficient gives a b3 with b3^2 != D mod 4 a3
+        ext_gcd = quadfield._ext_gcd
+
+        def skewed(a, b):
+            g, x, y = ext_gcd(a, b)
+            return g, x + 1, y
+
+        monkeypatch.setattr(quadfield, "_ext_gcd", skewed)
+        with pytest.raises(InternalDefect):
+            quadfield._compose_triples((2, 1, 3), (2, 1, 3), -23)
+
     def test_cubic_class_group(self, f23):
         group = quadfield.reduced_forms(f23)
         g = FormClass(2, 1, 3)

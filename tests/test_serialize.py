@@ -472,6 +472,10 @@ class TestRowCodecs:
         with pytest.raises(ValueError):
             serialize.row_from_csv(("1", "2", "3"))
 
+    @given(row=_rows)
+    def test_record_keys_are_the_header(self, row):
+        assert tuple(serialize.row_to_record(row)) == serialize.ROW_HEADER
+
 
 class TestGrowthCodecs:
     def test_header(self):
@@ -507,3 +511,10 @@ class TestGrowthCodecs:
         assert record["closed_form"] is None
         line = serialize.dumps(record)
         assert '"closed_form": null' in line
+
+    @pytest.mark.parametrize("d, n", [(3, 2), (5, 2), (3, 199)])
+    def test_record_keys_are_the_header(self, d, n):
+        from covolume import quadfield, survey
+
+        report = survey.growth_ratio(quadfield.from_squarefree_d(d), n)
+        assert tuple(serialize.growth_to_record(report)) == serialize.GROWTH_HEADER

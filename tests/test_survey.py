@@ -422,6 +422,28 @@ class TestHwangBound:
                 n, 3
             ).value
 
+    def test_within_error_bound_of_mpmath(self):
+        # float(rational) goes subnormal from n = 114 and underflows from
+        # n = 119; the bound itself only leaves the double range at n = 179
+        with mpmath.workdps(40):
+            for n in range(2, 301):
+                p4 = math.comb(4 * n + n + 4, n)
+                p2 = math.comb(2 * n + n + 2, n)
+                gap = p4 - p2
+                exact = (
+                    mpmath.mpf(gap - (n + 1))
+                    / (mpmath.mpf(math.factorial(n)) * gap * gap)
+                    * (4 * mpmath.pi) ** n
+                )
+                got = survey.hwang_bound(n, 1)
+                assert abs(got.value - exact) <= got.abs_error_bound, n
+                for k in (3, 1000):
+                    got_k = survey.hwang_bound(n, k)
+                    assert got_k.value == k * got.value
+                    assert abs(got_k.value - k * exact) <= got_k.abs_error_bound, (n, k)
+        assert survey.hwang_bound(178, 1).value > 0
+        assert survey.hwang_bound(179, 1).value == 0.0
+
     def test_decays_monotonically(self):
         values = [survey.hwang_bound(n, 1).value for n in range(2, 41)]
         assert all(a > b for a, b in zip(values, values[1:]))
