@@ -78,33 +78,43 @@ def bernoulli_polynomial_value(k: int, x: Fraction | int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _cleared_poly(k: int) -> tuple[tuple[int, ...], int]:
-    """Integer coefficients M * C(k, i) * B_i of M * B_k(x), for i = 0..k.
+    """Cleared coefficients of B_k about x = 1/2, for odd k.
 
-    Returns (coefficients in ascending i, M), where M is the least common
-    denominator of the C(k, i) B_i; entry i multiplies x^(k - i).  M does
-    not depend on any conductor, so one entry per index k serves every
-    field.
+    B_k(x) = sum_i C(k, i) B_i(1/2) (x - 1/2)^(k-i) with
+    B_i(1/2) = (2^(1-i) - 1) B_i, which vanishes for every odd i, B_1
+    included.  At x = a/q this reads
+
+      2^k q^k B_k(a/q) = sum over even i < k of
+                         C(k, i) (2^i - 2) B_i q^i (q - 2a)^(k-i).
+
+    Returns (c_0, c_1, ...) with c_j = M C(k, 2j) (2^(2j) - 2) B_2j, and
+    M 2^(k-1), where M is the least common denominator of the
+    C(k, i) (2^i - 2) B_i.  Only the even i are kept, and nothing depends
+    on a conductor, so one entry per odd index k serves every field.
     """
-    coeffs = [comb(k, i) * bernoulli_number(i) for i in range(k + 1)]
+    coeffs = [comb(k, i) * (2**i - 2) * bernoulli_number(i) for i in range(0, k, 2)]
     m = lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * m) for c in coeffs), m
+    return tuple(int(c * m) for c in coeffs), m << (k - 1)
 
 
 def generalized_bernoulli(k: int, D: int) -> Fraction:
     """B_{k,chi} = |D|^(k-1) * sum_{a=1..|D|} chi_D(a) B_k(a/|D|).
 
     D must be the discriminant of an imaginary quadratic field, so chi_D
-    is odd and B_{k,chi} vanishes for even k.  For odd k the terms at a
-    and |D| - a are equal (B_k(1 - x) = -B_k(x)), so with q = |D|,
-    T_j = sum_{0<a<q/2} chi(a) a^j and the cleared coefficients
-    c_i = M C(k, i) B_i of _cleared_poly,
+    is odd and B_{k,chi} vanishes for even k.  For odd k, expanding B_k
+    about 1/2 (see _cleared_poly) leaves only odd powers of q - 2a, with
+    q = |D|, and those take the same value at a and q - a, since chi is
+    odd.  So with V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j,
 
-      B_{k,chi} = 2 / (M q) * sum_i c_i q^i T_{k-i},
+      B_{k,chi} = -(2^(1-k) / q) * sum over even i < k of
+                  C(k, i) (2 - 2^i) B_i q^i V_{k-i}
 
-    an exact rearrangement of the defining sum.  The power sums T_j do not
-    depend on k, so every odd k of one field reads them from a single
-    _PowerSums, which keeps one running power list per sign and grows
-    one j at a time: nu in dimension n takes n power passes in all.
+    (the full period sums to 2 V_j), an exact rearrangement of the
+    defining sum (Washington, Cyclotomic Fields, sec. 4.1).  The V_j do
+    not depend on k, so every odd k of one field reads them from a single
+    _PowerSums, which keeps one running power list per sign and steps it
+    by (q - 2a)^2: the odd k up to K take (K + 1)/2 power passes per sign
+    in all.
 
     Validation happens out here: bool hashes like int, so a cached
     worker would hand back the entry for k = 1 on k = True.
@@ -123,29 +133,32 @@ def _times(xs: list[int], ys: list[int]) -> list[int]:
 
 
 class _PowerSums:
-    """T_0, T_1, ... of one field: T_j = sum_{0<a<q/2} chi(a) a^j.
+    """V_1, V_3, ... of one field: V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j.
 
-    plus and minus hold the half-range residues with chi = +1 and -1,
-    and plus_pow, minus_pow their j-th powers for the last j in sums.
-    sums only grows, so a prefix read from it never goes stale.
+    For the half-range residues a with chi(a) = +1 and -1, plus_sq and
+    minus_sq hold (q - 2a)^2, and plus_pow, minus_pow hold (q - 2a)^j for
+    the last odd j in sums, where sums[i] is V_{2i+1}.  sums only grows,
+    so a prefix read from it never goes stale.
     """
 
     def __init__(self, D: int, chi: tuple[int, ...]):
         self.D = D
         q = -D
         # when q is even, chi(q/2) = 0, so a < q/2 covers the half range
-        half = range(1, (q + 1) // 2)
-        self.plus = self.plus_pow = [a for a in half if chi[a] > 0]
-        self.minus = self.minus_pow = [a for a in half if chi[a] < 0]
-        self.sums = [
-            len(self.plus) - len(self.minus),
-            sum(self.plus) - sum(self.minus),
-        ]
+        half = chi[1 : (q + 1) // 2]
+        ys = range(q - 2, 0, -2)  # q - 2a for a = 1, 2, ...
+        plus = [y for y, c in zip(ys, half) if c > 0]
+        minus = [y for y, c in zip(ys, half) if c < 0]
+        self.plus_pow, self.minus_pow = plus, minus
+        self.plus_sq = _times(plus, plus)
+        self.minus_sq = _times(minus, minus)
+        self.sums = [sum(plus) - sum(minus)]
 
     def extend(self, j: int) -> None:
-        while len(self.sums) <= j:
-            self.plus_pow = _times(self.plus_pow, self.plus)
-            self.minus_pow = _times(self.minus_pow, self.minus)
+        """Grow sums up to V_j, for an odd j."""
+        while len(self.sums) <= j // 2:
+            self.plus_pow = _times(self.plus_pow, self.plus_sq)
+            self.minus_pow = _times(self.minus_pow, self.minus_sq)
             self.sums.append(sum(self.plus_pow) - sum(self.minus_pow))
 
 
@@ -153,7 +166,7 @@ _powers: _PowerSums | None = None  # the field read last; replaced on a new D
 
 
 def _power_sums(D: int, chi: tuple[int, ...], j: int) -> list[int]:
-    """T_0, ..., T_j (at least) of the field of discriminant D < 0."""
+    """V_1, V_3, ..., V_j (at least) of the field of discriminant D < 0."""
     global _powers
     with _lock:
         if _powers is None or _powers.D != D:
@@ -167,15 +180,20 @@ def _generalized_bernoulli(k: int, D: int) -> Fraction:
     """Memoized body of generalized_bernoulli for validated arguments.
 
     A miss reads chi_table(D), a memo hit after the field's first k,
-    and takes T_0..T_k from the field's shared _PowerSums.
+    and takes V_1..V_k from the field's shared _PowerSums.  The sum over
+    even i runs by Horner's rule in q^2, from i = k - 1 (against V_1)
+    down to i = 0 (against V_k).
     """
     if k % 2 == 0:
         return Fraction(0)
     q = -D
     sums = _power_sums(D, quadfield.chi_table(D), k)
-    ints, m = _cleared_poly(k)
-    total = sum(c * q**i * sums[k - i] for i, c in enumerate(ints) if c)
-    return Fraction(2 * total, m * q)
+    ints, den = _cleared_poly(k)
+    q2 = q * q
+    total = 0
+    for c, v in zip(reversed(ints), sums):
+        total = total * q2 + c * v
+    return Fraction(total, den * q)
 
 
 def clear_caches() -> None:

@@ -2,10 +2,11 @@
 
 Subcommands: nu, scan, minimal, growth, hwang, classgroup, selfcheck.
 stdout carries data, stderr carries diagnostics.  Exit codes: 0 on
-success, 1 on a selfcheck discrepancy or an internal defect, 2 on usage
-or input errors.  --format selects json (one object per line), csv
-(fixed headers), or table (aligned text); table is the default on a
-TTY, json otherwise, so piped output is machine-readable without flags.
+success, 1 on a selfcheck discrepancy, an internal defect or a reader
+that closed stdout early, 2 on usage or input errors.  --format
+selects json (one object per line), csv (fixed headers), or table
+(aligned text); table is the default on a TTY, json otherwise, so piped
+output is machine-readable without flags.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import os
 import sys
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import lattice, quadfield, serialize, survey
 from .errors import CovolumeError, InternalDefect, InvalidInput
@@ -42,10 +43,14 @@ def _print_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
 def _emit(
     fmt: str,
     header: tuple[str, ...],
-    items: list[Any],
+    items: Iterable[Any],
     to_record: Callable[[Any], dict[str, Any]],
 ) -> None:
-    """Print one record per item; CSV and table cells are its values."""
+    """Print one record per item; CSV and table cells are its values.
+
+    JSON and CSV print each item as it arrives; a table collects them
+    first, for its column widths.
+    """
     if fmt == "json":
         for item in items:
             print(serialize.dumps(to_record(item)))
@@ -57,7 +62,7 @@ def _emit(
         _print_table(header, [serialize.cells(to_record(item)) for item in items])
 
 
-def _emit_survey_rows(rows: list[lattice.CovolumeResult], fmt: str) -> None:
+def _emit_survey_rows(rows: Iterable[lattice.CovolumeResult], fmt: str) -> None:
     _emit(fmt, serialize.ROW_HEADER, rows, serialize.row_to_record)
 
 
@@ -69,8 +74,8 @@ def cmd_nu(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    rows = survey.scan(args.n, args.max_disc)
-    _emit_survey_rows(list(rows), args.format or _default_format())
+    rows = survey._scan_rows(args.n, args.max_disc)
+    _emit_survey_rows(rows, args.format or _default_format())
     return 0
 
 
@@ -333,4 +338,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console script.  A reader that closes stdout early (`scan ...
+    | head`) ends it with status 1 and nothing on stderr: stdout goes to
+    devnull for the final flush, the SIGPIPE recipe of the signal docs."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple, Union
 
 from . import lvalues, quadfield
-from .errors import InvalidDimension, UnknownMultiplicity, require_int
+from .errors import InternalDefect, InvalidDimension, UnknownMultiplicity, require_int
 from .lvalues import NumericValue
 from .quadfield import QuadField
 
@@ -108,22 +108,47 @@ def epsilon_status(field: QuadField, n: int) -> EpsilonStatus:
     return EpsilonStatus("bounded", 2, 2**field.r)
 
 
+@lru_cache(maxsize=1)
 def class_number(field: QuadField) -> int:
-    return quadfield.reduced_forms(field).h
+    """h = (w/2) T_0 / (2 - chi(2)), with T_0 = sum_{0<a<|D|/2} chi(a).
+
+    Dirichlet's class number formula for D < 0 (Davenport, Multiplicative
+    Number Theory, ch. 6), w the number of roots of unity.  T_0 is read
+    from the character table that nu's L-values read too, so no form is
+    enumerated; an h that is not a positive integer raises InternalDefect.
+    The memo keeps the field asked last, as chi_table does.
+    """
+    q = field.disc_abs
+    chi = quadfield.chi_table(field.disc_signed)
+    t0 = sum(chi[1 : (q + 1) // 2])
+    h, rest = divmod(field.mu_order * t0, 2 * (2 - chi[2]))
+    if rest or h < 1:
+        raise InternalDefect(f"class number formula fails for {field}: T_0 = {t0}")
+    return h
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def h_torsion(field: QuadField, m: int) -> int:
     """Number of ideal classes killed by m, written h_{ell,m}.
 
     Every class satisfies g^h = 1, so g^m = 1 exactly when
     g^gcd(m, h) = 1: h_{ell,m} = h_{ell,gcd(m,h)}, which is 1, with no
-    composition, when m is prime to the class number.
+    form built, when m is prime to the class number.  Otherwise the
+    reduced forms are enumerated, and their count must equal h, or
+    InternalDefect is raised.  The memo keeps a few entries: callers ask
+    one field for nearby m, never a whole scan's worth.
     """
     require_int(m, "m", 1)
+    h = class_number(field)
+    g = math.gcd(m, h)
+    if g == 1:
+        return 1
     group = quadfield.reduced_forms(field)
-    g = math.gcd(m, group.h)
-    return 1 if g == 1 else quadfield.torsion_count(group, g)
+    if group.h != h:
+        raise InternalDefect(
+            f"{field} has {group.h} reduced forms but class number {h}"
+        )
+    return quadfield.torsion_count(group, g)
 
 
 def _l_product(field: QuadField, m: int) -> Fraction:
@@ -447,4 +472,5 @@ def clear_caches() -> None:
     with _lock:
         _prefix_disc = None
         _prefix = [Fraction(1)]
+    class_number.cache_clear()
     h_torsion.cache_clear()

@@ -161,10 +161,18 @@ def brauer_siegel_h_bound(field: QuadField, m: int) -> NumericValue:
 
 def scan(n: int, max_disc: int) -> tuple[CovolumeResult, ...]:
     """Covolume records for every |disc| <= max_disc, ascending discriminant."""
+    return tuple(_scan_rows(n, max_disc))
+
+
+def _scan_rows(n: int, max_disc: int) -> Iterator[CovolumeResult]:
+    """scan's records one at a time, each computed when it is asked for.
+
+    The arguments are checked on the call, before any record exists.
+    """
     require_int(n, "n", 2, InvalidDimension)
     require_int(max_disc, "max_disc", 3)
     fields = quadfield.fields_with_disc_at_most(max_disc)
-    return tuple(lattice.covolume_result(f, n) for f in fields)
+    return (lattice.covolume_result(f, n) for f in fields)
 
 
 def _unique_min(

@@ -7,9 +7,10 @@ reciprocity for the character, brute-force predicate checks instead of
 the production enumeration for reduced forms, and mpmath's Hurwitz zeta
 at high precision for the analytic values.  The character table with
 one Kronecker symbol per residue, the table sieved from one Kronecker
-symbol per prime, and the full-period Horner sum for B_{k,chi} are the
-exact kernels that the tiled table and the half-range power sums
-replaced, kept as their differential oracles; likewise nu with its
+symbol per prime, the full-period Horner sum for B_{k,chi} and the
+half-range power sums of a are the exact kernels that the tiled table
+and the power sums of q - 2a replaced, kept as their differential
+oracles; likewise nu with its
 L-product rebuilt from j = 1 on every call, which the prefix list of
 lattice._l_product replaced, and the minimal-field certificate built one
 dimension at a time, which the field-major sweep of survey replaced.
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import mpmath
 
-from covolume import lattice, lvalues, quadfield, survey
+from covolume import bernoulli, lattice, lvalues, quadfield, survey
 from covolume.errors import InternalDefect
 
 
@@ -162,6 +163,59 @@ def generalized_bernoulli_horner(k: int, D: int) -> Fraction:
                 acc = acc * a + coeff
             total += acc if sign > 0 else -acc
     return Fraction(total, m * q)
+
+
+class APowerSums:
+    """T_0, T_1, ... of one field: T_j = sum_{0<a<q/2} chi(a) a^j.
+
+    One pass over the half-range residues per j, on powers of a itself.
+    """
+
+    def __init__(self, D: int):
+        q = -D
+        chi = quadfield.chi_table(D)
+        half = range(1, (q + 1) // 2)
+        self.D = D
+        self.plus = self.plus_pow = [a for a in half if chi[a] > 0]
+        self.minus = self.minus_pow = [a for a in half if chi[a] < 0]
+        self.sums = [
+            len(self.plus) - len(self.minus),
+            sum(self.plus) - sum(self.minus),
+        ]
+
+    def extend(self, j: int) -> list[int]:
+        while len(self.sums) <= j:
+            self.plus_pow = [x * y for x, y in zip(self.plus_pow, self.plus)]
+            self.minus_pow = [x * y for x, y in zip(self.minus_pow, self.minus)]
+            self.sums.append(sum(self.plus_pow) - sum(self.minus_pow))
+        return self.sums
+
+
+@lru_cache(maxsize=None)
+def cleared_poly_a_powers(k: int) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients M C(k, i) B_i of M B_k(x), i = 0..k, and M."""
+    coeffs = [math.comb(k, i) * bernoulli.bernoulli_number(i) for i in range(k + 1)]
+    m = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * m) for c in coeffs), m
+
+
+@lru_cache(maxsize=1)
+def _a_power_sums(D: int) -> APowerSums:
+    return APowerSums(D)
+
+
+def generalized_bernoulli_a_powers(k: int, D: int) -> Fraction:
+    """B_{k,chi} for odd k as 2 / (M q) sum_i c_i q^i T_{k-i}, q = |D|.
+
+    B_k(1 - x) = -B_k(x) pairs a with q - a, so the half range carries
+    the whole sum; every coefficient of B_k(x) enters, against the power
+    sums of a.
+    """
+    q = -D
+    sums = _a_power_sums(D).extend(k)
+    ints, m = cleared_poly_a_powers(k)
+    total = sum(c * q**i * sums[k - i] for i, c in enumerate(ints) if c)
+    return Fraction(2 * total, m * q)
 
 
 def nu_by_loop(field: quadfield.QuadField, n: int) -> lattice.ExactOrInterval:

@@ -193,6 +193,33 @@ class TestHalfRangeKernel:
                     oracles.generalized_bernoulli_horner(k, D)
                 ), (k, D)
 
+    def test_matches_a_power_oracle(self):
+        for field in quadfield.fields_with_disc_at_most(2000):
+            D = field.disc_signed
+            for k in range(1, 32, 2):
+                assert bernoulli.generalized_bernoulli(k, D) == (
+                    oracles.generalized_bernoulli_a_powers(k, D)
+                ), (k, D)
+
+    def test_matches_a_power_oracle_deep(self):
+        bernoulli.clear_caches()
+        for k in range(1, 222, 2):
+            assert bernoulli.generalized_bernoulli(k, -3) == (
+                oracles.generalized_bernoulli_a_powers(k, -3)
+            ), k
+
+    def test_cleared_coefficients_are_the_even_terms_about_one_half(self):
+        # 2^k B_k(x) at x = (1 - y)/2 is sum c_j y^(k-2j) / M, for odd k
+        for k in range(1, 40, 2):
+            ints, den = bernoulli._cleared_poly(k)
+            assert len(ints) == (k + 1) // 2
+            for x in (Fraction(0), Fraction(1, 3), Fraction(-5, 7)):
+                y = 1 - 2 * x
+                poly = sum(c * y ** (k - 2 * j) for j, c in enumerate(ints))
+                assert Fraction(poly, 2 * den) == (
+                    bernoulli.bernoulli_polynomial_value(k, x)
+                ), (k, x)
+
     def test_cleared_coefficients_shared_across_fields(self, fields_100):
         # M no longer depends on the conductor: one entry per index k
         bernoulli.clear_caches()
@@ -250,8 +277,10 @@ class TestSharedPowerSums:
         monkeypatch.setattr(bernoulli, "_times", counting_times)
         lattice.nu(field, 10)
         assert built == [-23]
-        # a^2 .. a^11 for k = 3, 5, ..., 11: ten passes over each list
-        assert sorted(passes.values()) == [10, 10]
+        # V_3 .. V_11 for k = 3, 5, ..., 11: per sign, one pass squaring
+        # the list of q - 2a and five steps by those squares, where
+        # powers of a took ten passes
+        assert sorted(passes.values()) == [1, 1, 5, 5]
 
     def test_concurrent_fields(self):
         pairs = [(k, D) for D in self.FIELDS for k in range(1, 16, 2)] * 3

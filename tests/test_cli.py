@@ -19,6 +19,7 @@ import pytest
 
 import covolume
 from covolume import bernoulli, cli, lattice, quadfield, serialize, survey
+from covolume.errors import InternalDefect
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +141,84 @@ class TestScanCommand:
         )
         assert code == 2
         assert err.startswith("covolume:")
+
+
+class TestScanStreams:
+    """JSON and CSV scan rows are printed as each is computed."""
+
+    def test_first_line_after_one_record(self, monkeypatch):
+        calls = []
+        real = lattice.covolume_result
+
+        def counting(field, n):
+            calls.append(field.d)
+            return real(field, n)
+
+        class Spy:
+            first_line_after = None
+
+            def write(self, s):
+                if self.first_line_after is None and "\n" in s:
+                    self.first_line_after = len(calls)
+                return len(s)
+
+            def flush(self):
+                pass
+
+        spy = Spy()
+        monkeypatch.setattr(lattice, "covolume_result", counting)
+        monkeypatch.setattr(sys, "stdout", spy)
+        argv = ["scan", "--n", "3", "--max-disc", "100", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert spy.first_line_after == 1
+        assert len(calls) == len(quadfield.fields_with_disc_at_most(100))
+
+    @pytest.mark.parametrize("fmt, kept", [("json", 2), ("csv", 3)])
+    def test_defect_mid_scan_keeps_printed_rows(
+        self, capsys, monkeypatch, fmt, kept
+    ):
+        real = lattice.covolume_result
+        seen = []
+
+        def third_fails(field, n):
+            seen.append(field)
+            if len(seen) == 3:
+                raise InternalDefect(f"injected at {field}")
+            return real(field, n)
+
+        monkeypatch.setattr(lattice, "covolume_result", third_fails)
+        code, out, err = run_cli(
+            capsys, "scan", "--n", "2", "--max-disc", "40", "--format", fmt
+        )
+        assert code == 1
+        assert len(out.splitlines()) == kept
+        assert err == "covolume: internal defect: injected at Q(sqrt(-7))\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_bad_arguments_print_nothing(self, capsys, fmt):
+        for argv in (
+            ("--n", "1", "--max-disc", "40"),
+            ("--n", "2", "--max-disc", "2"),
+        ):
+            code, out, err = run_cli(capsys, "scan", *argv, "--format", fmt)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("covolume:")
+
+    def test_closed_pipe_exits_one_silently(self):
+        # 280 kB of rows: far more than the pipe and stdout buffers hold
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "covolume", "scan", "--n", "31",
+             "--max-disc", "400", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_package_env(),
+        )
+        assert proc.stdout.readline().startswith(b"d,disc,n,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestMinimalCommand:
@@ -549,6 +628,7 @@ GOLDEN_STDOUT = {
     "hwang --n 2 --format table": "15e27c826016cc9836c2d0c33c40cb5d52234c697ea21b1ca129c16315b0863f",
     "growth --d 5 --n-min 2 --n-max 8 --format table": "d3576ab0bcf05203a64fb2571a2a7efc48aa49e5038c349f7a3a10d4c5787ba4",
     "scan --n 3 --max-disc 60 --format table": "a62d2631f088c4411ffeae391dc52d9abfa4e583511fc95008d0997277dc2f54",
+    "scan --n 31 --max-disc 400 --format json": "429b1c0e4e60c4ce004ae09334738cd50d3a09713e1b59bf3f5c40d9e84c6838",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under

@@ -2,6 +2,7 @@
 volumes, indices, multiplicities, and the exact-vs-adelic cross check.
 """
 
+import dataclasses
 import math
 import random
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import covolume
 from covolume import lattice, lvalues, quadfield
-from covolume.errors import InvalidDimension, UnknownMultiplicity
+from covolume.errors import InternalDefect, InvalidDimension, UnknownMultiplicity
 from covolume.lattice import Interval, is_exact
 
 from . import oracles
@@ -231,6 +232,79 @@ class TestTorsionByGcd:
         lattice.clear_caches()
         monkeypatch.setattr(quadfield, "torsion_count", forbidden)
         assert [lattice.h_torsion(f23, m) for m in (2, 4, 5, 7, 11)] == [1] * 5
+
+
+class TestClassNumber:
+    """h from Dirichlet's formula, and the form count checked against it."""
+
+    def test_equals_reduced_form_count(self):
+        for field in quadfield.fields_with_disc_at_most(3000):
+            assert lattice.class_number(field) == len(
+                oracles.naive_reduced_forms(field.disc_signed)
+            ), field.d
+
+    def test_builds_forms_only_when_torsion_needs_them(self, monkeypatch, f23):
+        built = []
+        real = quadfield.reduced_forms
+
+        def counting(field):
+            built.append(field.d)
+            return real(field)
+
+        lattice.clear_caches()
+        monkeypatch.setattr(quadfield, "reduced_forms", counting)
+        assert lattice.class_number(f23) == 3
+        assert [lattice.h_torsion(f23, m) for m in (2, 4, 5, 7)] == [1] * 4
+        assert built == []
+        assert lattice.h_torsion(f23, 6) == 3
+        assert built == [23]
+
+    def test_short_form_list_is_a_defect(self, monkeypatch, f23):
+        real = quadfield.reduced_forms
+
+        def short(field):
+            group = real(field)
+            return dataclasses.replace(group, classes=group.classes[:-1])
+
+        lattice.clear_caches()
+        monkeypatch.setattr(quadfield, "reduced_forms", short)
+        with pytest.raises(InternalDefect, match="2 reduced forms but class number 3"):
+            lattice.h_torsion(f23, 3)
+
+    @staticmethod
+    def _flip(monkeypatch, *residues):
+        real = quadfield.chi_table
+
+        def flipped(D):
+            chi = list(real(D))
+            for a in residues:
+                chi[a] = -chi[a]
+            return tuple(chi)
+
+        lattice.clear_caches()
+        monkeypatch.setattr(quadfield, "chi_table", flipped)
+
+    def test_wrong_character_is_a_defect(self, monkeypatch, f23):
+        # chi_-23(5) = -1: flipping it makes T_0 = 5, so the formula
+        # claims h = 5 where 3 forms exist
+        self._flip(monkeypatch, 5)
+        assert lattice.class_number(f23) == 5
+        with pytest.raises(InternalDefect, match="3 reduced forms but class number 5"):
+            lattice.h_torsion(f23, 5)
+
+    def test_non_integral_formula_is_a_defect(self, monkeypatch, f23):
+        # chi_-23 is 1 at 2 and -1 at 5 and 7: flipping all three makes
+        # T_0 = 5 and 2 - chi(2) = 3, so h would be 5/3
+        self._flip(monkeypatch, 2, 5, 7)
+        with pytest.raises(InternalDefect, match="class number formula fails"):
+            lattice.class_number(f23)
+
+    def test_torsion_memo_is_bounded(self):
+        covolume.clear_caches()
+        for field in quadfield.fields_with_disc_at_most(500):
+            lattice.covolume_result(field, 2)
+        info = lattice.h_torsion.cache_info()
+        assert info.maxsize == 8 and info.currsize <= 8
 
 
 class TestPrefixProduct:

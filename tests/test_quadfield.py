@@ -220,12 +220,25 @@ class TestChiTableMemo:
 
 
 class TestReducedForms:
-    def test_scan_keeps_one_group(self):
+    def test_scan_keeps_one_group(self, monkeypatch):
+        import covolume
         from covolume import survey
 
-        quadfield.clear_caches()
-        survey.scan(2, 3000)
-        assert quadfield.reduced_forms.cache_info().currsize == 1
+        built = []
+        real = quadfield.reduced_forms
+
+        def counting(field):
+            built.append(field.disc_abs)
+            return real(field)
+
+        covolume.clear_caches()
+        monkeypatch.setattr(quadfield, "reduced_forms", counting)
+        rows = survey.scan(2, 3000)
+        assert real.cache_info().currsize <= 1
+        # forms only where the class number shares a factor with n + 1
+        needed = [row.disc for row in rows if math.gcd(3, row.h) > 1]
+        assert sorted(set(built)) == needed
+        assert 0 < len(needed) < len(rows)
 
     def test_known_class_groups(self):
         for disc_abs, expected in oracles.KNOWN_CLASS_GROUPS.items():

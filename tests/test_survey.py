@@ -273,10 +273,11 @@ class TestFieldMajorSweep:
         monkeypatch.setattr(bernoulli._PowerSums, "__init__", counting_init)
         monkeypatch.setattr(bernoulli, "_times", counting_times)
         survey.overall_minimum(60)
-        # 10 fields up to the widest limit; a sweep by dimension rebuilt
-        # 300 states and made 18600 passes
+        # 10 fields up to the widest limit, each to k = 61: per sign one
+        # squaring pass and 30 steps; a sweep by dimension rebuilt 300
+        # states and made 18600 passes, powers of a made 1200
         assert len(built) == len(set(built)) == 10
-        assert passes[0] == 1200
+        assert passes[0] == 620
 
 
 class TestGrowthRatio:
