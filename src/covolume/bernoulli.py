@@ -112,12 +112,14 @@ def generalized_bernoulli(k: int, D: int) -> Fraction:
     (the full period sums to 2 V_j), an exact rearrangement of the
     defining sum (Washington, Cyclotomic Fields, sec. 4.1).  The V_j do
     not depend on k, so every odd k of one field reads them from a single
-    _PowerSums, which keeps one running power list per sign and steps it
-    by (q - 2a)^2: the odd k up to K take (K + 1)/2 power passes per sign
-    in all.
+    _PowerSums, built from one chi_table read, which keeps one running
+    power list per sign and steps it by (q - 2a)^2: the odd k up to K take
+    (K + 1)/2 power passes per sign in all.
 
-    Validation happens out here: bool hashes like int, so a cached
-    worker would hand back the entry for k = 1 on k = True.
+    Validation happens out here: bool hashes like int and -3.0 like -3,
+    so a cached worker would hand back the entry for k = 1 on k = True,
+    or for D = -3 on D = -3.0; is_fundamental_discriminant refuses any D
+    that is not an int.
     """
     require_int(k, "index", 1)
     if D >= 0 or not quadfield.is_fundamental_discriminant(D):
@@ -135,14 +137,14 @@ def _times(xs: list[int], ys: list[int]) -> list[int]:
 class _PowerSums:
     """V_1, V_3, ... of one field: V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j.
 
+    chi is the field's character table, read here once and not kept.
     For the half-range residues a with chi(a) = +1 and -1, plus_sq and
     minus_sq hold (q - 2a)^2, and plus_pow, minus_pow hold (q - 2a)^j for
     the last odd j in sums, where sums[i] is V_{2i+1}.  sums only grows,
-    so a prefix read from it never goes stale.
+    under _lock, so a prefix read from it never goes stale.
     """
 
     def __init__(self, D: int, chi: tuple[int, ...]):
-        self.D = D
         q = -D
         # when q is even, chi(q/2) = 0, so a < q/2 covers the half range
         half = chi[1 : (q + 1) // 2]
@@ -162,32 +164,28 @@ class _PowerSums:
             self.sums.append(sum(self.plus_pow) - sum(self.minus_pow))
 
 
-_powers: _PowerSums | None = None  # the field read last; replaced on a new D
-
-
-def _power_sums(D: int, chi: tuple[int, ...], j: int) -> list[int]:
-    """V_1, V_3, ..., V_j (at least) of the field of discriminant D < 0."""
-    global _powers
-    with _lock:
-        if _powers is None or _powers.D != D:
-            _powers = _PowerSums(D, chi)
-        _powers.extend(j)
-        return _powers.sums
+@lru_cache(maxsize=1)
+def _power_state(D: int) -> _PowerSums:
+    """The power sums of the field asked last (D < 0), built on a new D."""
+    return _PowerSums(D, quadfield.chi_table(D))
 
 
 @lru_cache(maxsize=None)
 def _generalized_bernoulli(k: int, D: int) -> Fraction:
     """Memoized body of generalized_bernoulli for validated arguments.
 
-    A miss reads chi_table(D), a memo hit after the field's first k,
-    and takes V_1..V_k from the field's shared _PowerSums.  The sum over
-    even i runs by Horner's rule in q^2, from i = k - 1 (against V_1)
-    down to i = 0 (against V_k).
+    A miss takes V_1..V_k from the field's shared _PowerSums, extended
+    under _lock, and reads no character table itself.  The sum over even
+    i runs by Horner's rule in q^2, from i = k - 1 (against V_1) down to
+    i = 0 (against V_k).
     """
     if k % 2 == 0:
         return Fraction(0)
     q = -D
-    sums = _power_sums(D, quadfield.chi_table(D), k)
+    state = _power_state(D)
+    with _lock:
+        state.extend(k)
+    sums = state.sums
     ints, den = _cleared_poly(k)
     q2 = q * q
     total = 0
@@ -198,9 +196,9 @@ def _generalized_bernoulli(k: int, D: int) -> Fraction:
 
 def clear_caches() -> None:
     """Reset every memo table in this module (used by tests)."""
-    global _even_table, _powers
+    global _even_table
     with _lock:
         _even_table = [Fraction(1)]
-        _powers = None
+    _power_state.cache_clear()
     _cleared_poly.cache_clear()
     _generalized_bernoulli.cache_clear()

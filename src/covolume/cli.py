@@ -12,6 +12,7 @@ output is machine-readable without flags.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import lru_cache
@@ -215,7 +216,9 @@ def _selfcheck_tolerance() -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise InvalidInput(f"COVOLUME_PRECISION is not a number: {raw!r}") from None
+        value = math.nan
+    if math.isnan(value):
+        raise InvalidInput(f"COVOLUME_PRECISION is not a number: {raw!r}")
     if value <= 0:
         raise InvalidInput(f"COVOLUME_PRECISION must be positive, got {raw!r}")
     return min(_SELFCHECK_DEFAULT_TOL, value)

@@ -38,8 +38,6 @@ __all__ = [
     "class_number",
     "h_torsion",
     "nu",
-    "nu_even",
-    "nu_odd",
     "euler_characteristic",
     "hyperbolic_volume",
     "index_gamma_lambda",
@@ -54,10 +52,6 @@ __all__ = [
 _LOG_2PI = math.log(2 * math.pi)
 
 _lock = threading.Lock()
-# P(0), P(1), ... of the field read last (see _l_product); replaced on a
-# new discriminant, dropped by clear_caches
-_prefix_disc: int | None = None
-_prefix: list[Fraction] = [Fraction(1)]
 
 
 class Interval(NamedTuple):
@@ -151,28 +145,32 @@ def h_torsion(field: QuadField, m: int) -> int:
     return quadfield.torsion_count(group, g)
 
 
+@lru_cache(maxsize=1)
+def _prefix_of(D: int) -> list[Fraction]:
+    """The list [P(0)] that _l_product grows for the field asked last."""
+    return [Fraction(1)]
+
+
 def _l_product(field: QuadField, m: int) -> Fraction:
     """P(m) = prod_{j<=m} zeta(1-2j) L(-2j, chi), with P(0) = 1.
 
     Read from one append-only list P(0), P(1), ... that belongs to the
-    field asked last and grows one factor pair at a time under _lock, so
-    a sweep over n = 2..N of one field pays for each L-value once.  A new
-    field replaces the list and clear_caches drops it; entries are never
-    mutated, so a prefix read from the list never goes stale.
+    field asked last (_prefix_of) and grows one factor pair at a time
+    under _lock, so a sweep over n = 2..N of one field pays for each
+    L-value once.  A new field gets a fresh list and clear_caches drops
+    it; entries are never mutated, so a prefix read from the list never
+    goes stale.
     """
-    global _prefix, _prefix_disc
+    prefix = _prefix_of(field.disc_signed)
     with _lock:
-        if _prefix_disc != field.disc_signed:
-            _prefix_disc = field.disc_signed
-            _prefix = [Fraction(1)]
-        while len(_prefix) <= m:
-            j = len(_prefix)
-            _prefix.append(
-                _prefix[-1]
+        while len(prefix) <= m:
+            j = len(prefix)
+            prefix.append(
+                prefix[-1]
                 * lvalues.zeta_negative(2 * j)
                 * lvalues.l_negative(field, 2 * j + 1)
             )
-        return _prefix[m]
+        return prefix[m]
 
 
 def nu(field: QuadField, n: int) -> ExactOrInterval:
@@ -195,22 +193,6 @@ def nu(field: QuadField, n: int) -> ExactOrInterval:
     if eps.kind == "exact":
         return acc * 2
     return Interval(acc * eps.lower, acc * eps.upper)
-
-
-def nu_even(field: QuadField, n: int) -> Fraction:
-    """nu for even n: nu after checking that n is even."""
-    require_int(n, "n", 2, InvalidDimension)
-    if n % 2:
-        raise InvalidDimension(f"n must be even, got {n}")
-    return nu(field, n)
-
-
-def nu_odd(field: QuadField, n: int) -> ExactOrInterval:
-    """nu for odd n: nu after checking that n is odd."""
-    require_int(n, "n", 2, InvalidDimension)
-    if n % 2 == 0:
-        raise InvalidDimension(f"n must be odd, got {n}")
-    return nu(field, n)
 
 
 def _chi_of(v: ExactOrInterval, n: int) -> ExactOrInterval:
@@ -468,9 +450,6 @@ def cross_path_check(
 
 def clear_caches() -> None:
     """Reset this module's memo tables and the prefix list (used by tests)."""
-    global _prefix, _prefix_disc
-    with _lock:
-        _prefix_disc = None
-        _prefix = [Fraction(1)]
+    _prefix_of.cache_clear()
     class_number.cache_clear()
     h_torsion.cache_clear()

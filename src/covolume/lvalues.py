@@ -118,12 +118,13 @@ def zeta_numeric(s: int) -> NumericValue:
     return NumericValue(value, bound + 4e-16 * abs(value))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _kronecker_row(D: int) -> tuple[int, ...]:
     """chi_D(0), ..., chi_D(|D| - 1), one Kronecker symbol per residue.
 
     The exact route tiles its table from prime discriminants; this route
-    keeps its own, so the two share no character code.
+    keeps its own, so the two share no character code.  Callers ask one
+    field at a time, so the memo keeps the field asked last.
     """
     return tuple(quadfield.kronecker_symbol(D, a) for a in range(abs(D)))
 

@@ -130,7 +130,10 @@ def is_fundamental_discriminant(D: int) -> bool:
 
     D = 1 counts as fundamental (trivial character); otherwise either
     D = 1 mod 4 and squarefree, or D = 4m with m = 2, 3 mod 4 squarefree.
+    Anything that is not an int, bool and -3.0 included, is not.
     """
+    if not isinstance(D, int) or isinstance(D, bool):
+        return False
     if D == 1:
         return True
     if D % 4 == 1:
@@ -141,7 +144,8 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+# typed, like chi_table: -3.0 and True must not hit the entries for -3 and 1
+@lru_cache(maxsize=1, typed=True)
 def _require_fundamental(D: int) -> None:
     if not is_fundamental_discriminant(D):
         raise NonFundamentalDiscriminant(f"{D} is not a fundamental discriminant")
@@ -198,7 +202,7 @@ def _legendre_table(p: int) -> list[int]:
     return table
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def chi_table(D: int) -> tuple[int, ...]:
     """One full period of the character: chi_D(0), ..., chi_D(|D| - 1).
 
@@ -208,8 +212,9 @@ def chi_table(D: int) -> tuple[int, ...]:
     D' = 1 mod 4 contributes the Legendre symbol (a/p) for each prime
     p | D', whatever the sign of p* = +-p.  Each factor's table is tiled
     to length |D| and the tiles are multiplied elementwise, so no
-    Kronecker symbol is evaluated.  Only the field being computed reads
-    its table, so the memo keeps one: a scan holds O(|D|) residues, not
+    Kronecker symbol is evaluated.  A field's table is read twice, by
+    lattice.class_number and once to build the field's power sums in
+    bernoulli, so the memo keeps one: a scan holds O(|D|) residues, not
     the sum over every field.
     """
     _require_fundamental(D)

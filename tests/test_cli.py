@@ -493,7 +493,7 @@ class TestSelfcheckCommand:
         assert code == 0
         assert "tolerance 1e-09" in out
 
-    @pytest.mark.parametrize("bad", ["abc", "-1e-9", "0"])
+    @pytest.mark.parametrize("bad", ["abc", "-1e-9", "0", "nan"])
     def test_precision_env_rejects_garbage(self, capsys, monkeypatch, bad):
         monkeypatch.setenv("COVOLUME_PRECISION", bad)
         code, _, err = run_cli(capsys, "selfcheck", "--quick")

@@ -69,16 +69,6 @@ class TestNu:
                 value = lattice.nu(field, n)
                 assert is_exact(value) == (n % 2 == 0 or field.r == 1)
 
-    def test_dispatch_matches_parity_specific_forms(self, f3):
-        assert lattice.nu(f3, 4) == lattice.nu_even(f3, 4)
-        assert lattice.nu(f3, 5) == lattice.nu_odd(f3, 5)
-
-    def test_parity_specific_forms_reject_wrong_parity(self, f3):
-        with pytest.raises(InvalidDimension):
-            lattice.nu_even(f3, 3)
-        with pytest.raises(InvalidDimension):
-            lattice.nu_odd(f3, 2)
-
     @pytest.mark.parametrize("n", [1, 0, -2, 2.5, "3", True])
     def test_rejects_bad_dimension(self, n, f3):
         with pytest.raises(InvalidDimension):

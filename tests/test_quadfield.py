@@ -10,7 +10,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from covolume import quadfield
+import covolume
+from covolume import bernoulli, quadfield
 from covolume.errors import (
     DiscriminantMismatch,
     InternalDefect,
@@ -102,9 +103,25 @@ class TestFundamentalDiscriminant:
     def test_accepts(self, D):
         assert quadfield.is_fundamental_discriminant(D)
 
-    @pytest.mark.parametrize("D", [0, 2, 3, -1, -2, -5, -9, -12, 9, 16])
+    @pytest.mark.parametrize("D", [0, 2, 3, -1, -2, -5, -9, -12, 9, 16, -3.0, True])
     def test_rejects(self, D):
         assert not quadfield.is_fundamental_discriminant(D)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("D", [-3.0, True])
+    def test_non_int_refused_whatever_is_cached(self, D, warm):
+        # -3.0 and True hash like -3 and 1, so no memo may answer for them
+        calls = (
+            lambda D: bernoulli.generalized_bernoulli(3, D),
+            quadfield.chi_table,
+            lambda D: quadfield.kronecker_symbol(D, 2),
+        )
+        for call in calls:
+            covolume.clear_caches()
+            if warm and (D < 0 or call is not calls[0]):
+                call(int(D))  # no B_{3,chi} exists for D = 1 to cache
+            with pytest.raises(NonFundamentalDiscriminant):
+                call(D)
 
 
 class TestKroneckerSymbol:
@@ -151,7 +168,7 @@ class TestKroneckerSymbol:
         )
         assert lhs == rhs
 
-    @pytest.mark.parametrize("D", [-12, 6, -5, 0])
+    @pytest.mark.parametrize("D", [-12, 6, -5, 0, -3.0, True])
     def test_rejects_non_fundamental(self, D):
         with pytest.raises(NonFundamentalDiscriminant):
             quadfield.kronecker_symbol(D, 3)

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 import covolume
-from covolume import bernoulli, lattice, quadfield, survey
+from covolume import bernoulli, cli, lattice, lvalues, quadfield, survey
 from covolume.errors import (
     InternalDefect,
     InvalidDimension,
@@ -457,3 +457,50 @@ class TestHwangBound:
             survey.hwang_bound(2, 1.5)
         with pytest.raises(InvalidDimension):
             survey.hwang_bound(1, 1)
+
+
+class TestMemoInventory:
+    """Every memo of the package, found by walking the module namespaces."""
+
+    PER_FIELD = (
+        "quadfield.chi_table",
+        "quadfield.reduced_forms",
+        "quadfield._require_fundamental",
+        "lattice.class_number",
+        "lattice._prefix_of",
+        "bernoulli._power_state",
+        "lvalues._kronecker_row",
+    )
+
+    @staticmethod
+    def _memos():
+        modules = (bernoulli, quadfield, lvalues, lattice, survey, cli)
+        return {
+            f"{mod.__name__.rpartition('.')[2]}.{name}": obj
+            for mod in modules
+            for name, obj in vars(mod).items()
+            if hasattr(obj, "cache_info")
+        }
+
+    def test_clear_caches_empties_every_memo(self):
+        survey.scan(10, 400)
+        covolume.clear_caches()
+        held = {
+            name: memo.cache_info().currsize
+            for name, memo in self._memos().items()
+            if name != "cli._parser"  # holds no computed value
+        }
+        assert held and set(held.values()) == {0}, held
+
+    def test_per_field_memos_keep_the_field_asked_last(self):
+        covolume.clear_caches()
+        rows = survey.scan(10, 400)
+        chi = quadfield.chi_table.cache_info()
+        # class_number's read misses, the power sums' read is the one hit
+        assert (chi.misses, chi.hits) == (len(rows), len(rows))
+        lattice.cross_path_check()
+        memos = self._memos()
+        assert set(self.PER_FIELD) <= set(memos)
+        for name in self.PER_FIELD:
+            info = memos[name].cache_info()
+            assert info.maxsize == 1 and info.currsize <= 1, (name, info)
