@@ -47,7 +47,8 @@ def bernoulli_number(k: int) -> Fraction:
 
     The even table is filled once under a lock and entries are never
     mutated afterwards, so concurrent callers always observe identical
-    values no matter how their calls interleave.
+    values no matter how their calls interleave.  The table is read
+    through one local name, since clear_caches may swap it mid-call.
     """
     require_int(k, "index", 0)
     if k == 0:
@@ -57,11 +58,12 @@ def bernoulli_number(k: int) -> Fraction:
     if k % 2:
         return Fraction(0)
     j = k // 2
-    if j >= len(_even_table):
+    table = _even_table
+    if j >= len(table):
         with _lock:
-            while j >= len(_even_table):
-                _even_table.append(_next_even(_even_table))
-    return _even_table[j]
+            while j >= len(table):
+                table.append(_next_even(table))
+    return table[j]
 
 
 def bernoulli_polynomial_value(k: int, x: Fraction | int) -> Fraction:
@@ -112,9 +114,9 @@ def generalized_bernoulli(k: int, D: int) -> Fraction:
     (the full period sums to 2 V_j), an exact rearrangement of the
     defining sum (Washington, Cyclotomic Fields, sec. 4.1).  The V_j do
     not depend on k, so every odd k of one field reads them from a single
-    _PowerSums, built from one chi_table read, which keeps one running
-    power list per sign and steps it by (q - 2a)^2: the odd k up to K take
-    (K + 1)/2 power passes per sign in all.
+    _PowerSums, built from one chi_table read, which keeps one list of
+    signed powers z^j, z = chi(a) (q - 2a), and steps it by z^2: the odd k
+    up to K take (K + 1)/2 power passes in all.
 
     Validation happens out here: bool hashes like int and -3.0 like -3,
     so a cached worker would hand back the entry for k = 1 on k = True,
@@ -137,31 +139,27 @@ def _times(xs: list[int], ys: list[int]) -> list[int]:
 class _PowerSums:
     """V_1, V_3, ... of one field: V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j.
 
-    chi is the field's character table, read here once and not kept.
-    For the half-range residues a with chi(a) = +1 and -1, plus_sq and
-    minus_sq hold (q - 2a)^2, and plus_pow, minus_pow hold (q - 2a)^j for
-    the last odd j in sums, where sums[i] is V_{2i+1}.  sums only grows,
-    under _lock, so a prefix read from it never goes stale.
+    chi(a) is 0 or +-1, so for odd j each term is z^j with
+    z = chi(a) (q - 2a), and V_j is a plain power sum of the z.  chi is
+    the field's character table, read here once and not kept.  sq holds
+    the z^2 and pow the z^j for the last odd j in sums, where sums[i] is
+    V_{2i+1}.  sums only grows, under _lock, so a prefix read from it
+    never goes stale.
     """
 
     def __init__(self, D: int, chi: tuple[int, ...]):
         q = -D
         # when q is even, chi(q/2) = 0, so a < q/2 covers the half range
-        half = chi[1 : (q + 1) // 2]
         ys = range(q - 2, 0, -2)  # q - 2a for a = 1, 2, ...
-        plus = [y for y, c in zip(ys, half) if c > 0]
-        minus = [y for y, c in zip(ys, half) if c < 0]
-        self.plus_pow, self.minus_pow = plus, minus
-        self.plus_sq = _times(plus, plus)
-        self.minus_sq = _times(minus, minus)
-        self.sums = [sum(plus) - sum(minus)]
+        self.pow = [c * y for y, c in zip(ys, chi[1 : (q + 1) // 2]) if c]
+        self.sq = _times(self.pow, self.pow)
+        self.sums = [sum(self.pow)]
 
     def extend(self, j: int) -> None:
         """Grow sums up to V_j, for an odd j."""
         while len(self.sums) <= j // 2:
-            self.plus_pow = _times(self.plus_pow, self.plus_sq)
-            self.minus_pow = _times(self.minus_pow, self.minus_sq)
-            self.sums.append(sum(self.plus_pow) - sum(self.minus_pow))
+            self.pow = _times(self.pow, self.sq)
+            self.sums.append(sum(self.pow))
 
 
 @lru_cache(maxsize=1)

@@ -70,18 +70,18 @@ def _emit_survey_rows(rows: Iterable[lattice.CovolumeResult], fmt: str) -> None:
 def cmd_nu(args: argparse.Namespace) -> int:
     field = quadfield.from_squarefree_d(args.d)
     result = lattice.covolume_result(field, args.n)
-    _emit_survey_rows([result], args.format or _default_format())
+    _emit_survey_rows([result], args.format)
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     rows = survey._scan_rows(args.n, args.max_disc)
-    _emit_survey_rows(rows, args.format or _default_format())
+    _emit_survey_rows(rows, args.format)
     return 0
 
 
 def cmd_minimal(args: argparse.Namespace) -> int:
-    fmt = args.format or _default_format()
+    fmt = args.format
     if args.overall:
         if args.n is not None:
             raise InvalidInput("--overall and --n are mutually exclusive")
@@ -136,23 +136,15 @@ def cmd_growth(args: argparse.Namespace) -> int:
         )
     field = quadfield.from_squarefree_d(args.d)
     reports = list(survey._growth_reports(field, range(args.n_min, args.n_max + 1)))
-    _emit(
-        args.format or _default_format(),
-        serialize.GROWTH_HEADER,
-        reports,
-        serialize.growth_to_record,
-    )
+    _emit(args.format, serialize.GROWTH_HEADER, reports, serialize.growth_to_record)
     return 0
 
 
 def cmd_hwang(args: argparse.Namespace) -> int:
-    bound = survey.hwang_bound(args.n, args.k)
-    _emit(
-        args.format or _default_format(),
-        ("n", "k", "bound"),
-        [bound.value],
-        lambda b: {"n": args.n, "k": args.k, "bound": b},
-    )
+    # a bound past double range saturates to inf and prints as volumes do
+    bound = serialize._json_saturated(survey.hwang_bound(args.n, args.k).value)
+    record = {"n": args.n, "k": args.k, "bound": bound}
+    _emit(args.format, ("n", "k", "bound"), [record], lambda r: r)
     return 0
 
 
@@ -171,7 +163,7 @@ def _class_record(item: tuple[quadfield.FormClass, int]) -> dict[str, int]:
 
 
 def cmd_classgroup(args: argparse.Namespace) -> int:
-    fmt = args.format or _default_format()
+    fmt = args.format
     field = quadfield.from_squarefree_d(args.d)
     group = quadfield.reduced_forms(field)
     classes = [(g, _class_order(g, group)) for g in group.classes]
@@ -330,6 +322,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if "format" in args and args.format is None:
+        args.format = _default_format()
     try:
         return args.handler(args)
     except InternalDefect as exc:

@@ -167,11 +167,13 @@ def scan(n: int, max_disc: int) -> tuple[CovolumeResult, ...]:
 def _scan_rows(n: int, max_disc: int) -> Iterator[CovolumeResult]:
     """scan's records one at a time, each computed when it is asked for.
 
-    The arguments are checked on the call, before any record exists.
+    The arguments are checked on the call, before any record exists, and
+    each field is built as the ascending loop over |disc| reaches it, so
+    the first record waits for one field, not for the whole range.
     """
     require_int(n, "n", 2, InvalidDimension)
     require_int(max_disc, "max_disc", 3)
-    fields = quadfield.fields_with_disc_at_most(max_disc)
+    fields = quadfield._fields_by_disc(max_disc)
     return (lattice.covolume_result(f, n) for f in fields)
 
 
@@ -416,11 +418,13 @@ def hwang_bound(n: int, k: int) -> NumericValue:
     k (4 pi)^n / (n! (P(4) - P(2))) * (1 - (n+1)/(P(4) - P(2))) with
     P(l) = (nl+n+l)! / (n! (nl+l)!).  The combinatorial part is an exact
     rational; only the final power of pi is floating point, so the bound
-    is exactly k times the k = 1 value.  It decays to zero as n grows.
+    is exactly k times the k = 1 value, and inf where that product
+    overflows, as volumes saturate.  It decays to zero as n grows.
     From n = 114 the rational is below the normal double range, so the
     bound comes from logarithms, with an error bound widened by their
-    rounding.  From n = 179 the bound is below the smallest double: it
-    is 0.0, printed as 0, and its error bound still covers it.
+    rounding.  From n = 179 the k = 1 bound is below the smallest double:
+    it is 0.0 for every k, printed as 0, and its error bound still covers
+    the true value.
     """
     require_int(n, "n", 2, InvalidDimension)
     require_int(k, "k", 1)
@@ -430,12 +434,27 @@ def hwang_bound(n: int, k: int) -> NumericValue:
     rational = Fraction(gap - (n + 1), math.factorial(n) * gap * gap)
     unit = float(rational)
     if unit >= 2.0**-1022:  # a normal double
-        value = k * (unit * (4 * math.pi) ** n)
+        value = _saturated_product(k, unit * (4 * math.pi) ** n)
         return NumericValue(value, abs(value) * (n + 2) * 5e-16)
     log_power = n * math.log(4 * math.pi)
-    value = k * math.exp(lattice._log_fraction(rational) + log_power)
+    value = _saturated_product(k, math.exp(lattice._log_fraction(rational) + log_power))
     # log num, log den and log_power are each off by a few ulps of
     # themselves, and num < den; exp turns that absolute error into a
     # relative one, rounds once more, and gives 0.0 below the double range
     rel = 1e-15 * (2 * math.log(rational.denominator) + log_power) + 5e-16
-    return NumericValue(value, abs(value) * rel + k * math.ulp(0.0))
+    return NumericValue(value, abs(value) * rel + _saturated_product(k, math.ulp(0.0)))
+
+
+def _saturated_product(k: int, x: float) -> float:
+    """k * x for a float x >= 0, and inf where it overflows.
+
+    A k past double range cannot become a float, so the exact product
+    is rounded instead.
+    """
+    try:
+        return k * x
+    except OverflowError:
+        try:
+            return float(k * Fraction(x))
+        except OverflowError:
+            return math.inf

@@ -7,13 +7,14 @@ reciprocity for the character, brute-force predicate checks instead of
 the production enumeration for reduced forms, and mpmath's Hurwitz zeta
 at high precision for the analytic values.  The character table with
 one Kronecker symbol per residue, the table sieved from one Kronecker
-symbol per prime, the full-period Horner sum for B_{k,chi} and the
-half-range power sums of a are the exact kernels that the tiled table
-and the power sums of q - 2a replaced, kept as their differential
-oracles; likewise nu with its
-L-product rebuilt from j = 1 on every call, which the prefix list of
-lattice._l_product replaced, and the minimal-field certificate built one
-dimension at a time, which the field-major sweep of survey replaced.
+symbol per prime, the full-period Horner sum for B_{k,chi}, the
+half-range power sums of a, and the power sums of q - 2a split by the
+sign of chi are the exact kernels that the tiled table and the one
+signed power list of q - 2a replaced, kept as their differential
+oracles; likewise nu with its L-product rebuilt from j = 1 on every
+call, which the prefix list of lattice._l_product replaced, and the
+minimal-field certificate built one dimension at a time, which the
+field-major sweep of survey replaced.
 The growth closed form written out twice, as a float and as a
 logarithm, the descending search for the growth threshold, and the field
 enumeration that factored each d up to three times are kept the same way
@@ -187,6 +188,32 @@ class APowerSums:
         while len(self.sums) <= j:
             self.plus_pow = [x * y for x, y in zip(self.plus_pow, self.plus)]
             self.minus_pow = [x * y for x, y in zip(self.minus_pow, self.minus)]
+            self.sums.append(sum(self.plus_pow) - sum(self.minus_pow))
+        return self.sums
+
+
+class SignSplitPowerSums:
+    """V_1, V_3, ... of one field: V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j.
+
+    The residues with chi(a) = +1 and -1 keep a running list of
+    (q - 2a)^j each, stepped by their own squares, and V_j is the
+    difference of the two sums.
+    """
+
+    def __init__(self, D: int):
+        q = -D
+        half = quadfield.chi_table(D)[1 : (q + 1) // 2]
+        ys = range(q - 2, 0, -2)
+        self.plus_pow = [y for y, c in zip(ys, half) if c > 0]
+        self.minus_pow = [y for y, c in zip(ys, half) if c < 0]
+        self.plus_sq = [y * y for y in self.plus_pow]
+        self.minus_sq = [y * y for y in self.minus_pow]
+        self.sums = [sum(self.plus_pow) - sum(self.minus_pow)]
+
+    def extend(self, j: int) -> list[int]:
+        while len(self.sums) <= j // 2:
+            self.plus_pow = [x * y for x, y in zip(self.plus_pow, self.plus_sq)]
+            self.minus_pow = [x * y for x, y in zip(self.minus_pow, self.minus_sq)]
             self.sums.append(sum(self.plus_pow) - sum(self.minus_pow))
         return self.sums
 

@@ -208,6 +208,15 @@ class TestHalfRangeKernel:
                 oracles.generalized_bernoulli_a_powers(k, -3)
             ), k
 
+    def test_signed_power_list_matches_sign_split_oracle(self):
+        bernoulli.clear_caches()
+        cases = [(f.disc_signed, 31) for f in quadfield.fields_with_disc_at_most(2000)]
+        for D, j_max in cases + [(-3, 221), (-163, 221)]:
+            oracle = oracles.SignSplitPowerSums(D)
+            for j in range(1, j_max + 1, 2):
+                bernoulli._power_state(D).extend(j)
+                assert bernoulli._power_state(D).sums == oracle.extend(j), (D, j)
+
     def test_cleared_coefficients_are_the_even_terms_about_one_half(self):
         # 2^k B_k(x) at x = (1 - y)/2 is sum c_j y^(k-2j) / M, for odd k
         for k in range(1, 40, 2):
@@ -277,10 +286,9 @@ class TestSharedPowerSums:
         monkeypatch.setattr(bernoulli, "_times", counting_times)
         lattice.nu(field, 10)
         assert built == [-23]
-        # V_3 .. V_11 for k = 3, 5, ..., 11: per sign, one pass squaring
-        # the list of q - 2a and five steps by those squares, where
-        # powers of a took ten passes
-        assert sorted(passes.values()) == [1, 1, 5, 5]
+        # V_3 .. V_11 for k = 3, 5, ..., 11: one pass squaring the signed
+        # list chi(a) (q - 2a) and five steps by those squares
+        assert sorted(passes.values()) == [1, 5]
 
     def test_concurrent_fields(self):
         pairs = [(k, D) for D in self.FIELDS for k in range(1, 16, 2)] * 3

@@ -143,6 +143,22 @@ class TestScanCommand:
         assert err.startswith("covolume:")
 
 
+class FirstLineSpy:
+    """A stdout that notes how many calls were made before its first line."""
+
+    def __init__(self, calls):
+        self.calls = calls
+        self.first_line_after = None
+
+    def write(self, s):
+        if self.first_line_after is None and "\n" in s:
+            self.first_line_after = len(self.calls)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
 class TestScanStreams:
     """JSON and CSV scan rows are printed as each is computed."""
 
@@ -154,24 +170,30 @@ class TestScanStreams:
             calls.append(field.d)
             return real(field, n)
 
-        class Spy:
-            first_line_after = None
-
-            def write(self, s):
-                if self.first_line_after is None and "\n" in s:
-                    self.first_line_after = len(calls)
-                return len(s)
-
-            def flush(self):
-                pass
-
-        spy = Spy()
+        spy = FirstLineSpy(calls)
         monkeypatch.setattr(lattice, "covolume_result", counting)
         monkeypatch.setattr(sys, "stdout", spy)
         argv = ["scan", "--n", "3", "--max-disc", "100", "--format", "json"]
         assert cli.main(argv) == 0
         assert spy.first_line_after == 1
         assert len(calls) == len(quadfield.fields_with_disc_at_most(100))
+
+    def test_first_line_after_one_field(self, monkeypatch):
+        built = []
+        real = quadfield._field_if_squarefree
+
+        def counting(d):
+            built.append(d)
+            return real(d)
+
+        spy = FirstLineSpy(built)
+        monkeypatch.setattr(quadfield, "_field_if_squarefree", counting)
+        monkeypatch.setattr(sys, "stdout", spy)
+        argv = ["scan", "--n", "3", "--max-disc", "100", "--format", "json"]
+        assert cli.main(argv) == 0
+        # the ascending loop over |disc| builds Q(sqrt(-3)) and prints its
+        # row before it factors the next candidate
+        assert spy.first_line_after == 1
 
     @pytest.mark.parametrize("fmt, kept", [("json", 2), ("csv", 3)])
     def test_defect_mid_scan_keeps_printed_rows(
@@ -399,6 +421,23 @@ class TestHwangCommand:
         code, out, err = run_cli(capsys, "hwang", "--n", "400", "--format", "json")
         assert code == 0 and err == ""
         assert out == '{"n": 400, "k": 1, "bound": 0}\n'
+
+    @pytest.mark.parametrize(
+        "n, k, bound",
+        [(2, 2**1024, "inf"), (500, 2**1024, "0"), (2, int(1.7e308), "inf")],
+        ids=["overflow", "underflow", "product-overflow"],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_cusp_count_past_double_range(self, capsys, n, k, bound, fmt):
+        code, out, err = run_cli(
+            capsys, "hwang", "--n", str(n), "--k", str(k), "--format", fmt
+        )
+        assert code == 0 and err == ""
+        if fmt == "json":
+            cells = [str(v) for v in json.loads(out).values()]
+        else:
+            cells = out.splitlines()[1].replace(",", " ").split()
+        assert cells == [str(n), str(k), bound]
 
     def test_rejects_bad_arguments(self, capsys):
         assert run_cli(capsys, "hwang", "--n", "1")[0] == 2

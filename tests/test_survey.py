@@ -273,11 +273,10 @@ class TestFieldMajorSweep:
         monkeypatch.setattr(bernoulli._PowerSums, "__init__", counting_init)
         monkeypatch.setattr(bernoulli, "_times", counting_times)
         survey.overall_minimum(60)
-        # 10 fields up to the widest limit, each to k = 61: per sign one
-        # squaring pass and 30 steps; a sweep by dimension rebuilt 300
-        # states and made 18600 passes, powers of a made 1200
+        # 10 fields up to the widest limit, each to k = 61: one squaring
+        # pass and 30 steps of the one signed list per field
         assert len(built) == len(set(built)) == 10
-        assert passes[0] == 620
+        assert passes[0] == 310
 
 
 class TestGrowthRatio:
@@ -444,6 +443,42 @@ class TestHwangBound:
                     assert abs(got_k.value - k * exact) <= got_k.abs_error_bound, (n, k)
         assert survey.hwang_bound(178, 1).value > 0
         assert survey.hwang_bound(179, 1).value == 0.0
+
+    @pytest.mark.parametrize(
+        "n, k, value",
+        [(2, 2**1024, math.inf), (500, 2**1024, 0.0), (2, int(1.7e308), math.inf)],
+        ids=["overflow", "underflow", "product-overflow"],
+    )
+    def test_cusp_count_past_double_range(self, n, k, value):
+        # k * value(1) saturates to inf where it overflows, as volumes do,
+        # and stays 0.0 where value(1) is below the smallest double
+        assert survey.hwang_bound(n, k).value == value
+
+    def test_cusp_count_past_double_range_keeps_finite_products(self):
+        # k cannot become a float, so the exact product k * value(1) is rounded
+        k = 2**1024
+        for n in (50, 130):
+            one = survey.hwang_bound(n, 1).value
+            assert survey.hwang_bound(n, k).value == float(k * Fraction(one)), n
+
+    def test_error_bound_covers_huge_cusp_count(self):
+        # value(1) underflows from n = 179, but 2^1024 times the true bound
+        # at n = 300 is about 5.6e-302; the error bound must still cover it
+        n, k = 300, 2**1024
+        p4 = math.comb(4 * n + n + 4, n)
+        p2 = math.comb(2 * n + n + 2, n)
+        gap = p4 - p2
+        with mpmath.workdps(40):
+            exact = (
+                k
+                * mpmath.mpf(gap - (n + 1))
+                / (mpmath.mpf(math.factorial(n)) * gap * gap)
+                * (4 * mpmath.pi) ** n
+            )
+            assert 5.5e-302 < exact < 5.7e-302
+            got = survey.hwang_bound(n, k)
+            assert got.value == 0.0
+            assert abs(got.value - exact) <= got.abs_error_bound
 
     def test_decays_monotonically(self):
         values = [survey.hwang_bound(n, 1).value for n in range(2, 41)]
