@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterable
 
 from . import lattice, quadfield, serialize, survey
@@ -141,10 +141,9 @@ def cmd_growth(args: argparse.Namespace) -> int:
 
 
 def cmd_hwang(args: argparse.Namespace) -> int:
-    # a bound past double range saturates to inf and prints as volumes do
-    bound = serialize._json_saturated(survey.hwang_bound(args.n, args.k).value)
-    record = {"n": args.n, "k": args.k, "bound": bound}
-    _emit(args.format, ("n", "k", "bound"), [record], lambda r: r)
+    bound = survey.hwang_bound(args.n, args.k).value
+    to_record = partial(serialize.hwang_to_record, args.n, args.k)
+    _emit(args.format, serialize.HWANG_HEADER, [bound], to_record)
     return 0
 
 

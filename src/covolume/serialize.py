@@ -60,6 +60,8 @@ __all__ = [
     "GROWTH_HEADER",
     "growth_to_record",
     "growth_to_csv",
+    "HWANG_HEADER",
+    "hwang_to_record",
 ]
 
 
@@ -210,9 +212,10 @@ def parse_value(s: str) -> ExactOrInterval:
 
 
 def _json_saturated(v: float) -> float | str:
-    # volumes and closed-form growth ratios past IEEE range saturate to
-    # inf upstream; JSON numbers cannot carry infinity, so the saturated
-    # value travels as the string "inf" and parses back through float()
+    # volumes, closed-form growth ratios and hwang bounds past IEEE range
+    # saturate to inf upstream; JSON numbers cannot carry infinity, so
+    # the saturated value travels as the string "inf" and parses back
+    # through float()
     if math.isinf(v) and v > 0:
         return "inf"
     return v
@@ -357,6 +360,7 @@ ROW_HEADER = (
     "exact",
 )
 GROWTH_HEADER = ("d", "n", "q", "log_q_over_n", "closed_form", "rel_err")
+HWANG_HEADER = ("n", "k", "bound")
 
 
 def row_to_record(row: CovolumeResult) -> dict[str, Any]:
@@ -430,3 +434,7 @@ def growth_to_record(report: GrowthReport) -> dict[str, Any]:
 
 def growth_to_csv(report: GrowthReport) -> tuple[str, ...]:
     return cells(growth_to_record(report))
+
+
+def hwang_to_record(n: int, k: int, bound: float) -> dict[str, Any]:
+    return {"n": n, "k": k, "bound": _json_saturated(bound)}

@@ -446,15 +446,12 @@ def hwang_bound(n: int, k: int) -> NumericValue:
 
 
 def _saturated_product(k: int, x: float) -> float:
-    """k * x for a float x >= 0, and inf where it overflows.
+    """k * x for a float x >= 0, correctly rounded, and inf where it overflows.
 
-    A k past double range cannot become a float, so the exact product
-    is rounded instead.
+    The product is exact before its one rounding, so it equals the float
+    k * x wherever k converts exactly, and k may be past double range.
     """
     try:
-        return k * x
+        return float(k * Fraction(x))
     except OverflowError:
-        try:
-            return float(k * Fraction(x))
-        except OverflowError:
-            return math.inf
+        return math.inf

@@ -86,6 +86,21 @@ class TestBernoulliNumber:
         with pytest.raises(InvalidInput):
             bernoulli.bernoulli_number(True)
 
+    def test_table_swapped_mid_call(self, monkeypatch):
+        # a clear_caches between the length check and the index must not
+        # send the read to the fresh one-entry table
+        expected = bernoulli.bernoulli_number(20)
+
+        class SwappedOnLen(list):
+            def __len__(self):
+                monkeypatch.setattr(bernoulli, "_even_table", [Fraction(1)])
+                return super().__len__()
+
+        monkeypatch.setattr(
+            bernoulli, "_even_table", SwappedOnLen(bernoulli._even_table)
+        )
+        assert bernoulli.bernoulli_number(20) == expected
+
     def test_cache_purity_under_concurrency(self):
         expected = oracles.bernoulli_series(120)
         ks = list(range(121)) * 4

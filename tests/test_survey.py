@@ -455,7 +455,7 @@ class TestHwangBound:
         assert survey.hwang_bound(n, k).value == value
 
     def test_cusp_count_past_double_range_keeps_finite_products(self):
-        # k cannot become a float, so the exact product k * value(1) is rounded
+        # k is past double range, and the exact product k * value(1) is rounded once
         k = 2**1024
         for n in (50, 130):
             one = survey.hwang_bound(n, 1).value
