@@ -12,6 +12,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 
 from . import quadfield
 from .errors import NonFundamentalDiscriminant, require_int
@@ -120,20 +121,22 @@ def generalized_bernoulli(k: int, D: int) -> Fraction:
 
     Validation happens out here: bool hashes like int and -3.0 like -3,
     so a cached worker would hand back the entry for k = 1 on k = True,
-    or for D = -3 on D = -3.0; is_fundamental_discriminant refuses any D
-    that is not an int.
+    or for D = -3 on D = -3.0.  quadfield._require_fundamental refuses
+    any D that is not an int, and its memo, typed and shared with
+    chi_table, factors each field's |D| once, not once per k.
     """
     require_int(k, "index", 1)
-    if D >= 0 or not quadfield.is_fundamental_discriminant(D):
+    if D >= 0:
         raise NonFundamentalDiscriminant(
             f"{D} is not the discriminant of an imaginary quadratic field"
         )
+    quadfield._require_fundamental(D)
     return _generalized_bernoulli(k, D)
 
 
 def _times(xs: list[int], ys: list[int]) -> list[int]:
     """One power pass, a function of its own so that passes can be counted."""
-    return [x * y for x, y in zip(xs, ys)]
+    return list(map(mul, xs, ys))
 
 
 class _PowerSums:
@@ -149,9 +152,9 @@ class _PowerSums:
 
     def __init__(self, D: int, chi: tuple[int, ...]):
         q = -D
-        # when q is even, chi(q/2) = 0, so a < q/2 covers the half range
-        ys = range(q - 2, 0, -2)  # q - 2a for a = 1, 2, ...
-        self.pow = [c * y for y, c in zip(ys, chi[1 : (q + 1) // 2]) if c]
+        # chi(0) = 0, and chi(q/2) = 0 when q is even, so a < q/2 covers
+        # the half range; range(q, -q, -2) is q - 2a for a = 0, 1, ...
+        self.pow = list(filter(None, map(mul, chi[: (q + 1) // 2], range(q, -q, -2))))
         self.sq = _times(self.pow, self.pow)
         self.sums = [sum(self.pow)]
 

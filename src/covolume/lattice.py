@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Union
 
-from . import lvalues, quadfield
+from . import bernoulli, lvalues, quadfield
 from .errors import InternalDefect, InvalidDimension, UnknownMultiplicity, require_int
 from .lvalues import NumericValue
 from .quadfield import QuadField
@@ -157,19 +157,22 @@ def _l_product(field: QuadField, m: int) -> Fraction:
     Read from one append-only list P(0), P(1), ... that belongs to the
     field asked last (_prefix_of) and grows one factor pair at a time
     under _lock, so a sweep over n = 2..N of one field pays for each
-    L-value once.  A new field gets a fresh list and clear_caches drops
-    it; entries are never mutated, so a prefix read from the list never
-    goes stale.
+    L-value once.  Each pair zeta(1-2j) L(-2j, chi) = -B_2j L / 2j is
+    one small Fraction, normalized once, so extending the list costs one
+    product against the prefix.  A new field gets a fresh list and
+    clear_caches drops it; entries are never mutated, so a prefix read
+    from the list never goes stale.
     """
     prefix = _prefix_of(field.disc_signed)
     with _lock:
         while len(prefix) <= m:
             j = len(prefix)
-            prefix.append(
-                prefix[-1]
-                * lvalues.zeta_negative(2 * j)
-                * lvalues.l_negative(field, 2 * j + 1)
+            b = bernoulli.bernoulli_number(2 * j)
+            el = lvalues.l_negative(field, 2 * j + 1)
+            pair = Fraction(
+                -b.numerator * el.numerator, 2 * j * b.denominator * el.denominator
             )
+            prefix.append(prefix[-1] * pair)
         return prefix[m]
 
 
@@ -179,20 +182,21 @@ def nu(field: QuadField, n: int) -> ExactOrInterval:
     (n+1) / (2^n h_{ell,n+1}) * P(floor(n/2)), times (-1)^((n+1)/2)
     zeta(-n) eps at odd n, with P read from the field's prefix list
     (_l_product).  eps = 2 when r = 1; otherwise eps in [2, 2^r] widens
-    the value to an interval.
+    the value to an interval.  The small factors are combined first, so
+    the large P enters one product per endpoint.
     """
     require_int(n, "n", 2, InvalidDimension)
     sign = -1 if n % 4 == 1 else 1  # (-1)^((n+1)/2) at odd n
-    acc = Fraction(sign * (n + 1), 2**n * h_torsion(field, n + 1))
+    small = Fraction(sign * (n + 1), 2**n * h_torsion(field, n + 1))
     if n % 2:
-        acc *= lvalues.zeta_negative(n + 1)  # zeta(-n)
-    acc *= _l_product(field, n // 2)
+        small *= lvalues.zeta_negative(n + 1)  # zeta(-n)
+    prefix = _l_product(field, n // 2)
     if n % 2 == 0:
-        return acc
+        return small * prefix
     eps = epsilon_status(field, n)
-    if eps.kind == "exact":
-        return acc * 2
-    return Interval(acc * eps.lower, acc * eps.upper)
+    if eps.exact:
+        return small * 2 * prefix
+    return Interval(small * eps.lower * prefix, small * eps.upper * prefix)
 
 
 def _chi_of(v: ExactOrInterval, n: int) -> ExactOrInterval:

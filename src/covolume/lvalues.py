@@ -59,7 +59,8 @@ def l_negative(field: QuadField, k: int) -> Fraction:
     require_int(k, "k", 1)
     if k % 2 == 0:
         raise InvalidInput(f"k must be odd, got {k}")
-    return -bernoulli.generalized_bernoulli(k, field.disc_signed) / k
+    b = bernoulli.generalized_bernoulli(k, field.disc_signed)
+    return Fraction(-b.numerator, k * b.denominator)
 
 
 # B_{2j} / (2j)! for j = 1..8, as plain float constants so the numeric

@@ -194,17 +194,26 @@ def kronecker_symbol(D: int, m: int) -> int:
     return sign if n == 1 else 0
 
 
+# Character values 0, 1, -1 are coded as the bytes 0, 1, 2, so that
+# tables tile and multiply as bytes.  Two coded tables multiply
+# elementwise as one base-256 number 3x + y, which has no carries, read
+# back through _PRODUCT; _SIGNED turns the code 2 into the byte 0xff,
+# which a signed-char view reads as -1.
+_PRODUCT = bytes((0, 0, 0, 0, 1, 2, 0, 2, 1)).ljust(256, b"\0")
+_NEGATE = bytes.maketrans(b"\1\2", b"\2\1")
+_SIGNED = bytes.maketrans(b"\2", b"\xff")
+
 # one period of the characters of the prime discriminants -4, 8 and -8
 _TWO_PART_TABLES = {
-    -4: (0, 1, 0, -1),
-    8: (0, 1, 0, -1, 0, -1, 0, 1),
-    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+    -4: bytes((0, 1, 0, 2)),
+    8: bytes((0, 1, 0, 2, 0, 2, 0, 1)),
+    -8: bytes((0, 1, 0, 1, 0, 2, 0, 2)),
 }
 
 
-def _legendre_table(p: int) -> list[int]:
-    """(a/p) for a = 0..p-1, an odd prime p, by marking the squares."""
-    table = [-1] * p
+def _legendre_table(p: int) -> bytearray:
+    """(a/p) for a = 0..p-1, an odd prime p, coded, by marking the squares."""
+    table = bytearray(b"\2") * p
     table[0] = 0
     for x in range(1, p // 2 + 1):
         table[x * x % p] = 1
@@ -220,11 +229,12 @@ def chi_table(D: int) -> tuple[int, ...]:
     -4, 8 or -8, with a fixed table of period 4 or 8; the odd part
     D' = 1 mod 4 contributes the Legendre symbol (a/p) for each prime
     p | D', whatever the sign of p* = +-p.  Each factor's table is tiled
-    to length |D| and the tiles are multiplied elementwise, so no
-    Kronecker symbol is evaluated.  A field's table is read twice, by
-    lattice.class_number and once to build the field's power sums in
-    bernoulli, so the memo keeps one: a scan holds O(|D|) residues, not
-    the sum over every field.
+    over the half period a <= |D|/2 only, and the tiles are multiplied
+    elementwise, so no Kronecker symbol is evaluated; the other half
+    follows from chi(|D| - a) = sign(D) chi(a).  A field's table is read
+    twice, by lattice.class_number and once to build the field's power
+    sums in bernoulli, so the memo keeps one: a scan holds O(|D|)
+    residues, not the sum over every field.
     """
     _require_fundamental(D)
     q = abs(D)
@@ -235,11 +245,16 @@ def chi_table(D: int) -> tuple[int, ...]:
         factors.append(_TWO_PART_TABLES[two])
         odd = D // two
     factors += [_legendre_table(p) for p in _prime_factors(abs(odd))]
-    tiles = [table * (q // len(table)) for table in factors] or [[1]]
-    chi = tiles[0]
+    half = q // 2 + 1  # a = 0, ..., q//2
+    tiles = [(table * (half // len(table) + 1))[:half] for table in factors]
+    chi = tiles[0] if tiles else b"\1"
     for tile in tiles[1:]:
-        chi = [x * y for x, y in zip(chi, tile)]
-    return tuple(chi)
+        pairs = 3 * int.from_bytes(chi, "big") + int.from_bytes(tile, "big")
+        chi = pairs.to_bytes(half, "big").translate(_PRODUCT)
+    rest = chi[(q - 1) // 2 : 0 : -1]  # chi(q - a) for a = q//2 + 1, ..., q - 1
+    if D < 0:
+        rest = rest.translate(_NEGATE)
+    return tuple(memoryview((chi + rest).translate(_SIGNED)).cast("b"))
 
 
 @dataclass(frozen=True, order=True)

@@ -30,10 +30,10 @@ endpoints swap between nu and chi.
 from __future__ import annotations
 
 import decimal
-import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .lattice import CovolumeResult, EpsilonStatus, ExactOrInterval, Interval
@@ -177,15 +177,18 @@ def _int_of_digits(s: str) -> int:
 def parse_rational(s: str) -> Fraction:
     """The rational that format_rational writes as s.
 
-    Accepts exactly "-?digits(/digits)?" and raises ValueError on
-    anything else.
+    Accepts exactly "-?digits(/digits)?" with a nonzero denominator and
+    raises ValueError on anything else.
     """
     match = _RATIONAL.fullmatch(s)
     if match is None:
         raise ValueError(f"not a rational: {s[:40]!r}")
     sign, num, den = match.groups()
     numerator = -_int_of_digits(num) if sign else _int_of_digits(num)
-    return Fraction(numerator, 1 if den is None else _int_of_digits(den))
+    denominator = 1 if den is None else _int_of_digits(den)
+    if denominator == 0:
+        raise ValueError(f"zero denominator: {s[:40]!r}")
+    return Fraction(numerator, denominator)
 
 
 def _value_json(x: ExactOrInterval, digits: Digits) -> str | dict[str, str]:
@@ -285,7 +288,7 @@ def _write(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, float):
         parts.append(format_float(obj))
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        parts.append(encode_basestring_ascii(obj))  # what json.dumps writes
     elif isinstance(obj, Fraction):
         # digits, "-" and "/" need no JSON escaping
         parts.append(f'"{format_rational(obj)}"')
@@ -294,7 +297,7 @@ def _write(obj: Any, parts: list[str]) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if i:
                 parts.append(", ")
-            parts.append(json.dumps(str(key)))
+            parts.append(encode_basestring_ascii(str(key)))
             parts.append(": ")
             _write(value, parts)
         parts.append("}")

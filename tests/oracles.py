@@ -7,7 +7,8 @@ reciprocity for the character, brute-force predicate checks instead of
 the production enumeration for reduced forms, and mpmath's Hurwitz zeta
 at high precision for the analytic values.  The character table with
 one Kronecker symbol per residue, the table sieved from one Kronecker
-symbol per prime, the full-period Horner sum for B_{k,chi}, the
+symbol per prime, the table tiled over the full period rather than
+half of it, the full-period Horner sum for B_{k,chi}, the
 half-range power sums of a, and the power sums of q - 2a split by the
 sign of chi are the exact kernels that the tiled table and the one
 signed power list of q - 2a replaced, kept as their differential
@@ -129,6 +130,40 @@ def chi_table_sieved(D: int) -> tuple[int, ...]:
             while pe < q:
                 chi[pe::pe] = [-x for x in chi[pe::pe]]
                 pe *= p
+    return tuple(chi)
+
+
+_TWO_PART_TABLES = {
+    -4: [0, 1, 0, -1],
+    8: [0, 1, 0, -1, 0, -1, 0, 1],
+    -8: [0, 1, 0, 1, 0, -1, 0, -1],
+}
+
+
+def _legendre_table(p: int) -> list[int]:
+    table = [-1] * p
+    table[0] = 0
+    for x in range(1, p // 2 + 1):
+        table[x * x % p] = 1
+    return table
+
+
+def chi_table_full_period(D: int) -> tuple[int, ...]:
+    """chi_D(0), ..., chi_D(|D| - 1), each prime discriminant's table of
+    ints tiled to the full length |D| and the tiles multiplied
+    elementwise."""
+    q = abs(D)
+    odd = D
+    factors = []
+    if D % 4 == 0:
+        two = -4 if D // 4 % 4 == 3 else 8 if D // 8 % 4 == 1 else -8
+        factors.append(_TWO_PART_TABLES[two])
+        odd = D // two
+    factors += [_legendre_table(p) for p in quadfield._prime_factors(abs(odd))]
+    tiles = [table * (q // len(table)) for table in factors] or [[1]]
+    chi = tiles[0]
+    for tile in tiles[1:]:
+        chi = [x * y for x, y in zip(chi, tile)]
     return tuple(chi)
 
 

@@ -668,6 +668,9 @@ GOLDEN_STDOUT = {
     "growth --d 5 --n-min 2 --n-max 8 --format table": "d3576ab0bcf05203a64fb2571a2a7efc48aa49e5038c349f7a3a10d4c5787ba4",
     "scan --n 3 --max-disc 60 --format table": "a62d2631f088c4411ffeae391dc52d9abfa4e583511fc95008d0997277dc2f54",
     "scan --n 31 --max-disc 400 --format json": "429b1c0e4e60c4ce004ae09334738cd50d3a09713e1b59bf3f5c40d9e84c6838",
+    "scan --n 2 --max-disc 3000 --format csv": "952393bfb0fb13e4e6444ac5233f3adf5e8ca3872da371035e10a3fef24c9aa3",
+    "scan --n 11 --max-disc 600 --format json": "67e70ffa96d0ee36e65c36e9b3847fd70444b4dd50eb28985e4857cd56a1f654",
+    "nu --d 15015 --n 10 --format json": "6206de448acac6bbde505ef6070a94d91d1405bf8bc7827758d8281ab7ad7ff8",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under

@@ -382,6 +382,24 @@ class TestPrefixProduct:
         # k = 3, 5, ..., 201 once each; a loop per call makes 10000 calls
         assert calls == list(range(3, 202, 2))
 
+    def test_one_discriminant_check_per_field(self, monkeypatch):
+        fields = quadfield.fields_with_disc_at_most(400)
+        assert len(fields) == 122
+        covolume.clear_caches()
+        calls = []
+        real = quadfield.is_fundamental_discriminant
+
+        def counting(D):
+            calls.append(D)
+            return real(D)
+
+        monkeypatch.setattr(quadfield, "is_fundamental_discriminant", counting)
+        for field in fields:
+            lattice.nu(field, 10)
+        # chi_table checks D once, and B_{k,chi} for k = 3, ..., 11 reuse
+        # that check; factoring |D| again per k makes 6 calls a field
+        assert calls == [field.disc_signed for field in fields]
+
 
 class TestMultiplicity:
     def test_even_dimensions_smallest_field(self, f3):

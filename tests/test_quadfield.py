@@ -195,8 +195,9 @@ class TestKroneckerSymbol:
 
 
 class TestSievedChiTable:
-    """The tiled table against the kernels it replaced: one Kronecker
-    symbol per residue, and the sieve with one Kronecker symbol per prime."""
+    """The half-period tiled table against the kernels it replaced: one
+    Kronecker symbol per residue, the sieve with one Kronecker symbol per
+    prime, and the tiles over the full period."""
 
     def test_matches_per_residue_oracle(self):
         count = 0
@@ -206,6 +207,7 @@ class TestSievedChiTable:
                 table = quadfield.chi_table.__wrapped__(D)
                 assert table == oracles.chi_table_per_residue(D), D
                 assert table == oracles.chi_table_sieved(D), D
+                assert table == oracles.chi_table_full_period(D), D
                 count += 1
         assert count == 1821  # both signs, D = 1 included
 

@@ -295,7 +295,7 @@ class TestParseRational:
     @pytest.mark.parametrize(
         "bad",
         ["1.5", "1/", "/2", "1_0", " 1", "1 ", "", "-", "+1", "--1", "1/-2",
-         "1e3", "1/2/3", "\u0661", "1\n"],
+         "1e3", "1/2/3", "\u0661", "1\n", "1/0", "-1/0", "0/0"],
     )
     def test_rejects_malformed_text(self, bad):
         with pytest.raises(ValueError):
