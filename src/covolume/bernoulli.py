@@ -144,17 +144,15 @@ class _PowerSums:
 
     chi(a) is 0 or +-1, so for odd j each term is z^j with
     z = chi(a) (q - 2a), and V_j is a plain power sum of the z.  chi is
-    the field's character table, read here once and not kept.  sq holds
-    the z^2 and pow the z^j for the last odd j in sums, where sums[i] is
-    V_{2i+1}.  sums only grows, under _lock, so a prefix read from it
-    never goes stale.
+    the field's half-period character table, chi(a) for 0 <= a < q/2,
+    read here once and not kept; range(q, 0, -2) is q - 2a over the same
+    a.  sq holds the z^2 and pow the z^j for the last odd j in sums,
+    where sums[i] is V_{2i+1}.  sums only grows, under _lock, so a prefix
+    read from it never goes stale.
     """
 
     def __init__(self, D: int, chi: tuple[int, ...]):
-        q = -D
-        # chi(0) = 0, and chi(q/2) = 0 when q is even, so a < q/2 covers
-        # the half range; range(q, -q, -2) is q - 2a for a = 0, 1, ...
-        self.pow = list(filter(None, map(mul, chi[: (q + 1) // 2], range(q, -q, -2))))
+        self.pow = list(filter(None, map(mul, chi, range(-D, 0, -2))))
         self.sq = _times(self.pow, self.pow)
         self.sums = [sum(self.pow)]
 

@@ -107,15 +107,16 @@ def class_number(field: QuadField) -> int:
     """h = (w/2) T_0 / (2 - chi(2)), with T_0 = sum_{0<a<|D|/2} chi(a).
 
     Dirichlet's class number formula for D < 0 (Davenport, Multiplicative
-    Number Theory, ch. 6), w the number of roots of unity.  T_0 is read
-    from the character table that nu's L-values read too, so no form is
-    enumerated; an h that is not a positive integer raises InternalDefect.
-    The memo keeps the field asked last, as chi_table does.
+    Number Theory, ch. 6), w the number of roots of unity.  T_0 sums the
+    half-period character table that nu's L-values read too, and chi(2)
+    is the Kronecker symbol (D/2), since that table has no entry at 2
+    when |D| is 3 or 4.  So no form is enumerated; an h that is not a
+    positive integer raises InternalDefect.  The memo keeps the field
+    asked last, as chi_table does.
     """
-    q = field.disc_abs
-    chi = quadfield.chi_table(field.disc_signed)
-    t0 = sum(chi[1 : (q + 1) // 2])
-    h, rest = divmod(field.mu_order * t0, 2 * (2 - chi[2]))
+    D = field.disc_signed
+    t0 = sum(quadfield.chi_table(D))
+    h, rest = divmod(field.mu_order * t0, 2 * (2 - quadfield.kronecker_symbol(D, 2)))
     if rest or h < 1:
         raise InternalDefect(f"class number formula fails for {field}: T_0 = {t0}")
     return h

@@ -200,7 +200,6 @@ def kronecker_symbol(D: int, m: int) -> int:
 # back through _PRODUCT; _SIGNED turns the code 2 into the byte 0xff,
 # which a signed-char view reads as -1.
 _PRODUCT = bytes((0, 0, 0, 0, 1, 2, 0, 2, 1)).ljust(256, b"\0")
-_NEGATE = bytes.maketrans(b"\1\2", b"\2\1")
 _SIGNED = bytes.maketrans(b"\2", b"\xff")
 
 # one period of the characters of the prime discriminants -4, 8 and -8
@@ -222,22 +221,22 @@ def _legendre_table(p: int) -> bytearray:
 
 @lru_cache(maxsize=1, typed=True)
 def chi_table(D: int) -> tuple[int, ...]:
-    """One full period of the character: chi_D(0), ..., chi_D(|D| - 1).
+    """The character over half its period: chi_D(a) for 0 <= a < |D|/2.
 
-    D factors into prime discriminants, and chi_D is the product of their
+    That is (|D| + 1) // 2 entries, the range every reader needs: T_0 of
+    the class number formula and the power sums of the L-values.  D
+    factors into prime discriminants, and chi_D is the product of their
     characters (Washington, Cyclotomic Fields, ch. 3).  The 2-part is
     -4, 8 or -8, with a fixed table of period 4 or 8; the odd part
     D' = 1 mod 4 contributes the Legendre symbol (a/p) for each prime
     p | D', whatever the sign of p* = +-p.  Each factor's table is tiled
-    over the half period a <= |D|/2 only, and the tiles are multiplied
-    elementwise, so no Kronecker symbol is evaluated; the other half
-    follows from chi(|D| - a) = sign(D) chi(a).  A field's table is read
-    twice, by lattice.class_number and once to build the field's power
-    sums in bernoulli, so the memo keeps one: a scan holds O(|D|)
-    residues, not the sum over every field.
+    over the half period, and the tiles are multiplied elementwise, so no
+    Kronecker symbol is evaluated.  A field's table is read twice, by
+    lattice.class_number and once to build the field's power sums in
+    bernoulli, so the memo keeps one: a scan holds O(|D|) residues, not
+    the sum over every field.
     """
     _require_fundamental(D)
-    q = abs(D)
     odd = D
     factors = []
     if D % 4 == 0:
@@ -245,16 +244,13 @@ def chi_table(D: int) -> tuple[int, ...]:
         factors.append(_TWO_PART_TABLES[two])
         odd = D // two
     factors += [_legendre_table(p) for p in _prime_factors(abs(odd))]
-    half = q // 2 + 1  # a = 0, ..., q//2
+    half = (abs(D) + 1) // 2
     tiles = [(table * (half // len(table) + 1))[:half] for table in factors]
     chi = tiles[0] if tiles else b"\1"
     for tile in tiles[1:]:
         pairs = 3 * int.from_bytes(chi, "big") + int.from_bytes(tile, "big")
         chi = pairs.to_bytes(half, "big").translate(_PRODUCT)
-    rest = chi[(q - 1) // 2 : 0 : -1]  # chi(q - a) for a = q//2 + 1, ..., q - 1
-    if D < 0:
-        rest = rest.translate(_NEGATE)
-    return tuple(memoryview((chi + rest).translate(_SIGNED)).cast("b"))
+    return tuple(memoryview(chi.translate(_SIGNED)).cast("b"))
 
 
 @dataclass(frozen=True, order=True)

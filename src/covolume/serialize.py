@@ -218,7 +218,7 @@ def _json_saturated(v: float) -> float | str:
     # volumes, closed-form growth ratios and hwang bounds past IEEE range
     # saturate to inf upstream; JSON numbers cannot carry infinity, so
     # the saturated value travels as the string "inf" and parses back
-    # through float()
+    # through _saturated_from_json
     if math.isinf(v) and v > 0:
         return "inf"
     return v
@@ -235,8 +235,18 @@ def _volume_json(v: float | tuple[float, float]) -> Any:
 
 def _volume_from_json(obj: Any) -> float | tuple[float, float]:
     if isinstance(obj, dict):
-        return (float(obj["lower"]), float(obj["upper"]))
-    return float(obj)
+        return (_saturated_from_json(obj["lower"]), _saturated_from_json(obj["upper"]))
+    return _saturated_from_json(obj)
+
+
+def _saturated_from_json(obj: Any) -> float:
+    # what _json_saturated writes: a finite number, or exactly "inf"
+    if obj == "inf":
+        return math.inf
+    v = float(obj)
+    if not math.isfinite(v):
+        raise ValueError(f"not a volume: {obj!r}")
+    return v
 
 
 def format_volume(v: float | tuple[float, float]) -> str:

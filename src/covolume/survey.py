@@ -417,51 +417,30 @@ def hwang_bound(n: int, k: int) -> NumericValue:
 
     k (4 pi)^n / (n! (P(4) - P(2))) * (1 - (n+1)/(P(4) - P(2))) with
     P(l) = (nl+n+l)! / (n! (nl+l)!).  The combinatorial part is an exact
-    rational; only the final power of pi is floating point, so wherever
-    the k = 1 value is a normal double the bound is exactly k times it,
-    and inf where that product overflows, as volumes saturate.  It
-    decays to zero as n grows.  From n = 114 the rational is below the
-    normal double range, so the bound comes from logarithms, with an
-    error bound widened by their rounding.  Where the k = 1 bound is
-    below the normal range too (subnormal from n = 172, 0.0 from
-    n = 179), a k > 1 bound is the exact product of k, the rational and
-    (4 pi)^n, with pi rounded to a double, divided out once; so it can
-    still be a normal double: n = 300 with k = 2^1024 gives about
-    5.6e-302, not 0.0.
+    rational; times (4 pi)^n, with pi rounded to a double, it is one
+    quotient of integers, which int division rounds once, subnormal
+    results included: that is the k = 1 bound.  Wherever it is a normal
+    double the bound is exactly k times it, and inf where that product
+    overflows, as volumes saturate.  It decays to zero as n grows, below
+    the normal range from n = 172 and to 0.0 from n = 179; there a k > 1
+    bound is k times the exact quotient, rounded once, so it can still
+    be a normal double: n = 300 with k = 2^1024 gives about 5.6e-302.
     """
     require_int(n, "n", 2, InvalidDimension)
     require_int(k, "k", 1)
     p4 = math.comb(4 * n + n + 4, n)
     p2 = math.comb(2 * n + n + 2, n)
     gap = p4 - p2
-    rational = Fraction(gap - (n + 1), math.factorial(n) * gap * gap)
-    unit = float(rational)
-    if unit >= 2.0**-1022:  # a normal double
-        value = _saturated_product(k, unit * (4 * math.pi) ** n)
-        return NumericValue(value, abs(value) * (n + 2) * 5e-16)
-    log_power = n * math.log(4 * math.pi)
-    one = math.exp(lattice._log_fraction(rational) + log_power)
-    if one >= 2.0**-1022 or k == 1:
-        value = _saturated_product(k, one)
-        # log num, log den and log_power are each off by a few ulps of
-        # themselves, and num < den; exp turns that absolute error into a
-        # relative one, rounds once more, and is off by up to an ulp of
-        # 0.0 below the normal range
-        rel = 1e-15 * (2 * math.log(rational.denominator) + log_power) + 5e-16
-        return NumericValue(value, abs(value) * rel + math.ulp(0.0))
-    # math.pi is within 4e-17 of pi, relatively, so (4 pi)^n within n 4e-17
-    value = _saturated_product(k, rational * Fraction(4 * math.pi) ** n)
-    return NumericValue(value, abs(value) * (n * 4e-17 + 2.3e-16) + math.ulp(0.0))
-
-
-def _saturated_product(k: int, x: float | Fraction) -> float:
-    """k * x for x >= 0, correctly rounded, and inf where it overflows.
-
-    The product is exact before its one rounding, subnormal results
-    included, so for a float x it equals the float k * x wherever k
-    converts exactly, and k may be past double range.
-    """
+    m, e = (4 * math.pi).as_integer_ratio()
+    num = (gap - (n + 1)) * m**n
+    den = math.factorial(n) * gap * gap * e**n
+    one = num / den
+    if one >= 2.0**-1022:  # a normal double, so the bound is k * one
+        num, den = one.as_integer_ratio()
     try:
-        return float(k * Fraction(x))
+        value = k * num / den
     except OverflowError:
-        return math.inf
+        value = math.inf
+    # math.pi is within 4e-17 of pi, relatively, so (4 pi)^n within n 4e-17;
+    # below the normal range the rounding is off by up to an ulp of 0.0
+    return NumericValue(value, abs(value) * (n * 4e-17 + 2.3e-16) + math.ulp(0.0))

@@ -282,12 +282,13 @@ class TestClassNumber:
         with pytest.raises(InternalDefect, match="3 reduced forms but class number 5"):
             lattice.h_torsion(f23, 5)
 
-    def test_non_integral_formula_is_a_defect(self, monkeypatch, f23):
-        # chi_-23 is 1 at 2 and -1 at 5 and 7: flipping all three makes
-        # T_0 = 5 and 2 - chi(2) = 3, so h would be 5/3
-        self._flip(monkeypatch, 2, 5, 7)
+    def test_non_integral_formula_is_a_defect(self, monkeypatch):
+        # chi_-11 is 1, -1, 1, 1, 1 at a = 1..5, so T_0 = 3 and
+        # 2 - chi(2) = 3: flipping chi(1) makes T_0 = 1, so h would be 1/3
+        f11 = quadfield.from_squarefree_d(11)
+        self._flip(monkeypatch, 1)
         with pytest.raises(InternalDefect, match="class number formula fails"):
-            lattice.class_number(f23)
+            lattice.class_number(f11)
 
     def test_torsion_memo_is_bounded(self):
         covolume.clear_caches()

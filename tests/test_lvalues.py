@@ -110,7 +110,7 @@ class TestLNumeric:
 
     def test_partial_sum_cross_check(self, f3):
         # direct chi(n)/n^2 summation with an Abel tail bound ~ 2q/N^2
-        chi = np.array(quadfield.chi_table(-3), dtype=np.float64)
+        chi = np.array(oracles.chi_table_per_residue(-3), dtype=np.float64)
         n = np.arange(1, 1_200_001)
         signs = chi[n % 3]
         reference = float(np.sum(signs / n.astype(np.float64) ** 2))
@@ -121,7 +121,7 @@ class TestLNumeric:
         for field in fields_100:
             if field.disc_abs > 40:
                 continue
-            chi = quadfield.chi_table(field.disc_signed)
+            chi = oracles.chi_table_per_residue(field.disc_signed)
             for s in range(2, 13):
                 got = lvalues.l_numeric(field, s)
                 truth = oracles.l_function_mp(field.disc_signed, s, chi)
@@ -151,7 +151,7 @@ class TestLNumeric:
         # q^s overflows a double from here on; the value still lies
         # within its bound of the mpmath series
         field = quadfield.from_squarefree_d(d)
-        chi = quadfield.chi_table(field.disc_signed)
+        chi = oracles.chi_table_per_residue(field.disc_signed)
         with pytest.raises(OverflowError):
             float(field.disc_abs) ** s
         got = lvalues.l_numeric(field, s)

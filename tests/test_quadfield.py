@@ -179,25 +179,35 @@ class TestKroneckerSymbol:
             quadfield.kronecker_symbol(-3, m)
 
     def test_chi_table(self):
-        assert quadfield.chi_table(-3) == (0, 1, -1)
-        assert quadfield.chi_table(-4) == (0, 1, 0, -1)
+        # the half period a < |D|/2: no entry at a = 2 when |D| is 3 or 4
+        assert quadfield.chi_table(-3) == (0, 1)
+        assert quadfield.chi_table(-4) == (0, 1)
         for D in (-3, -4, -7, -20, -23):
             table = quadfield.chi_table(D)
-            assert len(table) == abs(D)
-            assert sum(table) == 0  # odd character sums to zero
+            assert len(table) == (abs(D) + 1) // 2
+            # an odd character sums to zero over the full period, so its
+            # half sums to T_0 = 2 (2 - chi(2)) h / w, h counted by forms
+            field = quadfield.from_squarefree_d(-D // 4 if D % 4 == 0 else -D)
+            h = quadfield.reduced_forms(field).h
+            chi2 = quadfield.kronecker_symbol(D, 2)
+            assert sum(table) * field.mu_order == 2 * (2 - chi2) * h, D
 
     def test_character_is_odd(self, fields_100):
+        # chi(q - a) = -chi(a), the reflection the half-period table leaves out
         for field in fields_100:
-            table = quadfield.chi_table(field.disc_signed)
+            D = field.disc_signed
             q = field.disc_abs
             for a in range(1, q):
-                assert table[a] == -table[q - a], (field.d, a)
+                assert quadfield.kronecker_symbol(D, q - a) == (
+                    -quadfield.kronecker_symbol(D, a)
+                ), (field.d, a)
 
 
 class TestSievedChiTable:
-    """The half-period tiled table against the kernels it replaced: one
-    Kronecker symbol per residue, the sieve with one Kronecker symbol per
-    prime, and the tiles over the full period."""
+    """The half-period tiled table against the first (|D| + 1) // 2
+    entries of the kernels it replaced: one Kronecker symbol per residue,
+    the sieve with one Kronecker symbol per prime, and the tiles over the
+    full period."""
 
     def test_matches_per_residue_oracle(self):
         count = 0
@@ -205,15 +215,16 @@ class TestSievedChiTable:
             if quadfield.is_fundamental_discriminant(D):
                 # the unmemoized body, so the suite does not keep millions of entries
                 table = quadfield.chi_table.__wrapped__(D)
-                assert table == oracles.chi_table_per_residue(D), D
-                assert table == oracles.chi_table_sieved(D), D
-                assert table == oracles.chi_table_full_period(D), D
+                half = (abs(D) + 1) // 2
+                assert table == oracles.chi_table_per_residue(D)[:half], D
+                assert table == oracles.chi_table_sieved(D)[:half], D
+                assert table == oracles.chi_table_full_period(D)[:half], D
                 count += 1
         assert count == 1821  # both signs, D = 1 included
 
     @pytest.mark.parametrize("D", [1, 5, 8, 12, -3, -4, -84, -163, -1995, 2993])
     def test_tiled_table_calls_no_kronecker(self, monkeypatch, D):
-        expected = oracles.chi_table_per_residue(D)
+        expected = oracles.chi_table_per_residue(D)[: (abs(D) + 1) // 2]
 
         def forbidden(D, m):
             raise AssertionError(f"kronecker_symbol({D}, {m}) called")
@@ -232,7 +243,8 @@ class TestChiTableMemo:
         # every 25th field, read again after the scan evicted it
         for row in rows[::25]:
             D = -row.disc
-            assert quadfield.chi_table(D) == oracles.chi_table_sieved(D), D
+            half = oracles.chi_table_sieved(D)[: (abs(D) + 1) // 2]
+            assert quadfield.chi_table(D) == half, D
             assert quadfield.chi_table.cache_info().currsize == 1
             field = quadfield.from_squarefree_d(row.d)
             assert row.nu == oracles.nu_by_loop(field, 2), D

@@ -164,6 +164,27 @@ class TestScalarCodecs:
         assert serialize.parse_volume("inf") == math.inf
         assert serialize.format_volume((1.5, math.inf)) == "1.5..inf"
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["NaN", "-Infinity", "Infinity", "1e999",
+         '"nan"', '"-inf"', '"Infinity"', '"1e999"', '"INF"', '" inf"'],
+    )
+    def test_rejects_volumes_never_written(self, bad):
+        # the writer emits a finite number or exactly "inf"; json.loads
+        # reads the bare NaN, -Infinity and 1e999 as non-finite floats
+        from covolume import lattice, quadfield
+
+        row = lattice.covolume_result(quadfield.from_squarefree_d(3), 9)
+        record = serialize.row_to_record(row)
+        assert serialize.row_from_record(dict(record, volume=1)).volume == 1.0
+        obj = json.loads(bad)
+        for volume in (obj, {"lower": 1.5, "upper": obj}):
+            with pytest.raises(ValueError):
+                serialize.row_from_record(dict(record, volume=volume))
+        for cell in (bad.strip('"'), "1.5.." + bad.strip('"')):
+            with pytest.raises(ValueError):
+                serialize.parse_volume(cell)
+
     def test_epsilon_codec(self):
         assert serialize.format_epsilon(EpsilonStatus("irrelevant", 1, 1)) == (
             "irrelevant"

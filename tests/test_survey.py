@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 import covolume
-from covolume import bernoulli, cli, lattice, lvalues, quadfield, survey
+from covolume import bernoulli, cli, lattice, lvalues, quadfield, serialize, survey
 from covolume.errors import (
     InternalDefect,
     InvalidDimension,
@@ -389,6 +389,18 @@ class TestClosedFormOracle:
             assert expected == n_max
 
 
+def _hwang_mp(n):
+    """The one-cusp hwang bound with pi unrounded, at mpmath's working precision."""
+    p4 = math.comb(4 * n + n + 4, n)
+    p2 = math.comb(2 * n + n + 2, n)
+    gap = p4 - p2
+    return (
+        mpmath.mpf(gap - (n + 1))
+        / (mpmath.mpf(math.factorial(n)) * gap * gap)
+        * (4 * mpmath.pi) ** n
+    )
+
+
 class TestHwangBound:
     def test_combinatorics_at_two(self):
         p4 = math.comb(2 * 4 + 2 + 4, 2)
@@ -423,19 +435,11 @@ class TestHwangBound:
             ).value
 
     def test_within_error_bound_of_mpmath(self):
-        # float(rational) goes subnormal from n = 114 and underflows from
-        # n = 119; the bound itself goes subnormal at n = 172 and leaves
-        # the double range at n = 179, where k joins it through log k
+        # the bound goes subnormal at n = 172 and leaves the double range
+        # at n = 179, where k multiplies the exact quotient
         with mpmath.workdps(40):
             for n in range(2, 301):
-                p4 = math.comb(4 * n + n + 4, n)
-                p2 = math.comb(2 * n + n + 2, n)
-                gap = p4 - p2
-                exact = (
-                    mpmath.mpf(gap - (n + 1))
-                    / (mpmath.mpf(math.factorial(n)) * gap * gap)
-                    * (4 * mpmath.pi) ** n
-                )
+                exact = _hwang_mp(n)
                 got = survey.hwang_bound(n, 1)
                 assert abs(got.value - exact) <= got.abs_error_bound, n
                 for k in (3, 1000):
@@ -445,6 +449,19 @@ class TestHwangBound:
                     assert abs(got_k.value - k * exact) <= got_k.abs_error_bound, (n, k)
         assert survey.hwang_bound(178, 1).value > 0
         assert survey.hwang_bound(179, 1).value == 0.0
+
+    def test_prints_the_true_bound_to_twelve_digits(self):
+        # a bound rounded more than once can miss the 12th digit: through
+        # logarithms, n = 125, k = 2 printed 4.11824173551e-207 for
+        # 4.1182417355048e-207.  A subnormal holds fewer than 12 digits.
+        with mpmath.workdps(40):
+            for n in range(2, 301):
+                for k in (1, 2, 3):
+                    exact = k * _hwang_mp(n)
+                    if exact < 2.0**-1022:
+                        continue
+                    printed = serialize.format_float(survey.hwang_bound(n, k).value)
+                    assert float(printed) == float(mpmath.nstr(exact, 12)), (n, k)
 
     @pytest.mark.parametrize(
         "n, k, value",
@@ -465,18 +482,10 @@ class TestHwangBound:
 
     def test_error_bound_covers_huge_cusp_count(self):
         # value(1) underflows from n = 179, but 2^1024 times the true bound
-        # at n = 300 is about 5.6e-302, a normal double that log k reaches
+        # at n = 300 is about 5.6e-302, a normal double
         n, k = 300, 2**1024
-        p4 = math.comb(4 * n + n + 4, n)
-        p2 = math.comb(2 * n + n + 2, n)
-        gap = p4 - p2
         with mpmath.workdps(40):
-            exact = (
-                k
-                * mpmath.mpf(gap - (n + 1))
-                / (mpmath.mpf(math.factorial(n)) * gap * gap)
-                * (4 * mpmath.pi) ** n
-            )
+            exact = k * _hwang_mp(n)
             assert 5.5e-302 < exact < 5.7e-302
             got = survey.hwang_bound(n, k)
             assert abs(got.value - exact) <= got.abs_error_bound
