@@ -671,6 +671,8 @@ GOLDEN_STDOUT = {
     "scan --n 2 --max-disc 3000 --format csv": "952393bfb0fb13e4e6444ac5233f3adf5e8ca3872da371035e10a3fef24c9aa3",
     "scan --n 11 --max-disc 600 --format json": "67e70ffa96d0ee36e65c36e9b3847fd70444b4dd50eb28985e4857cd56a1f654",
     "nu --d 15015 --n 10 --format json": "6206de448acac6bbde505ef6070a94d91d1405bf8bc7827758d8281ab7ad7ff8",
+    "growth --d 3 --n-min 2 --n-max 400 --format json": "52e3849715d2aa73f300e79b04fc60b18b63b67bf778e5d8b13c376282a830ea",
+    "growth --d 15 --n-min 2 --n-max 40 --format json": "18ec4d5ce0d0b7be5d5ef92cd1d0b87b4b051752c2c3009adf983686c56b8152",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under
