@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from . import quadfield
@@ -28,25 +28,35 @@ _lock = threading.Lock()
 _even_table: list[Fraction] = [Fraction(1)]  # _even_table[j] holds B_{2j}
 
 
-def _next_even(table: list[Fraction]) -> Fraction:
-    """B_{2m} for m = len(table), from sum_{i<n} C(n+1, i) B_i = -B_n * (n+1).
+def _even_values(start: int, stop: int) -> list[Fraction]:
+    """B_2k for start <= k < stop (start >= 1), from tangent numbers.
 
-    Odd-index terms vanish except B_1, whose C(n+1, 1) * (-1/2)
-    contribution is folded in directly.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with the tangent numbers
+    T_1, ..., T_(stop-1) from Algorithm TangentNumbers of Brent & Harvey,
+    "Fast computation of Bernoulli, tangent and secant numbers" (2011):
+    O(stop^2) small-integer steps, and no rational arithmetic until the
+    one division per value.
     """
-    m = len(table)
-    n = 2 * m
-    s = Fraction(0)
-    for j in range(m):
-        s += comb(n + 1, 2 * j) * table[j]
-    s -= Fraction(n + 1, 2)
-    return -s / (n + 1)
+    m = stop - 1
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = []
+    for k in range(start, stop):
+        four = 4**k
+        value = Fraction(2 * k * t[k], four * (four - 1))
+        out.append(value if k % 2 else -value)
+    return out
 
 
 def bernoulli_number(k: int) -> Fraction:
     """B_k with B_1 = -1/2.
 
-    The even table is filled once under a lock and entries are never
+    The even table grows by at least doubling, under a lock, so B_0..B_K
+    asked in order build it about log2(K) times; entries are never
     mutated afterwards, so concurrent callers always observe identical
     values no matter how their calls interleave.  The table is read
     through one local name, since clear_caches may swap it mid-call.
@@ -62,8 +72,9 @@ def bernoulli_number(k: int) -> Fraction:
     table = _even_table
     if j >= len(table):
         with _lock:
-            while j >= len(table):
-                table.append(_next_even(table))
+            size = len(table)
+            if j >= size:
+                table.extend(_even_values(size, max(j + 1, 2 * size)))
     return table[j]
 
 
@@ -92,12 +103,23 @@ def _cleared_poly(k: int) -> tuple[tuple[int, ...], int]:
 
     Returns (c_0, c_1, ...) with c_j = M C(k, 2j) (2^(2j) - 2) B_2j, and
     M 2^(k-1), where M is the least common denominator of the
-    C(k, i) (2^i - 2) B_i.  Only the even i are kept, and nothing depends
-    on a conductor, so one entry per odd index k serves every field.
+    C(k, i) (2^i - 2) B_i.  Each term is an integer numerator over a
+    divisor of B_i's small squarefree denominator, reduced by one gcd
+    with it, and C(k, i) is stepped from C(k, i - 2) by one exact
+    division, so M is the lcm of those divisors and no Fraction
+    arithmetic runs.  Only the even i are kept, and nothing depends on a
+    conductor, so one entry per odd index k serves every field.
     """
-    coeffs = [comb(k, i) * (2**i - 2) * bernoulli_number(i) for i in range(0, k, 2)]
-    m = lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * m) for c in coeffs), m << (k - 1)
+    terms = []  # C(k, i) (2^i - 2) B_i as a reduced (numerator, denominator)
+    binom = 1  # C(k, i)
+    for i in range(0, k, 2):
+        b = bernoulli_number(i)
+        t = binom * (2**i - 2)
+        g = gcd(t, b.denominator)
+        terms.append((t // g * b.numerator, b.denominator // g))
+        binom = binom * (k - i) * (k - i - 1) // ((i + 1) * (i + 2))
+    m = lcm(*(den for _, den in terms))
+    return tuple(num * (m // den) for num, den in terms), m << (k - 1)
 
 
 def generalized_bernoulli(k: int, D: int) -> Fraction:

@@ -152,52 +152,66 @@ def _prefix_of(D: int) -> list[Fraction]:
     return [Fraction(1)]
 
 
+def _pair(field: QuadField, j: int) -> Fraction:
+    """zeta(1-2j) L(-2j, chi) = -B_2j L(-2j, chi) / 2j, for j >= 1.
+
+    One small Fraction, normalized once: P(j) / P(j-1), which is positive.
+    """
+    b = bernoulli.bernoulli_number(2 * j)
+    el = lvalues.l_negative(field, 2 * j + 1)
+    return Fraction(-b.numerator * el.numerator, 2 * j * b.denominator * el.denominator)
+
+
 def _l_product(field: QuadField, m: int) -> Fraction:
     """P(m) = prod_{j<=m} zeta(1-2j) L(-2j, chi), with P(0) = 1.
 
     Read from one append-only list P(0), P(1), ... that belongs to the
-    field asked last (_prefix_of) and grows one factor pair at a time
-    under _lock, so a sweep over n = 2..N of one field pays for each
-    L-value once.  Each pair zeta(1-2j) L(-2j, chi) = -B_2j L / 2j is
-    one small Fraction, normalized once, so extending the list costs one
-    product against the prefix.  A new field gets a fresh list and
-    clear_caches drops it; entries are never mutated, so a prefix read
-    from the list never goes stale.
+    field asked last (_prefix_of) and grows one _pair at a time under
+    _lock, so a sweep over n = 2..N of one field pays for each L-value
+    once, and extending the list costs one product against the prefix.
+    A new field gets a fresh list and clear_caches drops it; entries are
+    never mutated, so a prefix read from the list never goes stale.
     """
     prefix = _prefix_of(field.disc_signed)
     with _lock:
         while len(prefix) <= m:
-            j = len(prefix)
-            b = bernoulli.bernoulli_number(2 * j)
-            el = lvalues.l_negative(field, 2 * j + 1)
-            pair = Fraction(
-                -b.numerator * el.numerator, 2 * j * b.denominator * el.denominator
-            )
-            prefix.append(prefix[-1] * pair)
+            prefix.append(prefix[-1] * _pair(field, len(prefix)))
         return prefix[m]
+
+
+def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
+    """F(n), the factor of nu(n) = F(n) P(floor(n/2)) besides the L-product.
+
+    (n+1) / (2^n h_{ell,n+1}), times (-1)^((n+1)/2) zeta(-n) eps at odd
+    n, which is positive.  eps = 2 when r = 1; otherwise eps in [2, 2^r]
+    widens F to an interval.  Its size grows like n log n digits, against
+    n^2 log n for P.
+    """
+    sign = -1 if n % 4 == 1 else 1  # (-1)^((n+1)/2) at odd n
+    small = Fraction(sign * (n + 1), 2**n * h_torsion(field, n + 1))
+    if n % 2 == 0:
+        return small
+    small *= lvalues.zeta_negative(n + 1)  # zeta(-n)
+    eps = epsilon_status(field, n)
+    if eps.exact:
+        return small * 2
+    return Interval(small * eps.lower, small * eps.upper)
 
 
 def nu(field: QuadField, n: int) -> ExactOrInterval:
     """Normalized Euler-Poincare covolume of Gamma_ell in PU(n,1).
 
-    (n+1) / (2^n h_{ell,n+1}) * P(floor(n/2)), times (-1)^((n+1)/2)
-    zeta(-n) eps at odd n, with P read from the field's prefix list
-    (_l_product).  eps = 2 when r = 1; otherwise eps in [2, 2^r] widens
-    the value to an interval.  The small factors are combined first, so
-    the large P enters one product per endpoint.
+    F(n) P(floor(n/2)): the small factor F (_small_factor), exact or an
+    interval, times the L-product P read from the field's prefix list
+    (_l_product).  The small factors are combined first, so the large P
+    enters one product per endpoint.
     """
     require_int(n, "n", 2, InvalidDimension)
-    sign = -1 if n % 4 == 1 else 1  # (-1)^((n+1)/2) at odd n
-    small = Fraction(sign * (n + 1), 2**n * h_torsion(field, n + 1))
-    if n % 2:
-        small *= lvalues.zeta_negative(n + 1)  # zeta(-n)
+    small = _small_factor(field, n)
     prefix = _l_product(field, n // 2)
-    if n % 2 == 0:
+    if is_exact(small):
         return small * prefix
-    eps = epsilon_status(field, n)
-    if eps.exact:
-        return small * 2 * prefix
-    return Interval(small * eps.lower * prefix, small * eps.upper * prefix)
+    return Interval(small.lower * prefix, small.upper * prefix)
 
 
 def _chi_of(v: ExactOrInterval, n: int) -> ExactOrInterval:

@@ -398,25 +398,41 @@ def inverse_class(g: FormClass) -> FormClass:
     return FormClass(*_reduce_triple(g.a, -g.b, g.c))
 
 
+def _power_triple(f: tuple[int, int, int], m: int, D: int) -> tuple[int, int, int]:
+    """The reduced form f composed with itself m >= 1 times, as a triple.
+
+    Binary powering on triples through _compose_triples: no FormClass is
+    built and no discriminant re-derived per step, and the identity is
+    never composed in.
+    """
+    result = None
+    while True:
+        if m & 1:
+            result = f if result is None else _compose_triples(result, f, D)
+        m >>= 1
+        if not m:
+            return result
+        f = _compose_triples(f, f, D)
+
+
 def class_power(g: FormClass, m: int, group: ClassGroup) -> FormClass:
     """g composed with itself m times (m >= 0; m = 0 gives the identity)."""
     require_int(m, "exponent", 0)
-    result = group.principal
-    base = g
-    while m:
-        if m & 1:
-            result = compose(result, base, group)
-        m >>= 1
-        if m:
-            base = compose(base, base, group)
-    return result
+    if m == 0:
+        return group.principal
+    D = group.field.disc_signed
+    if g.discriminant != D:
+        raise DiscriminantMismatch(f"form {g} does not have discriminant {D}")
+    return FormClass(*_power_triple(_reduce_triple(g.a, g.b, g.c), m, D))
 
 
 def torsion_count(group: ClassGroup, m: int) -> int:
     """Number of classes g with g^m equal to the principal class."""
     require_int(m, "m", 1)
-    e = group.principal
-    return sum(1 for g in group.classes if class_power(g, m, group) == e)
+    D = group.field.disc_signed
+    p = group.principal
+    e = (p.a, p.b, p.c)
+    return sum(_power_triple((g.a, g.b, g.c), m, D) == e for g in group.classes)
 
 
 def clear_caches() -> None:

@@ -42,6 +42,10 @@ __all__ = [
 
 _T = TypeVar("_T")
 
+# 4 pi = _FOUR_PI / 2^_FOUR_PI_BITS to within 1.4e-43, relatively (42 digits)
+_FOUR_PI = 0xC90FDAA22168C234C4C6628B80DC1CD1290
+_FOUR_PI_BITS = 136
+
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -347,11 +351,13 @@ def _closed_form_ratio(field: QuadField, n: int) -> float:
 def growth_ratio(field: QuadField, n: int) -> GrowthReport:
     """Exact ratio nu(n+1)/nu(n), cross-checked against its closed form.
 
-    The quotient of exact values is the ground truth.  For fields with
-    a single ramified prime it must match the functional-equation form
-    to within 1e-6 relative (in practice it matches to near machine
-    precision); a larger deviation means an internal defect and raises.
-    Ratios past double range are compared through their logarithms.
+    The exact ratio, formed from the small factors of the two nu values
+    and at odd n one L-factor pair (see _growth_reports), is the ground
+    truth.  For fields with a single ramified prime it must match the
+    functional-equation form to within 1e-6 relative (in practice it
+    matches to near machine precision); a larger deviation means an
+    internal defect and raises.  Ratios past double range are compared
+    through their logarithms.
     """
     require_int(n, "n", 2, InvalidDimension)
     return next(_growth_reports(field, range(n, n + 1)))
@@ -360,22 +366,28 @@ def growth_ratio(field: QuadField, n: int) -> GrowthReport:
 def _growth_reports(field: QuadField, dims: range) -> Iterator[GrowthReport]:
     """growth_ratio(field, n) for each n of dims, an ascending run of step 1.
 
-    nu(n+1) of each step is carried to the next as its nu(n), so the
-    whole run computes every nu once.
+    nu(n) = F(n) P(floor(n/2)) (lattice._small_factor), so the L-product
+    cancels from q(n) = nu(n+1)/nu(n) but for one factor pair at odd
+    n = 2m + 1: q(n) = F(n+1) P(m+1)/P(m) / F(n), where F(n+1) is exact.
+    F and the pair are positive, and F(n+1) of each step is carried to
+    the next as its F(n), so a run computes no nu and no prefix product.
     """
     if dims.step != 1:
         raise InternalDefect(f"growth runs ascend by 1, got {dims}")
-    nu_n = lattice.nu(field, dims.start) if dims else None
+    f_n = lattice._small_factor(field, dims.start) if dims else None
     for n in dims:
-        nu_next = lattice.nu(field, n + 1)
-        yield _growth_report(field, n, nu_n, nu_next)
-        nu_n = nu_next
+        f_next = lattice._small_factor(field, n + 1)
+        numer = f_next * lattice._pair(field, n // 2 + 1) if n % 2 else f_next
+        yield _growth_report(field, n, f_n, numer)
+        f_n = f_next
 
 
 def _growth_report(
-    field: QuadField, n: int, nu_n: ExactOrInterval, nu_next: ExactOrInterval
+    field: QuadField, n: int, denom: ExactOrInterval, numer: ExactOrInterval
 ) -> GrowthReport:
-    q = _ratio(nu_next, nu_n)
+    """The report of q(n) = numer / denom, positive values whose quotient
+    is nu(n+1)/nu(n)."""
+    q = _ratio(numer, denom)
     q_low = lattice._lower(q)
     if q_low <= 0:
         raise InternalDefect(f"growth ratio at n = {n} is not positive: {q}")
@@ -417,9 +429,9 @@ def hwang_bound(n: int, k: int) -> NumericValue:
 
     k (4 pi)^n / (n! (P(4) - P(2))) * (1 - (n+1)/(P(4) - P(2))) with
     P(l) = (nl+n+l)! / (n! (nl+l)!).  The combinatorial part is an exact
-    rational; times (4 pi)^n, with pi rounded to a double, it is one
-    quotient of integers, which int division rounds once, subnormal
-    results included: that is the k = 1 bound.  Wherever it is a normal
+    rational; times (4 pi)^n, with 4 pi as the 42-digit ratio _FOUR_PI,
+    it is one quotient of integers, which int division rounds once,
+    subnormal results included: that is the k = 1 bound.  Wherever it is a normal
     double the bound is exactly k times it, and inf where that product
     overflows, as volumes saturate.  It decays to zero as n grows, below
     the normal range from n = 172 and to 0.0 from n = 179; there a k > 1
@@ -431,9 +443,8 @@ def hwang_bound(n: int, k: int) -> NumericValue:
     p4 = math.comb(4 * n + n + 4, n)
     p2 = math.comb(2 * n + n + 2, n)
     gap = p4 - p2
-    m, e = (4 * math.pi).as_integer_ratio()
-    num = (gap - (n + 1)) * m**n
-    den = math.factorial(n) * gap * gap * e**n
+    num = (gap - (n + 1)) * _FOUR_PI**n
+    den = (math.factorial(n) * gap * gap) << (_FOUR_PI_BITS * n)
     one = num / den
     if one >= 2.0**-1022:  # a normal double, so the bound is k * one
         num, den = one.as_integer_ratio()
@@ -441,6 +452,6 @@ def hwang_bound(n: int, k: int) -> NumericValue:
         value = k * num / den
     except OverflowError:
         value = math.inf
-    # math.pi is within 4e-17 of pi, relatively, so (4 pi)^n within n 4e-17;
-    # below the normal range the rounding is off by up to an ulp of 0.0
-    return NumericValue(value, abs(value) * (n * 4e-17 + 2.3e-16) + math.ulp(0.0))
+    # (4 pi)^n is within n 2e-43 of its ratio, relatively, far below the
+    # two roundings; below the normal range one is off by up to an ulp of 0.0
+    return NumericValue(value, abs(value) * 2.3e-16 + math.ulp(0.0))

@@ -22,7 +22,11 @@ enumeration that factored each d up to three times are kept the same way
 for the single term list, the ascending run and the one factorization
 per d that replaced them, and so is the Gauss composition with a branch
 per shared factor of the leading coefficients, replaced by Cohen's
-algorithm with two Bezout identities.
+algorithm with two Bezout identities.  The even Bernoulli recurrence,
+one entry per step, is the oracle of the tangent-number table; the
+cleared coefficients built from Fractions, of their integer build; and
+class powers through the public compose, one FormClass per step, of the
+powers on reduced triples.
 """
 
 from __future__ import annotations
@@ -52,6 +56,39 @@ def bernoulli_series(k_max: int) -> list[Fraction]:
             acc -= coeffs[j] / math.factorial(k - j + 1)
         coeffs.append(acc)
     return [math.factorial(k) * c for k, c in enumerate(coeffs)]
+
+
+def next_even(table: list[Fraction]) -> Fraction:
+    """B_{2m} for m = len(table), from sum_{i<n} C(n+1, i) B_i = -B_n * (n+1).
+
+    table holds B_0, B_2, ..., B_{2m-2}.  Odd-index terms vanish except
+    B_1, whose C(n+1, 1) * (-1/2) contribution is folded in directly.
+    """
+    m = len(table)
+    n = 2 * m
+    s = Fraction(0)
+    for j in range(m):
+        s += math.comb(n + 1, 2 * j) * table[j]
+    s -= Fraction(n + 1, 2)
+    return -s / (n + 1)
+
+
+def even_bernoulli_by_recurrence(j_max: int) -> list[Fraction]:
+    """B_0, B_2, ..., B_{2 j_max}, one next_even step per entry."""
+    table = [Fraction(1)]
+    while len(table) <= j_max:
+        table.append(next_even(table))
+    return table
+
+
+def cleared_poly_by_fractions(k: int) -> tuple[tuple[int, ...], int]:
+    """bernoulli._cleared_poly(k) with every coefficient a Fraction."""
+    coeffs = [
+        math.comb(k, i) * (2**i - 2) * bernoulli.bernoulli_number(i)
+        for i in range(0, k, 2)
+    ]
+    m = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * m) for c in coeffs), m << (k - 1)
 
 
 def von_staudt_clausen_denominator(k: int) -> int:
@@ -372,6 +409,27 @@ def compose_triples_by_cases(
     if t % (4 * a3):
         raise InternalDefect(f"composition produced an invalid form at D = {D}")
     return quadfield._reduce_triple(a3, b3, t // (4 * a3))
+
+
+def class_power_by_form_classes(
+    g: quadfield.FormClass, m: int, group: quadfield.ClassGroup
+) -> quadfield.FormClass:
+    """g^m by binary powering through the public compose, from the identity."""
+    result = group.principal
+    base = g
+    while m:
+        if m & 1:
+            result = quadfield.compose(result, base, group)
+        m >>= 1
+        if m:
+            base = quadfield.compose(base, base, group)
+    return result
+
+
+def torsion_count_by_form_classes(group: quadfield.ClassGroup, m: int) -> int:
+    """Number of classes g with class_power_by_form_classes(g, m) principal."""
+    e = group.principal
+    return sum(1 for g in group.classes if class_power_by_form_classes(g, m, group) == e)
 
 
 def closed_form_ratio_float(field: quadfield.QuadField, n: int) -> float:

@@ -8,6 +8,7 @@ uses, so agreement actually checks something.
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+import math
 import random
 import sys
 
@@ -61,21 +62,33 @@ class TestBernoulliNumber:
         for k in (202, 262):
             assert bernoulli.bernoulli_number(k) == expected[k], k
 
-    def test_each_even_index_computed_once(self, monkeypatch):
-        # B_0..B_262 in order must extend the table one entry at a time,
-        # never rebuilding it, however far the index runs
+    def test_matches_recurrence_oracle(self):
+        # the tangent-number table against the recurrence it replaced
         bernoulli.clear_caches()
-        next_even = bernoulli._next_even
-        calls = []
+        expected = oracles.even_bernoulli_by_recurrence(600)
+        for j, value in enumerate(expected):
+            assert bernoulli.bernoulli_number(2 * j) == value, 2 * j
+        assert bernoulli.bernoulli_number(1) == Fraction(-1, 2)
+        assert all(bernoulli.bernoulli_number(k) == 0 for k in range(3, 1200, 2))
 
-        def counting(table):
-            calls.append(len(table))
-            return next_even(table)
+    def test_table_built_about_log2_times(self, monkeypatch):
+        # B_0..B_262 in order must grow the table by doubling: 131 even
+        # entries past B_0 take at most ceil(log2 131) + 1 builds
+        bernoulli.clear_caches()
+        even_values = bernoulli._even_values
+        builds = []
 
-        monkeypatch.setattr(bernoulli, "_next_even", counting)
+        def counting(start, stop):
+            builds.append((start, stop))
+            return even_values(start, stop)
+
+        monkeypatch.setattr(bernoulli, "_even_values", counting)
         for k in range(263):
             bernoulli.bernoulli_number(k)
-        assert len(calls) == 131
+        assert len(builds) <= math.ceil(math.log2(131)) + 1
+        assert len(bernoulli._even_table) >= 132
+        # each build starts where the table ended, so no entry is made twice
+        assert [start for start, _ in builds] == [1] + [stop for _, stop in builds[:-1]]
 
     @pytest.mark.parametrize("bad", [-1, -4, 2.0, "2", None, Fraction(2)])
     def test_rejects_bad_index(self, bad):
@@ -241,6 +254,11 @@ class TestHalfRangeKernel:
                 assert Fraction(poly, 2 * den) == (
                     bernoulli.bernoulli_polynomial_value(k, x)
                 ), (k, x)
+
+    def test_cleared_coefficients_match_fraction_oracle(self):
+        bernoulli.clear_caches()
+        for k in range(1, 302, 2):
+            assert bernoulli._cleared_poly(k) == oracles.cleared_poly_by_fractions(k), k
 
     def test_cleared_coefficients_shared_across_fields(self, fields_100):
         # M no longer depends on the conductor: one entry per index k

@@ -377,20 +377,26 @@ class TestGrowthCommand:
         assert records[0]["closed_form"] == "inf"
         assert all(r["rel_err"] <= 1e-6 for r in records)
 
-    def test_each_nu_computed_once(self, capsys, monkeypatch):
+    def test_no_nu_and_each_small_factor_once(self, capsys, monkeypatch):
+        # q(n) comes from F(n), F(n+1) and at odd n one L-factor pair,
+        # with F(n+1) carried to the next step, so no nu is computed
         calls = []
-        nu = lattice.nu
+        small = lattice._small_factor
 
         def counting(field, n):
             calls.append(n)
-            return nu(field, n)
+            return small(field, n)
 
-        monkeypatch.setattr(lattice, "nu", counting)
+        def forbidden(field, n):
+            raise AssertionError("growth computed a nu")
+
+        monkeypatch.setattr(lattice, "_small_factor", counting)
+        monkeypatch.setattr(lattice, "nu", forbidden)
         code, _, _ = run_cli(
             capsys, "growth", "--d", "3", "--n-min", "2", "--n-max", "40"
         )
         assert code == 0
-        assert sorted(calls) == list(range(2, 42))  # 40 calls for 39 ratios
+        assert sorted(calls) == list(range(2, 42))  # 40 factors for 39 ratios
 
     def test_rejects_inverted_range(self, capsys):
         code, _, err = run_cli(

@@ -399,6 +399,17 @@ class TestComposition:
         group3 = quadfield.reduced_forms(f3)
         with pytest.raises(DiscriminantMismatch):
             quadfield.compose(group3.principal, FormClass(2, 1, 3), group3)
+        for m in (1, 2, 5):
+            with pytest.raises(DiscriminantMismatch):
+                quadfield.class_power(FormClass(2, 1, 3), m, group3)
+
+    def test_power_of_an_unreduced_form_is_reduced(self, f23):
+        # (2, 5, 6) has discriminant -23 and reduces to (2, 1, 3)
+        group = quadfield.reduced_forms(f23)
+        for m in range(1, 7):
+            assert quadfield.class_power(FormClass(2, 5, 6), m, group) == (
+                oracles.class_power_by_form_classes(FormClass(2, 5, 6), m, group)
+            ), m
 
 
 class TestTorsion:
@@ -437,6 +448,22 @@ class TestTorsion:
                     assert quadfield.torsion_count(group, m * k) % (
                         quadfield.torsion_count(group, m)
                     ) == 0
+
+    def test_matches_form_class_oracle(self):
+        # powers on reduced triples against powers through compose, one
+        # FormClass per step, which they replaced
+        for field in quadfield.fields_with_disc_at_most(3000):
+            group = quadfield.reduced_forms(field)
+            for m in range(2, 13):
+                assert quadfield.torsion_count(group, m) == (
+                    oracles.torsion_count_by_form_classes(group, m)
+                ), (field.d, m)
+            if field.disc_abs <= 500:
+                for g in group.classes:
+                    for m in range(13):
+                        assert quadfield.class_power(g, m, group) == (
+                            oracles.class_power_by_form_classes(g, m, group)
+                        ), (field.d, g, m)
 
     def test_rejects_bad_exponent(self, f3):
         group = quadfield.reduced_forms(f3)

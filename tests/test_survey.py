@@ -5,6 +5,7 @@ growth certificates, and the cusped-volume lower bound.
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -175,7 +176,7 @@ class TestOverallMinimum:
 
     def test_growth_threshold_computes_each_nu_once(self, monkeypatch):
         # minimal_field asks for each (field, n) once; the n1 loop over
-        # the winner's ratios adds at most one more request per dimension
+        # the winner's ratios reads L-factor pairs and adds no request
         calls = []
         nu = lattice.nu
 
@@ -185,7 +186,7 @@ class TestOverallMinimum:
 
         monkeypatch.setattr(lattice, "nu", counting)
         assert survey.overall_minimum(16).growth_threshold_n1 == 15
-        assert [calls.count((3, n)) for n in (14, 15, 16)] == [2, 2, 2]
+        assert [calls.count((3, n)) for n in (14, 15, 16)] == [1, 1, 1]
 
 
 class TestFieldMajorSweep:
@@ -322,6 +323,25 @@ class TestGrowthRatio:
         expected = [survey.growth_ratio(field, n) for n in dims]
         assert list(survey._growth_reports(field, dims)) == expected
 
+    def test_factor_pairs_match_the_quotient_of_nu(self, fields_200):
+        # q(n) from F(n), F(n+1) and one L-factor pair against the quotient
+        # of the two nu values it replaced, intervals included (r > 1)
+        for field in fields_200:
+            nus = {n: lattice.nu(field, n) for n in range(2, 42)}
+            for report in survey._growth_reports(field, range(2, 41)):
+                n = report.n
+                assert report.q == survey._ratio(nus[n + 1], nus[n]), (field, n)
+
+    def test_run_computes_no_nu(self, f3, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("growth run reached the L-product")
+
+        monkeypatch.setattr(lattice, "nu", forbidden)
+        monkeypatch.setattr(lattice, "_l_product", forbidden)
+        reports = list(survey._growth_reports(f3, range(2, 60)))
+        assert reports[0].q == oracles.GROWTH_RATIOS[2]
+        assert reports[1].q == oracles.GROWTH_RATIOS[3]
+
     def test_rejects_descending_run(self, f3):
         with pytest.raises(InternalDefect):
             next(survey._growth_reports(f3, range(13, 1, -1)))
@@ -423,7 +443,10 @@ class TestHwangBound:
         )
         got = survey.hwang_bound(n, 1)
         assert abs(got.value - expected) <= 1e-13 * expected
-        assert abs(got.value - expected) <= got.abs_error_bound
+        # the error bound is a distance from the true value, which this
+        # float formula, with pi rounded to a double, is not
+        with mpmath.workdps(40):
+            assert abs(got.value - _hwang_mp(n)) <= got.abs_error_bound
 
     def test_exact_linearity_in_cusps(self):
         for n in (2, 5, 11):
@@ -453,12 +476,15 @@ class TestHwangBound:
     def test_prints_the_true_bound_to_twelve_digits(self):
         # a bound rounded more than once can miss the 12th digit: through
         # logarithms, n = 125, k = 2 printed 4.11824173551e-207 for
-        # 4.1182417355048e-207.  A subnormal holds fewer than 12 digits.
+        # 4.1182417355048e-207, and with pi rounded to a double, n = 80,
+        # k = 7 printed 8.24254748718e-117 for 8.242547487185e-117.  A
+        # subnormal holds fewer than 12 digits, and past double range the
+        # bound saturates to inf.
         with mpmath.workdps(40):
             for n in range(2, 301):
-                for k in (1, 2, 3):
+                for k in (1, 2, 3, 7, 2**1024):
                     exact = k * _hwang_mp(n)
-                    if exact < 2.0**-1022:
+                    if not 2.0**-1022 <= exact <= sys.float_info.max:
                         continue
                     printed = serialize.format_float(survey.hwang_bound(n, k).value)
                     assert float(printed) == float(mpmath.nstr(exact, 12)), (n, k)
@@ -520,7 +546,7 @@ class TestMemoInventory:
 
     @staticmethod
     def _memos():
-        modules = (bernoulli, quadfield, lvalues, lattice, survey, cli)
+        modules = (bernoulli, quadfield, lvalues, lattice, survey, serialize, cli)
         return {
             f"{mod.__name__.rpartition('.')[2]}.{name}": obj
             for mod in modules
@@ -530,6 +556,8 @@ class TestMemoInventory:
 
     def test_clear_caches_empties_every_memo(self):
         survey.scan(10, 400)
+        serialize.format_value(lattice.nu(quadfield.from_squarefree_d(3), 100))
+        assert serialize._power_of_two.cache_info().currsize
         covolume.clear_caches()
         held = {
             name: memo.cache_info().currsize
