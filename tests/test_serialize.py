@@ -318,16 +318,24 @@ class TestSharedPowers:
         with _digit_limit(640):  # the lowest limit Python allows
             assert [serialize._digits(v) for v in values] == expected
 
-    def test_two_threads(self):
+    def test_concurrent_threads(self):
+        # more threads than cores, one of every five calls clearing the table
         values, expected = _shared_cases()
         order = list(range(len(values))) * 2
         random.Random(5).shuffle(order)
+
+        def worker(pos):
+            if pos % 5 == 0:
+                covolume.clear_caches()
+            return serialize._digits(values[order[pos]])
+
         covolume.clear_caches()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                got = list(pool.map(lambda i: serialize._digits(values[i]), order))
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(worker, pos) for pos in range(len(order))]
+                got = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert got == [expected[i] for i in order]
