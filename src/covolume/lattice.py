@@ -185,8 +185,10 @@ def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
     (n+1) / (2^n h_{ell,n+1}), times (-1)^((n+1)/2) zeta(-n) eps at odd
     n, which is positive.  eps = 2 when r = 1; otherwise eps in [2, 2^r]
     widens F to an interval.  Its size grows like n log n digits, against
-    n^2 log n for P.
+    n^2 log n for P.  Raises InvalidDimension below n = 2, for nu and for
+    growth runs alike.
     """
+    require_int(n, "n", 2, InvalidDimension)
     sign = -1 if n % 4 == 1 else 1  # (-1)^((n+1)/2) at odd n
     small = Fraction(sign * (n + 1), 2**n * h_torsion(field, n + 1))
     if n % 2 == 0:
@@ -206,8 +208,7 @@ def nu(field: QuadField, n: int) -> ExactOrInterval:
     (_l_product).  The small factors are combined first, so the large P
     enters one product per endpoint.
     """
-    require_int(n, "n", 2, InvalidDimension)
-    small = _small_factor(field, n)
+    small = _small_factor(field, n)  # validates n
     prefix = _l_product(field, n // 2)
     if is_exact(small):
         return small * prefix

@@ -405,6 +405,15 @@ class TestGrowthCommand:
         assert code == 2
         assert "covolume:" in err
 
+    @pytest.mark.parametrize("n_min", ["1", "0", "-1"])
+    def test_rejects_start_below_two(self, capsys, n_min):
+        # the run's first F(n) checks n, before any row is written
+        code, out, err = run_cli(
+            capsys, "growth", "--d", "3", "--n-min", n_min, "--n-max", "4"
+        )
+        assert code == 2 and out == ""
+        assert "covolume:" in err and "Traceback" not in err
+
 
 class TestHwangCommand:
     def test_json(self, capsys):

@@ -9,19 +9,15 @@ through one format/parse pass first.
 
 import contextlib
 import dataclasses
-import functools
-import itertools
 import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-import covolume
 from covolume import serialize
 from covolume.lattice import CovolumeResult, EpsilonStatus, Interval
 
@@ -289,72 +285,6 @@ class TestDecimalDigits:
             assert [serialize.format_rational(x) for x in values] == expected
         finally:
             sys.set_int_max_str_digits(limit)
-
-
-# sizes in bits from one leaf past _LEAF_BITS to 10^6, interleaved so that
-# each conversion meets powers that another size built
-_SHARED_SIZES = (2049, 1_000_000, 4096, 70_001, 2050, 300_000, 16_385, 8191, 131_073)
-
-
-@functools.lru_cache(maxsize=1)
-def _shared_cases():
-    rng = random.Random(17)
-    values = [rng.getrandbits(b) | 1 << (b - 1) for b in _SHARED_SIZES]
-    values += [(1 << b) - 1 for b in _SHARED_SIZES[::2]]
-    with _no_digit_limit():
-        return values, [str(v) for v in values]
-
-
-class TestSharedPowers:
-    """_digits against str() while it shares one table of powers of two."""
-
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"),
-        reason="this Python has no int/str digit limit",
-    )
-    def test_interleaved_sizes_under_lowest_limit(self):
-        values, expected = _shared_cases()
-        covolume.clear_caches()
-        with _digit_limit(640):  # the lowest limit Python allows
-            assert [serialize._digits(v) for v in values] == expected
-
-    def test_concurrent_threads(self):
-        # more threads than cores, one of every five calls clearing the table
-        values, expected = _shared_cases()
-        order = list(range(len(values))) * 2
-        random.Random(5).shuffle(order)
-
-        def worker(pos):
-            if pos % 5 == 0:
-                covolume.clear_caches()
-            return serialize._digits(values[order[pos]])
-
-        covolume.clear_caches()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(worker, pos) for pos in range(len(order))]
-                got = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [expected[i] for i in order]
-
-    def test_across_clear_caches(self, monkeypatch):
-        # every third power lookup empties the table, mid-conversion too
-        values, expected = _shared_cases()
-        real = serialize._power_of_two
-        lookups = itertools.count()
-
-        def clearing(level):
-            if next(lookups) % 3 == 0:
-                covolume.clear_caches()
-            return real(level)
-
-        clearing.cache_clear = real.cache_clear
-        monkeypatch.setattr(serialize, "_power_of_two", clearing)
-        assert [serialize._digits(v) for v in values] == expected
-        assert next(lookups) > 3 * len(values)
 
 
 class TestParseRational:
