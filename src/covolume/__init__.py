@@ -76,3 +76,4 @@ def clear_caches() -> None:
     quadfield.clear_caches()
     lvalues.clear_caches()
     lattice.clear_caches()
+    serialize.clear_caches()

@@ -16,7 +16,9 @@ time both ways.  format_rational is the one place where exact
 rationals become text.  It hands magnitudes of at most _LEAF_BITS bits
 to str() and converts larger ones by the divide-and-conquer radix
 conversion of Brent & Zimmermann, Modern Computer Arithmetic, sec. 1.7,
-on the decimal module.  parse_rational is the one place where text
+on the decimal module, splitting at fixed levels whose powers of two
+are one package-level table, shared by every call and emptied by
+clear_caches.  parse_rational is the one place where text
 becomes an exact rational.  It hands digit strings of at most
 _LEAF_DIGITS digits to int() and splits longer ones in halves,
 recombined by products with powers of ten.  Both directions run in
@@ -33,6 +35,7 @@ import decimal
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
@@ -62,6 +65,7 @@ __all__ = [
     "growth_to_csv",
     "HWANG_HEADER",
     "hwang_to_record",
+    "clear_caches",
 ]
 
 
@@ -82,41 +86,46 @@ _LEAF_BITS = 2048
 Digits = Callable[[int], str]
 
 
+@lru_cache(maxsize=None)
+def _power_of_two(level: int) -> decimal.Decimal:
+    """2^(_LEAF_BITS 2^level) as an exact Decimal, shared by every _digits call.
+
+    Call it inside _digits' exact context.  lru_cache keeps the table
+    thread-safe (two threads may build one entry twice, to equal values),
+    and a clear_caches mid-call only makes the next lookup rebuild.
+    """
+    if level == 0:
+        return decimal.Decimal(1 << _LEAF_BITS)
+    half = _power_of_two(level - 1)
+    return half * half
+
+
 def _digits(n: int) -> str:
     """Decimal digits of n >= 0, equal to str(n), in subquadratic time.
 
-    Splits n by bits into halves, converts them recursively, and
-    recombines them as hi * 2^h + lo with exact Decimal products by
-    powers of two memoized for this call.  MAX_PREC keeps every
+    Splits n by bits at fixed levels, the largest _LEAF_BITS 2^k below
+    its size, converts the parts recursively, and recombines them as
+    hi * 2^h + lo with exact Decimal products by the package-level
+    powers of _power_of_two, so calls share them.  MAX_PREC keeps every
     operation exact; the Inexact trap turns a lost digit into an error.
     """
     if n.bit_length() <= _LEAF_BITS:
         return str(n)
-    powers: dict[int, decimal.Decimal] = {}
 
-    def power_of_two(w: int) -> decimal.Decimal:
-        p = powers.get(w)
-        if p is None:
-            if w <= _LEAF_BITS:
-                p = decimal.Decimal(1 << w)
-            else:
-                p = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
-            powers[w] = p
-        return p
-
-    def convert(m: int, w: int) -> decimal.Decimal:
-        # m < 2^w
-        if w <= _LEAF_BITS:
+    def convert(m: int) -> decimal.Decimal:
+        bits = m.bit_length()
+        if bits <= _LEAF_BITS:
             return decimal.Decimal(m)
-        h = w >> 1
+        level = ((bits - 1) // _LEAF_BITS).bit_length() - 1
+        h = _LEAF_BITS << level  # the largest level below bits
         hi = m >> h
-        return convert(m - (hi << h), h) + convert(hi, w - h) * power_of_two(h)
+        return convert(m - (hi << h)) + convert(hi) * _power_of_two(level)
 
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX  # past 10^6 digits
         ctx.traps[decimal.Inexact] = True
-        return str(convert(n, n.bit_length()))
+        return str(convert(n))
 
 
 def _record_digits() -> Digits:
@@ -451,3 +460,8 @@ def growth_to_csv(report: GrowthReport) -> tuple[str, ...]:
 
 def hwang_to_record(n: int, k: int, bound: float) -> dict[str, Any]:
     return {"n": n, "k": k, "bound": _json_saturated(bound)}
+
+
+def clear_caches() -> None:
+    """Drop the shared powers of two of _digits (used by tests)."""
+    _power_of_two.cache_clear()

@@ -13,11 +13,13 @@ import json
 import math
 import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import covolume
 from covolume import serialize
 from covolume.lattice import CovolumeResult, EpsilonStatus, Interval
 
@@ -285,6 +287,51 @@ class TestDecimalDigits:
             assert [serialize.format_rational(x) for x in values] == expected
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+# sizes in bits from one leaf past _LEAF_BITS to 10^6, interleaved so that
+# each conversion meets powers that another size built
+_SHARED_SIZES = (2049, 1_000_000, 4096, 70_001, 2050, 300_000, 16_385, 8191, 131_073)
+
+
+@pytest.fixture(scope="module")
+def shared_cases():
+    rng = random.Random(17)
+    values = [rng.getrandbits(b) | 1 << (b - 1) for b in _SHARED_SIZES]
+    values += [(1 << b) - 1 for b in _SHARED_SIZES[::2]]
+    with _no_digit_limit():
+        return values, [str(v) for v in values]
+
+
+class TestSharedPowers:
+    """_digits against str() while it shares one table of powers of two."""
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this Python has no int/str digit limit",
+    )
+    def test_interleaved_sizes_under_lowest_limit(self, shared_cases):
+        values, expected = shared_cases
+        covolume.clear_caches()
+        with _digit_limit(640):  # the lowest limit Python allows
+            assert [serialize._digits(v) for v in values] == expected
+
+    def test_two_threads_across_clear_caches(self, shared_cases):
+        # one of every five calls empties the table, mid-conversion of the
+        # other thread's value too
+        values, expected = shared_cases
+        order = list(range(len(values))) * 2
+        random.Random(5).shuffle(order)
+
+        def worker(pos):
+            if pos % 5 == 0:
+                covolume.clear_caches()
+            return serialize._digits(values[order[pos]])
+
+        covolume.clear_caches()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(worker, range(len(order)), timeout=120))
+        assert got == [expected[i] for i in order]
 
 
 class TestParseRational:

@@ -546,7 +546,7 @@ class TestMemoInventory:
 
     @staticmethod
     def _memos():
-        modules = (bernoulli, quadfield, lvalues, lattice, survey, cli)
+        modules = (bernoulli, quadfield, lvalues, lattice, survey, serialize, cli)
         return {
             f"{mod.__name__.rpartition('.')[2]}.{name}": obj
             for mod in modules
@@ -556,6 +556,8 @@ class TestMemoInventory:
 
     def test_clear_caches_empties_every_memo(self):
         survey.scan(10, 400)
+        serialize.format_value(lattice.nu(quadfield.from_squarefree_d(3), 100))
+        assert serialize._power_of_two.cache_info().currsize
         covolume.clear_caches()
         held = {
             name: memo.cache_info().currsize
