@@ -16,14 +16,18 @@ time both ways.  format_rational is the one place where exact
 rationals become text.  It hands magnitudes of at most _LEAF_BITS bits
 to str() and converts larger ones by the divide-and-conquer radix
 conversion of Brent & Zimmermann, Modern Computer Arithmetic, sec. 1.7,
-on the decimal module, splitting at fixed levels whose powers of two
-are one package-level table, shared by every call and emptied by
-clear_caches.  parse_rational is the one place where text
-becomes an exact rational.  It hands digit strings of at most
-_LEAF_DIGITS digits to int() and splits longer ones in halves,
-recombined by products with powers of ten.  Both directions run in
-time subquadratic in the size and never meet the interpreter's int/str
-digit limit, so nothing here or in the CLI touches that limit.
+splitting at fixed levels whose powers are package-level tables,
+shared by every call and emptied by clear_caches.  Up to _INT_BITS
+bits, which covers nu(n) over Q(sqrt(-3)) to n = 250, it splits by
+powers of ten in CPython ints, dividing by the recursive division of
+Burnikel & Ziegler; above, where libmpdec's transform products win, by
+powers of two on the decimal module.  parse_rational is the one place
+where text becomes an exact rational.  It hands digit strings of at
+most _LEAF_DIGITS digits to int() and splits longer ones at the same
+decimal levels, recombined by products with the same powers of five.
+Both directions run in time subquadratic in the size and never meet
+the interpreter's int/str digit limit, so nothing here or in the CLI
+touches that limit.
 row_to_record, and so row_to_csv, converts each distinct magnitude of
 a record once: chi's numerator is usually +-nu's, and an interval's
 endpoints swap between nu and chi.
@@ -76,23 +80,50 @@ def format_float(x: float) -> str:
 
 
 # str() converts magnitudes of at most this many bits: 617 decimal digits,
-# under the lowest int/str digit limit Python allows (640).  Larger ones
-# split into leaves of this size converted by Decimal(int), which the
-# limit does not cover.  On Python 3.11 the split costs 2.2x str() just
-# above this size, 1.15x at 16k bits, and 0.57x at 64k bits; leaves of
-# 4k to 32k bits were no faster.
+# under the lowest int/str digit limit Python allows (640).
 _LEAF_BITS = 2048
 
+# Larger magnitudes up to this many bits convert in CPython ints, above it
+# on the decimal module.  On Python 3.11, with warm power tables, the int
+# split costs 1.3x str() just above _LEAF_BITS, 0.55x at 16k bits and
+# 0.27x at 93k bits (nu(220) over Q(sqrt(-3))), 0.6-0.8x the
+# Decimal split; the two meet here, and at 2^20 bits the int split is
+# 1.7x slower, its divisions Karatsuba-bound where libmpdec's products
+# reach the number-theoretic transform.
+_INT_BITS = 1 << 17
+
+# str() and int() see parts of at most this many digits, also under 640.
+_LEAF_DIGITS = 600
+_LEAF_LIMIT = 10**_LEAF_DIGITS
+
+# The builtin divmod is quadratic before Python 3.12: _divmod hands it
+# dividends at most this many bits longer than the divisor, so quotients
+# of about this size, and recurses above.
+_DIV_LIMIT = 4000
+
 Digits = Callable[[int], str]
+
+
+@lru_cache(maxsize=None)
+def _power_of_five(level: int) -> int:
+    """5^(_LEAF_DIGITS 2^level), shared by every _digits and _int_of_digits call.
+
+    10^h is 5^h << h for h = _LEAF_DIGITS 2^level.  lru_cache keeps the
+    table thread-safe, as for _power_of_two.
+    """
+    if level == 0:
+        return 5**_LEAF_DIGITS
+    half = _power_of_five(level - 1)
+    return half * half
 
 
 @lru_cache(maxsize=None)
 def _power_of_two(level: int) -> decimal.Decimal:
     """2^(_LEAF_BITS 2^level) as an exact Decimal, shared by every _digits call.
 
-    Call it inside _digits' exact context.  lru_cache keeps the table
-    thread-safe (two threads may build one entry twice, to equal values),
-    and a clear_caches mid-call only makes the next lookup rebuild.
+    Call it inside _decimal_digits' exact context.  lru_cache keeps the
+    table thread-safe (two threads may build one entry twice, to equal
+    values), and a clear_caches mid-call only makes the next lookup rebuild.
     """
     if level == 0:
         return decimal.Decimal(1 << _LEAF_BITS)
@@ -100,8 +131,91 @@ def _power_of_two(level: int) -> decimal.Decimal:
     return half * half
 
 
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for a >= 0 and b > 0, in subquadratic time.
+
+    Quotients of more than _DIV_LIMIT bits come from schoolbook division
+    in base 2^n, n the size of b, each digit by the recursive division of
+    Burnikel & Ziegler, "Fast Recursive Division" (1998), as in CPython
+    3.12's Lib/_pylong.py.
+    """
+    n = b.bit_length()
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    mask = (1 << n) - 1
+    q = r = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        digit, r = _div2n1n((r << n) | ((a >> shift) & mask), b, n)
+        q = (q << n) | digit
+    return q, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b 2^n."""
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, (a >> half) & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return (q1 << half) | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    """One half-size digit of _div2n1n: divmod(a12 2^n + a3, b), b = b1 2^n + b2."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = ((r << n) | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
 def _digits(n: int) -> str:
     """Decimal digits of n >= 0, equal to str(n), in subquadratic time.
+
+    Up to _LEAF_BITS bits this is str(n); up to _INT_BITS, _int_digits;
+    above, _decimal_digits.
+    """
+    bits = n.bit_length()
+    if bits <= _LEAF_BITS:
+        return str(n)
+    if bits <= _INT_BITS:
+        return _int_digits(n)
+    return _decimal_digits(n)
+
+
+def _int_digits(n: int) -> str:
+    """str(n) by splits at fixed decimal levels, in CPython ints.
+
+    Splits each part m at the largest h = _LEAF_DIGITS 2^k with
+    10^h <= m, as hi 10^h + lo by one _divmod of m >> h by
+    _power_of_five(k), and pads lo's digits to h; parts under
+    10^_LEAF_DIGITS go to str().
+    """
+
+    def convert(m: int) -> str:
+        if m < _LEAF_LIMIT:
+            return str(m)
+        e = (m.bit_length() - 1) * 78913 >> 18  # 10^e <= m: 78913 / 2^18 < log10 2
+        level = max(e // _LEAF_DIGITS, 1).bit_length() - 1
+        h = _LEAF_DIGITS << level
+        hi, r = _divmod(m >> h, _power_of_five(level))
+        lo = (r << h) | (m & ((1 << h) - 1))
+        return convert(hi) + convert(lo).zfill(h)
+
+    return convert(n)
+
+
+def _decimal_digits(n: int) -> str:
+    """str(n) by splits at fixed binary levels, on the decimal module.
 
     Splits n by bits at fixed levels, the largest _LEAF_BITS 2^k below
     its size, converts the parts recursively, and recombines them as
@@ -109,8 +223,6 @@ def _digits(n: int) -> str:
     powers of _power_of_two, so calls share them.  MAX_PREC keeps every
     operation exact; the Inexact trap turns a lost digit into an error.
     """
-    if n.bit_length() <= _LEAF_BITS:
-        return str(n)
 
     def convert(m: int) -> decimal.Decimal:
         bits = m.bit_length()
@@ -153,32 +265,25 @@ def format_rational(x: Fraction, digits: Digits | None = None) -> str:
     return text if den == 1 else f"{text}/{digits(den)}"
 
 
-# int() converts digit strings of at most this many digits, under the
-# lowest int/str digit limit Python allows (640).
-_LEAF_DIGITS = 600
-
 _RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 
 def _int_of_digits(s: str) -> int:
     """int(s) for a string of ASCII digits, in subquadratic time.
 
-    Splits s into halves, converts them recursively, and recombines them
-    as hi * 10^w + lo with powers of ten memoized for this call.
+    Splits s at _digits' fixed levels counted from the right, the last
+    h = _LEAF_DIGITS 2^k digits with h below len(s), converts the parts
+    recursively and recombines them as hi 5^h 2^h + lo, reading 5^h from
+    _power_of_five.
     """
-    if len(s) <= _LEAF_DIGITS:
-        return int(s)
-    powers: dict[int, int] = {}
 
     def convert(start: int, stop: int) -> int:
         if stop - start <= _LEAF_DIGITS:
             return int(s[start:stop])
-        mid = (start + stop) >> 1
-        w = stop - mid
-        p = powers.get(w)
-        if p is None:
-            p = powers[w] = 10**w
-        return convert(start, mid) * p + convert(mid, stop)
+        level = ((stop - start - 1) // _LEAF_DIGITS).bit_length() - 1
+        h = _LEAF_DIGITS << level
+        mid = stop - h
+        return (convert(start, mid) * _power_of_five(level) << h) + convert(mid, stop)
 
     return convert(0, len(s))
 
@@ -463,5 +568,6 @@ def hwang_to_record(n: int, k: int, bound: float) -> dict[str, Any]:
 
 
 def clear_caches() -> None:
-    """Drop the shared powers of two of _digits (used by tests)."""
+    """Drop the shared powers of _digits and _int_of_digits (used by tests)."""
+    _power_of_five.cache_clear()
     _power_of_two.cache_clear()

@@ -289,9 +289,74 @@ class TestDecimalDigits:
             sys.set_int_max_str_digits(limit)
 
 
-# sizes in bits from one leaf past _LEAF_BITS to 10^6, interleaved so that
-# each conversion meets powers that another size built
-_SHARED_SIZES = (2049, 1_000_000, 4096, 70_001, 2050, 300_000, 16_385, 8191, 131_073)
+INT_BITS = serialize._INT_BITS
+
+
+def _int_split_cases():
+    """Magnitudes at the int split's edges, and at _INT_BITS on both sides."""
+    rng = random.Random(19)
+    levels = [serialize._LEAF_DIGITS << k for k in range(8)]
+    values = [10**h + e for h in levels for e in (-1, 0, 1)]
+    # all-zero low parts: the padded digits of lo are all zeros
+    values += [rng.getrandbits(b) * 10**h for b in (7, 2000, 9000) for h in levels[:6]]
+    values += [2**INT_BITS + e for e in (-1, 0, 1)]
+    values += [
+        rng.getrandbits(b) | 1 << (b - 1)
+        for b in (2049, 4097, 40_000, INT_BITS - 40, INT_BITS + 40, 2 * INT_BITS)
+    ]
+    return values
+
+
+class TestIntDigits:
+    """The int split of _digits and _int_of_digits, and _divmod, against
+    the builtins they replace."""
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this Python has no int/str digit limit",
+    )
+    def test_matches_str_under_lowest_limit(self):
+        values = _int_split_cases()
+        with _no_digit_limit():
+            expected = [str(v) for v in values]
+        covolume.clear_caches()
+        with _digit_limit(640):  # the lowest limit Python allows
+            assert [serialize._digits(v) for v in values] == expected
+            assert [serialize._int_of_digits(t) for t in expected] == values
+
+    def test_threshold_picks_the_path(self, monkeypatch):
+        seen = []
+        for name in ("_int_digits", "_decimal_digits"):
+            monkeypatch.setattr(serialize, name, lambda n, name=name: seen.append(name))
+        for v in (2**serialize._LEAF_BITS, 2**INT_BITS - 1, 2**INT_BITS):
+            serialize._digits(v)
+        assert seen == ["_int_digits", "_int_digits", "_decimal_digits"]
+
+    def test_divmod_matches_builtin(self):
+        rng = random.Random(23)
+        cut = serialize._DIV_LIMIT
+        pairs = []
+        for n in (1, 64, 3000, 5000, 9001):
+            b = rng.getrandbits(n) | 1 << (n - 1)
+            # quotients just below, at and past the cut, and of 3+ limbs
+            for q_bits in (cut - 1, cut, cut + 1, cut + 2, 3 * n + 5, 4 * n):
+                pairs.append((rng.getrandbits(n + q_bits), b))
+            pairs += [(b - 1, b), (0, b), ((b << 3 * n) - 1, b), (b << 2 * n, b)]
+        for level in range(4):
+            five = serialize._power_of_five(level)
+            n = five.bit_length()
+            pairs += [(rng.getrandbits(k), five) for k in (n - 1, n + cut + 1, 4 * n)]
+        for a, b in pairs:
+            assert serialize._divmod(a, b) == divmod(a, b), (a.bit_length(), b.bit_length())
+
+
+# sizes in bits from one leaf past _LEAF_BITS to 10^6, on both sides of
+# _INT_BITS, interleaved so that each conversion meets powers that another
+# size built
+_SHARED_SIZES = (
+    2049, 1_000_000, 4096, 70_001, 2050, 300_000, 16_385, 8191, 131_073,
+    INT_BITS, INT_BITS - 1, INT_BITS + 2,
+)
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +369,7 @@ def shared_cases():
 
 
 class TestSharedPowers:
-    """_digits against str() while it shares one table of powers of two."""
+    """_digits against str() while it shares its tables of powers."""
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"),

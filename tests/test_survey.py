@@ -557,6 +557,8 @@ class TestMemoInventory:
     def test_clear_caches_empties_every_memo(self):
         survey.scan(10, 400)
         serialize.format_value(lattice.nu(quadfield.from_squarefree_d(3), 100))
+        assert serialize._power_of_five.cache_info().currsize
+        serialize.format_value(Fraction(1 << serialize._INT_BITS))  # the Decimal split
         assert serialize._power_of_two.cache_info().currsize
         covolume.clear_caches()
         held = {
