@@ -14,20 +14,18 @@ Large n: nu(n) has about n^2 log n digits (546k at n = 800 over
 Q(sqrt(-3))), and CPython before 3.12 converts int to str in quadratic
 time both ways.  format_rational is the one place where exact
 rationals become text.  It hands magnitudes of at most _LEAF_BITS bits
-to str() and converts larger ones by the divide-and-conquer radix
-conversion of Brent & Zimmermann, Modern Computer Arithmetic, sec. 1.7,
-splitting at fixed levels whose powers are package-level tables,
-shared by every call and emptied by clear_caches.  Up to _INT_BITS
-bits, which covers nu(n) over Q(sqrt(-3)) to n = 250, it splits by
-powers of ten in CPython ints, dividing by the recursive division of
-Burnikel & Ziegler; above, where libmpdec's transform products win, by
-powers of two on the decimal module.  parse_rational is the one place
-where text becomes an exact rational.  It hands digit strings of at
-most _LEAF_DIGITS digits to int() and splits longer ones at the same
-decimal levels, recombined by products with the same powers of five.
-Both directions run in time subquadratic in the size and never meet
-the interpreter's int/str digit limit, so nothing here or in the CLI
-touches that limit.
+to str() and converts larger ones in CPython ints by the
+divide-and-conquer radix conversion of Brent & Zimmermann, Modern
+Computer Arithmetic, sec. 1.7: it splits by powers of ten at fixed
+levels, divides by the recursive division of Burnikel & Ziegler, and
+reads the powers from a package-level table, shared by every call and
+emptied by clear_caches.  parse_rational is the one place where text
+becomes an exact rational.  It hands digit strings of at most
+_LEAF_DIGITS digits to int() and splits longer ones at the same decimal
+levels, recombined by products with the same powers of five.  Both
+directions run in time subquadratic in the size and never meet the
+interpreter's int/str digit limit, so nothing here or in the CLI touches
+that limit.
 row_to_record, and so row_to_csv, converts each distinct magnitude of
 a record once: chi's numerator is usually +-nu's, and an interval's
 endpoints swap between nu and chi.
@@ -35,7 +33,6 @@ endpoints swap between nu and chi.
 
 from __future__ import annotations
 
-import decimal
 import math
 import re
 from fractions import Fraction
@@ -80,17 +77,11 @@ def format_float(x: float) -> str:
 
 
 # str() converts magnitudes of at most this many bits: 617 decimal digits,
-# under the lowest int/str digit limit Python allows (640).
+# under the lowest int/str digit limit Python allows (640).  On Python
+# 3.11, with a warm power table, the split of larger ones costs 1.3x str()
+# just above this size, 0.55x at 16k bits and 0.27x at 93k bits (nu(220)
+# over Q(sqrt(-3))).
 _LEAF_BITS = 2048
-
-# Larger magnitudes up to this many bits convert in CPython ints, above it
-# on the decimal module.  On Python 3.11, with warm power tables, the int
-# split costs 1.3x str() just above _LEAF_BITS, 0.55x at 16k bits and
-# 0.27x at 93k bits (nu(220) over Q(sqrt(-3))), 0.6-0.8x the
-# Decimal split; the two meet here, and at 2^20 bits the int split is
-# 1.7x slower, its divisions Karatsuba-bound where libmpdec's products
-# reach the number-theoretic transform.
-_INT_BITS = 1 << 17
 
 # str() and int() see parts of at most this many digits, also under 640.
 _LEAF_DIGITS = 600
@@ -109,25 +100,12 @@ def _power_of_five(level: int) -> int:
     """5^(_LEAF_DIGITS 2^level), shared by every _digits and _int_of_digits call.
 
     10^h is 5^h << h for h = _LEAF_DIGITS 2^level.  lru_cache keeps the
-    table thread-safe, as for _power_of_two.
-    """
-    if level == 0:
-        return 5**_LEAF_DIGITS
-    half = _power_of_five(level - 1)
-    return half * half
-
-
-@lru_cache(maxsize=None)
-def _power_of_two(level: int) -> decimal.Decimal:
-    """2^(_LEAF_BITS 2^level) as an exact Decimal, shared by every _digits call.
-
-    Call it inside _decimal_digits' exact context.  lru_cache keeps the
     table thread-safe (two threads may build one entry twice, to equal
     values), and a clear_caches mid-call only makes the next lookup rebuild.
     """
     if level == 0:
-        return decimal.Decimal(1 << _LEAF_BITS)
-    half = _power_of_two(level - 1)
+        return 5**_LEAF_DIGITS
+    half = _power_of_five(level - 1)
     return half * half
 
 
@@ -181,24 +159,10 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
 def _digits(n: int) -> str:
     """Decimal digits of n >= 0, equal to str(n), in subquadratic time.
 
-    Up to _LEAF_BITS bits this is str(n); up to _INT_BITS, _int_digits;
-    above, _decimal_digits.
-    """
-    bits = n.bit_length()
-    if bits <= _LEAF_BITS:
-        return str(n)
-    if bits <= _INT_BITS:
-        return _int_digits(n)
-    return _decimal_digits(n)
-
-
-def _int_digits(n: int) -> str:
-    """str(n) by splits at fixed decimal levels, in CPython ints.
-
-    Splits each part m at the largest h = _LEAF_DIGITS 2^k with
-    10^h <= m, as hi 10^h + lo by one _divmod of m >> h by
-    _power_of_five(k), and pads lo's digits to h; parts under
-    10^_LEAF_DIGITS go to str().
+    Up to _LEAF_BITS bits this is str(n).  Above, it splits each part m
+    at the largest h = _LEAF_DIGITS 2^k with 10^h <= m, as hi 10^h + lo
+    by one _divmod of m >> h by _power_of_five(k), and pads lo's digits
+    to h; parts under 10^_LEAF_DIGITS go to str().
     """
 
     def convert(m: int) -> str:
@@ -211,33 +175,9 @@ def _int_digits(n: int) -> str:
         lo = (r << h) | (m & ((1 << h) - 1))
         return convert(hi) + convert(lo).zfill(h)
 
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n)
     return convert(n)
-
-
-def _decimal_digits(n: int) -> str:
-    """str(n) by splits at fixed binary levels, on the decimal module.
-
-    Splits n by bits at fixed levels, the largest _LEAF_BITS 2^k below
-    its size, converts the parts recursively, and recombines them as
-    hi * 2^h + lo with exact Decimal products by the package-level
-    powers of _power_of_two, so calls share them.  MAX_PREC keeps every
-    operation exact; the Inexact trap turns a lost digit into an error.
-    """
-
-    def convert(m: int) -> decimal.Decimal:
-        bits = m.bit_length()
-        if bits <= _LEAF_BITS:
-            return decimal.Decimal(m)
-        level = ((bits - 1) // _LEAF_BITS).bit_length() - 1
-        h = _LEAF_BITS << level  # the largest level below bits
-        hi = m >> h
-        return convert(m - (hi << h)) + convert(hi) * _power_of_two(level)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX  # past 10^6 digits
-        ctx.traps[decimal.Inexact] = True
-        return str(convert(n))
 
 
 def _record_digits() -> Digits:
@@ -570,4 +510,3 @@ def hwang_to_record(n: int, k: int, bound: float) -> dict[str, Any]:
 def clear_caches() -> None:
     """Drop the shared powers of _digits and _int_of_digits (used by tests)."""
     _power_of_five.cache_clear()
-    _power_of_two.cache_clear()

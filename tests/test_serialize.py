@@ -256,8 +256,9 @@ class TestDecimalDigits:
         assert serialize._digits(n) == expected
 
     def test_past_a_million_digits(self):
-        # past the default context's Emax, where only exact 10^k residues
-        # and one prime residue are cheap enough to check
+        # past a million digits, where str() is quadratic before Python 3.12
+        # and only exact 10^k residues and one prime residue are cheap
+        # enough to check
         n = random.Random(3).getrandbits(3_500_000) | 1 << 3_499_999
         text = serialize._digits(n)
         assert len(text) == 1_053_605 and text[0] != "0"
@@ -289,27 +290,23 @@ class TestDecimalDigits:
             sys.set_int_max_str_digits(limit)
 
 
-INT_BITS = serialize._INT_BITS
-
-
 def _int_split_cases():
-    """Magnitudes at the int split's edges, and at _INT_BITS on both sides."""
+    """Magnitudes at the edges of the split's fixed levels, and random ones."""
     rng = random.Random(19)
     levels = [serialize._LEAF_DIGITS << k for k in range(8)]
     values = [10**h + e for h in levels for e in (-1, 0, 1)]
     # all-zero low parts: the padded digits of lo are all zeros
     values += [rng.getrandbits(b) * 10**h for b in (7, 2000, 9000) for h in levels[:6]]
-    values += [2**INT_BITS + e for e in (-1, 0, 1)]
     values += [
         rng.getrandbits(b) | 1 << (b - 1)
-        for b in (2049, 4097, 40_000, INT_BITS - 40, INT_BITS + 40, 2 * INT_BITS)
+        for b in (2049, 4097, 40_000, 131_000, 262_144)
     ]
     return values
 
 
 class TestIntDigits:
-    """The int split of _digits and _int_of_digits, and _divmod, against
-    the builtins they replace."""
+    """The fixed-level splits of _digits and _int_of_digits, and _divmod,
+    against the builtins they replace."""
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"),
@@ -323,14 +320,6 @@ class TestIntDigits:
         with _digit_limit(640):  # the lowest limit Python allows
             assert [serialize._digits(v) for v in values] == expected
             assert [serialize._int_of_digits(t) for t in expected] == values
-
-    def test_threshold_picks_the_path(self, monkeypatch):
-        seen = []
-        for name in ("_int_digits", "_decimal_digits"):
-            monkeypatch.setattr(serialize, name, lambda n, name=name: seen.append(name))
-        for v in (2**serialize._LEAF_BITS, 2**INT_BITS - 1, 2**INT_BITS):
-            serialize._digits(v)
-        assert seen == ["_int_digits", "_int_digits", "_decimal_digits"]
 
     def test_divmod_matches_builtin(self):
         rng = random.Random(23)
@@ -350,13 +339,9 @@ class TestIntDigits:
             assert serialize._divmod(a, b) == divmod(a, b), (a.bit_length(), b.bit_length())
 
 
-# sizes in bits from one leaf past _LEAF_BITS to 10^6, on both sides of
-# _INT_BITS, interleaved so that each conversion meets powers that another
-# size built
-_SHARED_SIZES = (
-    2049, 1_000_000, 4096, 70_001, 2050, 300_000, 16_385, 8191, 131_073,
-    INT_BITS, INT_BITS - 1, INT_BITS + 2,
-)
+# sizes in bits from one leaf past _LEAF_BITS to 10^6, interleaved so that
+# each conversion meets powers that another size built
+_SHARED_SIZES = (2049, 1_000_000, 4096, 70_001, 2050, 300_000, 16_385, 8191, 131_073)
 
 
 @pytest.fixture(scope="module")
@@ -369,7 +354,7 @@ def shared_cases():
 
 
 class TestSharedPowers:
-    """_digits against str() while it shares its tables of powers."""
+    """_digits against str() while it shares one table of powers of five."""
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"),

@@ -558,8 +558,6 @@ class TestMemoInventory:
         survey.scan(10, 400)
         serialize.format_value(lattice.nu(quadfield.from_squarefree_d(3), 100))
         assert serialize._power_of_five.cache_info().currsize
-        serialize.format_value(Fraction(1 << serialize._INT_BITS))  # the Decimal split
-        assert serialize._power_of_two.cache_info().currsize
         covolume.clear_caches()
         held = {
             name: memo.cache_info().currsize
