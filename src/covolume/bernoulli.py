@@ -1,9 +1,11 @@
 """Exact Bernoulli numbers, Bernoulli polynomials, and their twists by
 quadratic characters.
 
-Everything here is computed in exact rational arithmetic with
+Everything here is computed in exact arithmetic, integers and
 fractions.Fraction; no floating point enters any value.  The sign
-convention is B_1 = -1/2.
+convention is B_1 = -1/2.  B_{k,chi} reads no Bernoulli number: it comes
+from one integer recurrence over the character's power sums
+(_PowerSums).
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb
 from operator import mul
 
 from . import quadfield
-from .errors import NonFundamentalDiscriminant, require_int
+from .errors import InternalDefect, NonFundamentalDiscriminant, require_int
 
 __all__ = [
     "bernoulli_number",
@@ -90,56 +92,16 @@ def bernoulli_polynomial_value(k: int, x: Fraction | int) -> Fraction:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _cleared_poly(k: int) -> tuple[tuple[int, ...], int]:
-    """Cleared coefficients of B_k about x = 1/2, for odd k.
-
-    B_k(x) = sum_i C(k, i) B_i(1/2) (x - 1/2)^(k-i) with
-    B_i(1/2) = (2^(1-i) - 1) B_i, which vanishes for every odd i, B_1
-    included.  At x = a/q this reads
-
-      2^k q^k B_k(a/q) = sum over even i < k of
-                         C(k, i) (2^i - 2) B_i q^i (q - 2a)^(k-i).
-
-    Returns (c_0, c_1, ...) with c_j = M C(k, 2j) (2^(2j) - 2) B_2j, and
-    M 2^(k-1), where M is the least common denominator of the
-    C(k, i) (2^i - 2) B_i.  Each term is an integer numerator over a
-    divisor of B_i's small squarefree denominator, reduced by one gcd
-    with it, and C(k, i) is stepped from C(k, i - 2) by one exact
-    division, so M is the lcm of those divisors and no Fraction
-    arithmetic runs.  Only the even i are kept, and nothing depends on a
-    conductor, so one entry per odd index k serves every field.
-    """
-    terms = []  # C(k, i) (2^i - 2) B_i as a reduced (numerator, denominator)
-    binom = 1  # C(k, i)
-    for i in range(0, k, 2):
-        b = bernoulli_number(i)
-        t = binom * (2**i - 2)
-        g = gcd(t, b.denominator)
-        terms.append((t // g * b.numerator, b.denominator // g))
-        binom = binom * (k - i) * (k - i - 1) // ((i + 1) * (i + 2))
-    m = lcm(*(den for _, den in terms))
-    return tuple(num * (m // den) for num, den in terms), m << (k - 1)
-
-
 def generalized_bernoulli(k: int, D: int) -> Fraction:
     """B_{k,chi} = |D|^(k-1) * sum_{a=1..|D|} chi_D(a) B_k(a/|D|).
 
     D must be the discriminant of an imaginary quadratic field, so chi_D
-    is odd and B_{k,chi} vanishes for even k.  For odd k, expanding B_k
-    about 1/2 (see _cleared_poly) leaves only odd powers of q - 2a, with
-    q = |D|, and those take the same value at a and q - a, since chi is
-    odd.  So with V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j,
-
-      B_{k,chi} = -(2^(1-k) / q) * sum over even i < k of
-                  C(k, i) (2 - 2^i) B_i q^i V_{k-i}
-
-    (the full period sums to 2 V_j), an exact rearrangement of the
-    defining sum (Washington, Cyclotomic Fields, sec. 4.1).  The V_j do
-    not depend on k, so every odd k of one field reads them from a single
-    _PowerSums, built from one chi_table read, which keeps one list of
-    signed powers z^j, z = chi(a) (q - 2a), and steps it by z^2: the odd k
-    up to K take (K + 1)/2 power passes in all.
+    is odd and B_{k,chi} vanishes for even k.  For odd k the value is
+    -g_k / (2^(k-1) q), q = |D|, where g_k is an integer that the
+    field's _PowerSums builds from the power sums
+    V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j alone, with no Bernoulli
+    number: every odd k of one field reads a single state, built from
+    one chi_table read.
 
     Validation happens out here: bool hashes like int and -3.0 like -3,
     so a cached worker would hand back the entry for k = 1 on k = True,
@@ -162,27 +124,63 @@ def _times(xs: list[int], ys: list[int]) -> list[int]:
 
 
 class _PowerSums:
-    """V_1, V_3, ... of one field: V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j.
+    """g_1, g_3, ... of one field, g_k = -2^(k-1) q B_{k,chi}, in integers.
 
-    chi(a) is 0 or +-1, so for odd j each term is z^j with
+    Expanding B_k about 1/2, where B_i(1/2) = (2^(1-i) - 1) B_i vanishes
+    for every odd i (Washington, Cyclotomic Fields, ch. 4), leaves only
+    odd powers of q - 2a, which take the same value at a and q - a since
+    chi is odd; so g_k = sum over even i < k of
+    C(k, i) (2 - 2^i) B_i q^i V_{k-i}.  The (2 - 2^i) B_i are the Taylor
+    coefficients of 2t/(e^t - 1) - 2t/(e^(2t) - 1) = t/sinh t, so with
+    G(t) = sum g_k t^k/k! and W(t) = sum V_j t^j/j!, G(t) = W(t) qt/sinh(qt).
+    Multiplied out, W(t) = G(t) sinh(qt)/(qt) reads
+
+      (k + 1) V_k = sum over even m < k of C(k + 1, m + 1) q^m g_{k-m},
+
+    and the m = 0 term is (k + 1) g_k, which gives g_k from V_k and the
+    g_j of lower j.  g_k is an integer for any integer row z, so the one
+    division by k + 1 is exact and a remainder is a defect.  The
+    denominators of (2 - 2^i) B_i cancel by Fermat's little theorem: an
+    odd prime p divides one only if (p - 1) | i (von Staudt-Clausen), and
+    then q^i = 1, z^(k-i) = z^(k-p+1), p B_i = -1 and 2 - 2^i = 1 mod p,
+    while the C(k, i) over 0 < i < k with (p - 1) | i sum to 0 mod p (if
+    p | q, q^i carries p).  For example
+    g_5 = V_5 - (10/3) q^2 V_3 + (7/3) q^4 V_1, and V_3 = V_1 mod 3.
+
+    chi(a) is 0 or +-1, so for odd j each term of V_j is z^j with
     z = chi(a) (q - 2a), and V_j is a plain power sum of the z.  chi is
     the field's half-period character table, chi(a) for 0 <= a < q/2,
     read here once and not kept; range(q, 0, -2) is q - 2a over the same
-    a.  sq holds the z^2 and pow the z^j for the last odd j in sums,
-    where sums[i] is V_{2i+1}.  sums only grows, under _lock, so a prefix
-    read from it never goes stale.
+    a.  sq holds the z^2 and pow the z^j for the last odd j, and g[i] is
+    g_{2i+1}; V_j is used once and not kept.  g only grows, under _lock,
+    so an entry read from it never goes stale.
     """
 
     def __init__(self, D: int, chi: tuple[int, ...]):
+        self.q = -D
         self.pow = list(filter(None, map(mul, chi, range(-D, 0, -2))))
         self.sq = _times(self.pow, self.pow)
-        self.sums = [sum(self.pow)]
+        self.g = [sum(self.pow)]
 
-    def extend(self, j: int) -> None:
-        """Grow sums up to V_j, for an odd j."""
-        while len(self.sums) <= j // 2:
+    def extend(self, k: int) -> None:
+        """Grow g up to g_k, for an odd k.
+
+        Each step takes one power pass for V_j, then the sum over m >= 2
+        by Horner's rule in q^2, from m = j - 1 (against g_1) down to
+        m = 2, with C(j + 1, m + 1) stepped by one exact division.
+        """
+        g, q2 = self.g, self.q * self.q
+        while len(g) <= k // 2:
+            j = 2 * len(g) + 1
             self.pow = _times(self.pow, self.sq)
-            self.sums.append(sum(self.pow))
+            acc, binom = 0, j + 1
+            for r, gm in zip(range(j, 1, -2), g):  # r = m + 1
+                acc = acc * q2 + binom * gm
+                binom = binom * r * (r - 1) // ((j - r + 3) * (j - r + 2))
+            quotient, rest = divmod(acc * q2, j + 1)
+            if rest:
+                raise InternalDefect(f"g_{j} of D = {-self.q} is not an integer")
+            g.append(sum(self.pow) - quotient)
 
 
 @lru_cache(maxsize=1)
@@ -195,24 +193,15 @@ def _power_state(D: int) -> _PowerSums:
 def _generalized_bernoulli(k: int, D: int) -> Fraction:
     """Memoized body of generalized_bernoulli for validated arguments.
 
-    A miss takes V_1..V_k from the field's shared _PowerSums, extended
-    under _lock, and reads no character table itself.  The sum over even
-    i runs by Horner's rule in q^2, from i = k - 1 (against V_1) down to
-    i = 0 (against V_k).
+    A miss reads g_k from the field's shared _PowerSums, extended under
+    _lock, and reads no character table itself.
     """
     if k % 2 == 0:
         return Fraction(0)
-    q = -D
     state = _power_state(D)
     with _lock:
         state.extend(k)
-    sums = state.sums
-    ints, den = _cleared_poly(k)
-    q2 = q * q
-    total = 0
-    for c, v in zip(reversed(ints), sums):
-        total = total * q2 + c * v
-    return Fraction(total, den * q)
+    return Fraction(-state.g[k // 2], state.q << (k - 1))
 
 
 def clear_caches() -> None:
@@ -221,5 +210,4 @@ def clear_caches() -> None:
     with _lock:
         _even_table = [Fraction(1)]
     _power_state.cache_clear()
-    _cleared_poly.cache_clear()
     _generalized_bernoulli.cache_clear()

@@ -2,7 +2,9 @@
 L-function attached to an imaginary quadratic field.
 
 Two independent routes are provided.  Values at nonpositive integers are
-exact rationals built from Bernoulli numbers.  Values at integer s >= 2
+exact rationals: zeta(1 - k) from the Bernoulli number B_k, and
+L(1 - k, chi) from the generalized Bernoulli number B_{k,chi}, which is
+built from the character's power sums alone.  Values at integer s >= 2
 are floats obtained by direct series summation accelerated with
 Euler-Maclaurin tail corrections, and each carries a rigorous bound on
 the truncation error.  The numeric route deliberately shares nothing

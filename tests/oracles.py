@@ -9,10 +9,11 @@ at high precision for the analytic values.  The character table with
 one Kronecker symbol per residue, the table sieved from one Kronecker
 symbol per prime, the table tiled over the full period rather than
 half of it, the full-period Horner sum for B_{k,chi}, the
-half-range power sums of a, and the power sums of q - 2a split by the
-sign of chi are the exact kernels that the tiled table and the one
-signed power list of q - 2a replaced, kept as their differential
-oracles; likewise nu with its L-product rebuilt from j = 1 on every
+half-range power sums of a, the power sums of q - 2a split by the
+sign of chi, and the expansion of B_k about 1/2 with its cleared
+coefficients are the exact kernels that the tiled table, the one
+signed power list of q - 2a and its integer recurrence replaced, kept
+as their differential oracles; likewise nu with its L-product rebuilt from j = 1 on every
 call, which the prefix list of lattice._l_product replaced, and the
 minimal-field certificate built one dimension at a time, which the
 field-major sweep of survey replaced.
@@ -81,8 +82,39 @@ def even_bernoulli_by_recurrence(j_max: int) -> list[Fraction]:
     return table
 
 
+@lru_cache(maxsize=None)
+def cleared_poly(k: int) -> tuple[tuple[int, ...], int]:
+    """Cleared coefficients of B_k about x = 1/2, for odd k.
+
+    B_k(x) = sum_i C(k, i) B_i(1/2) (x - 1/2)^(k-i) with
+    B_i(1/2) = (2^(1-i) - 1) B_i, which vanishes for every odd i, B_1
+    included.  At x = a/q this reads
+
+      2^k q^k B_k(a/q) = sum over even i < k of
+                         C(k, i) (2^i - 2) B_i q^i (q - 2a)^(k-i).
+
+    Returns (c_0, c_1, ...) with c_j = M C(k, 2j) (2^(2j) - 2) B_2j, and
+    M 2^(k-1), where M is the least common denominator of the
+    C(k, i) (2^i - 2) B_i.  Each term is an integer numerator over a
+    divisor of B_i's small squarefree denominator, reduced by one gcd
+    with it, and C(k, i) is stepped from C(k, i - 2) by one exact
+    division, so M is the lcm of those divisors and no Fraction
+    arithmetic runs.
+    """
+    terms = []  # C(k, i) (2^i - 2) B_i as a reduced (numerator, denominator)
+    binom = 1  # C(k, i)
+    for i in range(0, k, 2):
+        b = bernoulli.bernoulli_number(i)
+        t = binom * (2**i - 2)
+        g = math.gcd(t, b.denominator)
+        terms.append((t // g * b.numerator, b.denominator // g))
+        binom = binom * (k - i) * (k - i - 1) // ((i + 1) * (i + 2))
+    m = math.lcm(*(den for _, den in terms))
+    return tuple(num * (m // den) for num, den in terms), m << (k - 1)
+
+
 def cleared_poly_by_fractions(k: int) -> tuple[tuple[int, ...], int]:
-    """bernoulli._cleared_poly(k) with every coefficient a Fraction."""
+    """cleared_poly(k) with every coefficient a Fraction."""
     coeffs = [
         math.comb(k, i) * (2**i - 2) * bernoulli.bernoulli_number(i)
         for i in range(0, k, 2)
@@ -288,6 +320,29 @@ class SignSplitPowerSums:
             self.minus_pow = [x * y for x, y in zip(self.minus_pow, self.minus_sq)]
             self.sums.append(sum(self.plus_pow) - sum(self.minus_pow))
         return self.sums
+
+
+@lru_cache(maxsize=1)
+def _sign_split_power_sums(D: int) -> SignSplitPowerSums:
+    return SignSplitPowerSums(D)
+
+
+def generalized_bernoulli_half_range(k: int, D: int) -> Fraction:
+    """B_{k,chi} for odd k from the expansion of B_k about 1/2.
+
+    B_{k,chi} = -(2^(1-k) / q) sum over even i < k of
+    C(k, i) (2 - 2^i) B_i q^i V_{k-i}, q = |D|, with
+    V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j: the cleared coefficients of
+    cleared_poly, by Horner's rule in q^2 from i = k - 1 (against V_1)
+    down to i = 0 (against V_k).
+    """
+    q = -D
+    sums = _sign_split_power_sums(D).extend(k)
+    ints, den = cleared_poly(k)
+    total = 0
+    for c, v in zip(reversed(ints), sums):
+        total = total * q * q + c * v
+    return Fraction(total, den * q)
 
 
 @lru_cache(maxsize=None)

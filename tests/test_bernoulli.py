@@ -8,6 +8,7 @@ uses, so agreement actually checks something.
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+import itertools
 import math
 import random
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covolume import bernoulli, lattice, quadfield
-from covolume.errors import InvalidInput, NonFundamentalDiscriminant
+from covolume.errors import InternalDefect, InvalidInput, NonFundamentalDiscriminant
 
 from . import oracles
 
@@ -206,7 +207,7 @@ class TestGeneralizedBernoulli:
 
 
 class TestHalfRangeKernel:
-    """Half-range power sums against the full-period Horner sum they replaced."""
+    """The power-sum recurrence against the kernels it replaced."""
 
     @pytest.mark.parametrize(
         "max_disc, k_max", [(1000, 11), (300, 31)], ids=["k11", "k31"]
@@ -234,19 +235,65 @@ class TestHalfRangeKernel:
                 oracles.generalized_bernoulli_a_powers(k, -3)
             ), k
 
+    def test_recurrence_matches_half_range_oracle(self):
+        bernoulli.clear_caches()
+        for field in quadfield.fields_with_disc_at_most(3000):
+            D = field.disc_signed
+            for k in range(1, 42, 2):
+                assert bernoulli.generalized_bernoulli(k, D) == (
+                    oracles.generalized_bernoulli_half_range(k, D)
+                ), (k, D)
+
+    @pytest.mark.parametrize("D", [-3, -4, -8, -163])
+    def test_recurrence_matches_half_range_oracle_deep(self, D):
+        bernoulli.clear_caches()
+        for k in range(1, 402, 2):
+            assert bernoulli.generalized_bernoulli(k, D) == (
+                oracles.generalized_bernoulli_half_range(k, D)
+            ), k
+
+    def test_reads_no_bernoulli_number(self, monkeypatch):
+        expected = {
+            (k, D): oracles.generalized_bernoulli_half_range(k, D)
+            for D in (-3, -4, -23, -163)
+            for k in range(1, 32, 2)
+        }
+        bernoulli.clear_caches()
+
+        def refuse(k):
+            raise AssertionError(f"B_{k} read")
+
+        monkeypatch.setattr(bernoulli, "bernoulli_number", refuse)
+        for (k, D), value in expected.items():
+            assert bernoulli.generalized_bernoulli(k, D) == value, (k, D)
+
     def test_signed_power_list_matches_sign_split_oracle(self):
         bernoulli.clear_caches()
         cases = [(f.disc_signed, 31) for f in quadfield.fields_with_disc_at_most(2000)]
-        for D, j_max in cases + [(-3, 221), (-163, 221)]:
-            oracle = oracles.SignSplitPowerSums(D)
-            for j in range(1, j_max + 1, 2):
-                bernoulli._power_state(D).extend(j)
-                assert bernoulli._power_state(D).sums == oracle.extend(j), (D, j)
+        for D, k_max in cases + [(-3, 221), (-163, 221)]:
+            for k in range(1, k_max + 1, 2):
+                bernoulli._power_state(D).extend(k)
+                g = oracles.generalized_bernoulli_half_range(k, D) * D * 2 ** (k - 1)
+                assert bernoulli._power_state(D).g[k // 2] == g, (D, k)
+
+    def test_non_integral_step_is_a_defect(self):
+        state = bernoulli._PowerSums(-7, quadfield.chi_table(-7))
+        state.extend(3)
+        state.g[1] += 1
+        with pytest.raises(InternalDefect, match="g_5"):
+            state.extend(5)
+
+    def test_every_small_row_is_integral(self):
+        # g_k is an integer for any integer row z, not only for the rows
+        # of a quadratic character: every 0/+-1 row with q <= 15, k <= 9
+        for q in range(1, 16, 2):
+            for row in itertools.product((0, 1, -1), repeat=(q + 1) // 2):
+                bernoulli._PowerSums(-q, row).extend(9)
 
     def test_cleared_coefficients_are_the_even_terms_about_one_half(self):
         # 2^k B_k(x) at x = (1 - y)/2 is sum c_j y^(k-2j) / M, for odd k
         for k in range(1, 40, 2):
-            ints, den = bernoulli._cleared_poly(k)
+            ints, den = oracles.cleared_poly(k)
             assert len(ints) == (k + 1) // 2
             for x in (Fraction(0), Fraction(1, 3), Fraction(-5, 7)):
                 y = 1 - 2 * x
@@ -256,17 +303,8 @@ class TestHalfRangeKernel:
                 ), (k, x)
 
     def test_cleared_coefficients_match_fraction_oracle(self):
-        bernoulli.clear_caches()
         for k in range(1, 302, 2):
-            assert bernoulli._cleared_poly(k) == oracles.cleared_poly_by_fractions(k), k
-
-    def test_cleared_coefficients_shared_across_fields(self, fields_100):
-        # M no longer depends on the conductor: one entry per index k
-        bernoulli.clear_caches()
-        for field in fields_100:
-            for k in (3, 5, 7, 9, 11):
-                bernoulli.generalized_bernoulli(k, field.disc_signed)
-        assert bernoulli._cleared_poly.cache_info().currsize == 5
+            assert oracles.cleared_poly(k) == oracles.cleared_poly_by_fractions(k), k
 
 
 class TestSharedPowerSums:
