@@ -1,5 +1,4 @@
-"""Exact Bernoulli numbers, Bernoulli polynomials, and their twists by
-quadratic characters.
+"""Exact Bernoulli numbers and their twists by quadratic characters.
 
 Everything here is computed in exact arithmetic, integers and
 fractions.Fraction; no floating point enters any value.  The sign
@@ -13,7 +12,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from operator import mul
 
 from . import quadfield
@@ -21,7 +19,6 @@ from .errors import InternalDefect, NonFundamentalDiscriminant, require_int
 
 __all__ = [
     "bernoulli_number",
-    "bernoulli_polynomial_value",
     "generalized_bernoulli",
     "clear_caches",
 ]
@@ -78,18 +75,6 @@ def bernoulli_number(k: int) -> Fraction:
             if j >= size:
                 table.extend(_even_values(size, max(j + 1, 2 * size)))
     return table[j]
-
-
-def bernoulli_polynomial_value(k: int, x: Fraction | int) -> Fraction:
-    """B_k(x) = sum_i C(k, i) B_i x^(k-i), evaluated exactly."""
-    require_int(k, "index", 0)
-    x = Fraction(x)
-    acc = Fraction(0)
-    for i in range(k + 1):
-        b = bernoulli_number(i)
-        if b:
-            acc += comb(k, i) * b * x ** (k - i)
-    return acc
 
 
 def generalized_bernoulli(k: int, D: int) -> Fraction:

@@ -135,7 +135,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
             f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}"
         )
     field = quadfield.from_squarefree_d(args.d)
-    reports = list(survey._growth_reports(field, range(args.n_min, args.n_max + 1)))
+    reports = survey._growth_reports(field, range(args.n_min, args.n_max + 1))
     _emit(args.format, serialize.GROWTH_HEADER, reports, serialize.growth_to_record)
     return 0
 

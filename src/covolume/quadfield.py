@@ -35,7 +35,6 @@ __all__ = [
     "chi_table",
     "reduced_forms",
     "compose",
-    "class_power",
     "torsion_count",
     "clear_caches",
 ]
@@ -393,11 +392,6 @@ def compose(g1: FormClass, g2: FormClass, group: ClassGroup) -> FormClass:
     return FormClass(*_compose_triples((g1.a, g1.b, g1.c), (g2.a, g2.b, g2.c), D))
 
 
-def inverse_class(g: FormClass) -> FormClass:
-    """The inverse class, represented by the reduction of (a, -b, c)."""
-    return FormClass(*_reduce_triple(g.a, -g.b, g.c))
-
-
 def _power_triple(f: tuple[int, int, int], m: int, D: int) -> tuple[int, int, int]:
     """The reduced form f composed with itself m >= 1 times, as a triple.
 
@@ -413,17 +407,6 @@ def _power_triple(f: tuple[int, int, int], m: int, D: int) -> tuple[int, int, in
         if not m:
             return result
         f = _compose_triples(f, f, D)
-
-
-def class_power(g: FormClass, m: int, group: ClassGroup) -> FormClass:
-    """g composed with itself m times (m >= 0; m = 0 gives the identity)."""
-    require_int(m, "exponent", 0)
-    if m == 0:
-        return group.principal
-    D = group.field.disc_signed
-    if g.discriminant != D:
-        raise DiscriminantMismatch(f"form {g} does not have discriminant {D}")
-    return FormClass(*_power_triple(_reduce_triple(g.a, g.b, g.c), m, D))
 
 
 def torsion_count(group: ClassGroup, m: int) -> int:

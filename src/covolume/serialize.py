@@ -48,10 +48,6 @@ __all__ = [
     "format_float",
     "format_rational",
     "parse_rational",
-    "format_value",
-    "parse_value",
-    "format_volume",
-    "parse_volume",
     "format_epsilon",
     "parse_epsilon",
     "cells",
@@ -63,7 +59,6 @@ __all__ = [
     "row_from_csv",
     "GROWTH_HEADER",
     "growth_to_record",
-    "growth_to_csv",
     "HWANG_HEADER",
     "hwang_to_record",
     "clear_caches",
@@ -234,9 +229,9 @@ def parse_rational(s: str) -> Fraction:
     Accepts exactly "-?digits(/digits)?" with a nonzero denominator and
     raises ValueError on anything else.
     """
-    match = _RATIONAL.fullmatch(s)
-    if match is None:
-        raise ValueError(f"not a rational: {s[:40]!r}")
+    match = isinstance(s, str) and _RATIONAL.fullmatch(s)
+    if not match:
+        raise ValueError(f"not a rational: {s!r:.40}")
     sign, num, den = match.groups()
     numerator = -_int_of_digits(num) if sign else _int_of_digits(num)
     denominator = 1 if den is None else _int_of_digits(den)
@@ -258,14 +253,6 @@ def _value_from_json(obj: str | dict[str, str]) -> ExactOrInterval:
     if isinstance(obj, dict):
         return Interval(parse_rational(obj["lower"]), parse_rational(obj["upper"]))
     return parse_rational(obj)
-
-
-def format_value(x: ExactOrInterval) -> str:
-    return _cell(_value_json(x, _digits))
-
-
-def parse_value(s: str) -> ExactOrInterval:
-    return _value_from_json(_unpair(s))
 
 
 def _json_saturated(v: float) -> float | str:
@@ -303,14 +290,6 @@ def _saturated_from_json(obj: Any) -> float:
     return v
 
 
-def format_volume(v: float | tuple[float, float]) -> str:
-    return _cell(_volume_json(v))
-
-
-def parse_volume(s: str) -> float | tuple[float, float]:
-    return _volume_from_json(_unpair(s))
-
-
 def format_epsilon(eps: EpsilonStatus) -> str:
     if eps.kind == "irrelevant":
         return "irrelevant"
@@ -324,8 +303,8 @@ def parse_epsilon(s: str) -> EpsilonStatus:
         return EpsilonStatus("irrelevant", 1, 1)
     if ".." in s:
         lo, hi = s.split("..")
-        return EpsilonStatus("bounded", int(lo), int(hi))
-    return EpsilonStatus("exact", int(s), int(s))
+        return EpsilonStatus("bounded", _int(lo), _int(hi))
+    return EpsilonStatus("exact", _int(s), _int(s))
 
 
 def dumps(obj: Any) -> str:
@@ -454,21 +433,43 @@ def row_to_record(row: CovolumeResult) -> dict[str, Any]:
     }
 
 
+def _int(value: Any) -> int:
+    """An integer of a record: a JSON int, or ASCII digits from a CSV cell."""
+    digits = isinstance(value, str) and value.isascii() and value.isdigit()
+    if not (digits or type(value) is int):  # a bool is not a record integer
+        raise ValueError(f"not a record integer: {value!r:.40}")
+    return int(value)
+
+
+def _epsilon_from_json(obj: dict[str, Any]) -> EpsilonStatus:
+    """irrelevant 1..1, exact k..k or bounded lo..hi with 2 <= k and
+    2 <= lo <= hi: the forms that lattice.epsilon_status returns."""
+    kind, low, high = obj["kind"], _int(obj["lower"]), _int(obj["upper"])
+    if not (
+        kind == "irrelevant" and low == high == 1
+        or kind == "exact" and 2 <= low == high
+        or kind == "bounded" and 2 <= low <= high
+    ):
+        raise ValueError(f"not an epsilon: {obj!r:.80}")
+    return EpsilonStatus(kind, low, high)
+
+
 def row_from_record(obj: dict[str, Any]) -> CovolumeResult:
-    mult_lo = obj["mult_lo"]
-    eps = obj["epsilon"]
+    """The row of a record that row_to_record writes, or of its CSV cells;
+    ValueError on an integer, epsilon or multiplicity pair it never writes."""
+    mult = obj["mult_lo"], obj["mult_hi"]
     return CovolumeResult(
-        d=int(obj["d"]),
-        disc=int(obj["disc"]),
-        n=int(obj["n"]),
+        d=_int(obj["d"]),
+        disc=_int(obj["disc"]),
+        n=_int(obj["n"]),
         nu=_value_from_json(obj["nu"]),
         chi=_value_from_json(obj["chi"]),
         volume=_volume_from_json(obj["volume"]),
-        h=int(obj["h"]),
-        h_torsion=int(obj["h_torsion"]),
-        r=int(obj["r"]),
-        epsilon=EpsilonStatus(eps["kind"], int(eps["lower"]), int(eps["upper"])),
-        multiplicity=None if mult_lo is None else (int(mult_lo), int(obj["mult_hi"])),
+        h=_int(obj["h"]),
+        h_torsion=_int(obj["h_torsion"]),
+        r=_int(obj["r"]),
+        epsilon=_epsilon_from_json(obj["epsilon"]),
+        multiplicity=None if mult == (None, None) else (_int(mult[0]), _int(mult[1])),
     )
 
 
@@ -497,10 +498,6 @@ def growth_to_record(report: GrowthReport) -> dict[str, Any]:
         "closed_form": None if cf is None else _json_saturated(cf),
         "rel_err": report.closed_form_rel_err,
     }
-
-
-def growth_to_csv(report: GrowthReport) -> tuple[str, ...]:
-    return cells(growth_to_record(report))
 
 
 def hwang_to_record(n: int, k: int, bound: float) -> dict[str, Any]:

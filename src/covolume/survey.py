@@ -32,7 +32,6 @@ __all__ = [
     "MinimalResult",
     "OverallMinimum",
     "discriminant_bound",
-    "brauer_siegel_h_bound",
     "scan",
     "minimal_field",
     "overall_minimum",
@@ -138,29 +137,6 @@ def discriminant_bound(n: int) -> NumericValue:
     exponent = Fraction(n - t) / (2 * (s - 1))
     value = 3.0 * (2 * math.pi**5 / 3**5.5) ** float(exponent)
     return NumericValue(value, abs(value) * 1e-14)
-
-
-def brauer_siegel_h_bound(field: QuadField, m: int) -> NumericValue:
-    """Upper bound on the class number from the degree-m zeta value.
-
-    mu * m (m-1) (m-1)! * (disc / 4 pi^2)^(m/2) * zeta(m) L(m), where mu
-    is the unit-group order of the field.  Any m >= 2 works; small m
-    gives the tightest bound.
-    """
-    require_int(m, "m", 2)
-    z = lvalues.zeta_numeric(m)
-    l = lvalues.l_numeric(field, m)
-    value = (
-        field.mu_order
-        * m
-        * (m - 1)
-        * math.factorial(m - 1)
-        * (field.disc_abs / (4 * math.pi**2)) ** (m / 2)
-        * z.value
-        * l.value
-    )
-    rel = z.rel_error_bound + l.rel_error_bound + (m + 6) * 3e-16
-    return NumericValue(value, abs(value) * rel)
 
 
 def scan(n: int, max_disc: int) -> tuple[CovolumeResult, ...]:
@@ -371,15 +347,20 @@ def _growth_reports(field: QuadField, dims: range) -> Iterator[GrowthReport]:
     n = 2m + 1: q(n) = F(n+1) P(m+1)/P(m) / F(n), where F(n+1) is exact.
     F and the pair are positive, and F(n+1) of each step is carried to
     the next as its F(n), so a run computes no nu and no prefix product.
+    The run is checked on the call, as in _scan_rows (its first F checks
+    n >= 2), and each report is computed when it is asked for.
     """
     if dims.step != 1:
         raise InternalDefect(f"growth runs ascend by 1, got {dims}")
-    f_n = lattice._small_factor(field, dims.start) if dims else None
-    for n in dims:
-        f_next = lattice._small_factor(field, n + 1)
-        numer = f_next * lattice._pair(field, n // 2 + 1) if n % 2 else f_next
-        yield _growth_report(field, n, f_n, numer)
-        f_n = f_next
+
+    def reports(f_n: ExactOrInterval) -> Iterator[GrowthReport]:
+        for n in dims:
+            f_next = lattice._small_factor(field, n + 1)
+            numer = f_next * lattice._pair(field, n // 2 + 1) if n % 2 else f_next
+            yield _growth_report(field, n, f_n, numer)
+            f_n = f_next
+
+    return reports(lattice._small_factor(field, dims.start))
 
 
 def _growth_report(

@@ -28,6 +28,9 @@ one entry per step, is the oracle of the tangent-number table; the
 cleared coefficients built from Fractions, of their integer build; and
 class powers through the public compose, one FormClass per step, of the
 powers on reduced triples.
+Bernoulli polynomial values, inverse classes and the Brauer-Siegel
+class number bound are not used by the package; the tests keep them as
+references for B_{k,chi}, the group law and the class number.
 """
 
 from __future__ import annotations
@@ -80,6 +83,17 @@ def even_bernoulli_by_recurrence(j_max: int) -> list[Fraction]:
     while len(table) <= j_max:
         table.append(next_even(table))
     return table
+
+
+def bernoulli_polynomial_value(k: int, x: Fraction | int) -> Fraction:
+    """B_k(x) = sum_i C(k, i) B_i x^(k-i), evaluated exactly."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for i in range(k + 1):
+        b = bernoulli.bernoulli_number(i)
+        if b:
+            acc += math.comb(k, i) * b * x ** (k - i)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -466,6 +480,11 @@ def compose_triples_by_cases(
     return quadfield._reduce_triple(a3, b3, t // (4 * a3))
 
 
+def inverse_class(g: quadfield.FormClass) -> quadfield.FormClass:
+    """The inverse class, represented by the reduction of (a, -b, c)."""
+    return quadfield.FormClass(*quadfield._reduce_triple(g.a, -g.b, g.c))
+
+
 def class_power_by_form_classes(
     g: quadfield.FormClass, m: int, group: quadfield.ClassGroup
 ) -> quadfield.FormClass:
@@ -485,6 +504,30 @@ def torsion_count_by_form_classes(group: quadfield.ClassGroup, m: int) -> int:
     """Number of classes g with class_power_by_form_classes(g, m) principal."""
     e = group.principal
     return sum(1 for g in group.classes if class_power_by_form_classes(g, m, group) == e)
+
+
+def brauer_siegel_h_bound(
+    field: quadfield.QuadField, m: int
+) -> lvalues.NumericValue:
+    """Upper bound on the class number from the degree-m zeta value.
+
+    mu * m (m-1) (m-1)! * (disc / 4 pi^2)^(m/2) * zeta(m) L(m), where mu
+    is the unit-group order of the field.  Any m >= 2 works; small m
+    gives the tightest bound.
+    """
+    z = lvalues.zeta_numeric(m)
+    l = lvalues.l_numeric(field, m)
+    value = (
+        field.mu_order
+        * m
+        * (m - 1)
+        * math.factorial(m - 1)
+        * (field.disc_abs / (4 * math.pi**2)) ** (m / 2)
+        * z.value
+        * l.value
+    )
+    rel = z.rel_error_bound + l.rel_error_bound + (m + 6) * 3e-16
+    return lvalues.NumericValue(value, abs(value) * rel)
 
 
 def closed_form_ratio_float(field: quadfield.QuadField, n: int) -> float:

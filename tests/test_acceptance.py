@@ -275,7 +275,7 @@ def test_criterion_8_property_suites():
         ok = all(v in universe for v in table.values())
         ok = ok and all(table[(e, x)] == x for x in classes)
         ok = ok and all(
-            table[(x, quadfield.inverse_class(x))] == e for x in classes
+            table[(x, oracles.inverse_class(x))] == e for x in classes
         )
         ok = ok and all(
             table[(table[(x, y)], z)] == table[(x, table[(y, z)])]

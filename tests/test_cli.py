@@ -407,12 +407,52 @@ class TestGrowthCommand:
 
     @pytest.mark.parametrize("n_min", ["1", "0", "-1"])
     def test_rejects_start_below_two(self, capsys, n_min):
-        # the run's first F(n) checks n, before any row is written
+        # the run's first F(n) checks n, before any row or CSV header
+        for fmt in ("json", "csv", "table"):
+            code, out, err = run_cli(
+                capsys, "growth", "--d", "3", "--n-min", n_min, "--n-max", "4",
+                "--format", fmt,
+            )
+            assert code == 2 and out == "", fmt
+            assert "covolume:" in err and "Traceback" not in err
+
+
+class TestGrowthStreams:
+    """JSON and CSV growth rows are printed as each is computed."""
+
+    def test_first_line_after_one_report(self, monkeypatch):
+        calls = []
+        real = survey._growth_report
+
+        def counting(field, n, denom, numer):
+            calls.append(n)
+            return real(field, n, denom, numer)
+
+        spy = FirstLineSpy(calls)
+        monkeypatch.setattr(survey, "_growth_report", counting)
+        monkeypatch.setattr(sys, "stdout", spy)
+        argv = ["growth", "--d", "3", "--n-min", "2", "--n-max", "40"]
+        assert cli.main([*argv, "--format", "json"]) == 0
+        assert spy.first_line_after == 1
+        assert calls == list(range(2, 41))
+
+    @pytest.mark.parametrize("fmt, kept", [("json", 2), ("csv", 3)])
+    def test_defect_mid_run_keeps_printed_rows(self, capsys, monkeypatch, fmt, kept):
+        real = survey._growth_report
+
+        def third_fails(field, n, denom, numer):
+            if n == 4:
+                raise InternalDefect(f"injected at n = {n}")
+            return real(field, n, denom, numer)
+
+        monkeypatch.setattr(survey, "_growth_report", third_fails)
         code, out, err = run_cli(
-            capsys, "growth", "--d", "3", "--n-min", n_min, "--n-max", "4"
+            capsys, "growth", "--d", "3", "--n-min", "2", "--n-max", "9",
+            "--format", fmt,
         )
-        assert code == 2 and out == ""
-        assert "covolume:" in err and "Traceback" not in err
+        assert code == 1
+        assert len(out.splitlines()) == kept
+        assert err == "covolume: internal defect: injected at n = 4\n"
 
 
 class TestHwangCommand:
@@ -597,7 +637,7 @@ class TestEmitConvertsOnlyPrinted:
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_json_builds_no_csv_row(self, capsys, monkeypatch, command):
-        self._forbid(monkeypatch, "row_to_csv", "growth_to_csv")
+        self._forbid(monkeypatch, "row_to_csv", "cells")
         code, out, _ = run_cli(capsys, *command, "--format", "json")
         assert code == 0
         assert all(json.loads(line) for line in out.splitlines())

@@ -22,7 +22,6 @@ from covolume.errors import InvalidInput
         lambda f: survey.minimal_field(4, safety_margin=True),
         lambda f: survey.overall_minimum(True),
         lambda f: survey.hwang_bound(2, True),
-        lambda f: survey.brauer_siegel_h_bound(f, True),
     ],
     ids=[
         "bernoulli_number",
@@ -35,7 +34,6 @@ from covolume.errors import InvalidInput
         "minimal_field-safety_margin",
         "overall_minimum",
         "hwang_bound-k",
-        "brauer_siegel_h_bound-m",
     ],
 )
 def test_bool_rejected(call, f3):

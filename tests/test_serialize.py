@@ -101,6 +101,35 @@ _rows = st.builds(
 )
 
 
+# a row with every cell filled, for the codecs of single cells
+_ROW = CovolumeResult(
+    d=5,
+    disc=20,
+    n=3,
+    nu=Fraction(1, 72),
+    chi=Fraction(-1, 36),
+    volume=0.5,
+    h=2,
+    h_torsion=1,
+    r=2,
+    epsilon=EpsilonStatus("bounded", 2, 4),
+    multiplicity=(1, 2),
+)
+
+
+def _cell_of(key, **fields):
+    """The cell under key of _ROW with fields replaced, as CSV prints it."""
+    record = serialize.row_to_record(dataclasses.replace(_ROW, **fields))
+    return serialize.cells(record)[serialize.ROW_HEADER.index(key)]
+
+
+def _row_with_cell(key, cell):
+    """row_from_csv of _ROW's cells with the cell under key replaced."""
+    values = list(serialize.row_to_csv(_ROW))
+    values[serialize.ROW_HEADER.index(key)] = cell
+    return serialize.row_from_csv(tuple(values))
+
+
 @contextlib.contextmanager
 def _digit_limit(limit):
     """Set the int/str digit limit (Python >= 3.10.7; 0 lifts it)."""
@@ -155,16 +184,16 @@ class TestScalarCodecs:
 
     def test_value_codec(self):
         interval = Interval(Fraction(1, 96), Fraction(1, 48))
-        assert serialize.format_value(interval) == "1/96..1/48"
-        assert serialize.parse_value("1/96..1/48") == interval
-        assert serialize.parse_value("1/72") == Fraction(1, 72)
+        assert _cell_of("nu", nu=interval) == "1/96..1/48"
+        assert _row_with_cell("nu", "1/96..1/48").nu == interval
+        assert _row_with_cell("nu", "1/72").nu == Fraction(1, 72)
 
     def test_volume_codec(self):
-        assert serialize.format_volume(0.5) == "0.5"
-        assert serialize.parse_volume("0.25..0.5") == (0.25, 0.5)
-        assert serialize.format_volume(math.inf) == "inf"
-        assert serialize.parse_volume("inf") == math.inf
-        assert serialize.format_volume((1.5, math.inf)) == "1.5..inf"
+        assert _cell_of("volume", volume=0.5) == "0.5"
+        assert _row_with_cell("volume", "0.25..0.5").volume == (0.25, 0.5)
+        assert _cell_of("volume", volume=math.inf) == "inf"
+        assert _row_with_cell("volume", "inf").volume == math.inf
+        assert _cell_of("volume", volume=(1.5, math.inf)) == "1.5..inf"
 
     @pytest.mark.parametrize(
         "bad",
@@ -185,7 +214,7 @@ class TestScalarCodecs:
                 serialize.row_from_record(dict(record, volume=volume))
         for cell in (bad.strip('"'), "1.5.." + bad.strip('"')):
             with pytest.raises(ValueError):
-                serialize.parse_volume(cell)
+                _row_with_cell("volume", cell)
 
     def test_epsilon_codec(self):
         assert serialize.format_epsilon(EpsilonStatus("irrelevant", 1, 1)) == (
@@ -419,7 +448,7 @@ class TestParseRational:
         with pytest.raises(ValueError):
             serialize.parse_rational(bad)
         with pytest.raises(ValueError):
-            serialize.parse_value(bad)
+            _row_with_cell("nu", bad)
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"),
@@ -595,6 +624,70 @@ class TestRowCodecs:
         assert tuple(serialize.row_to_record(row)) == serialize.ROW_HEADER
 
 
+class TestRowParsersRefuse:
+    """row_from_record and row_from_csv refuse what row_to_record never writes."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", 9.9),
+            ("n", 3.0),
+            ("h", True),
+            ("disc", " 20 "),
+            ("d", "+5"),
+            ("d", "\u0665"),
+            ("r", None),
+            ("epsilon", {"kind": "weird", "lower": 2, "upper": 4}),
+            ("epsilon", {"kind": "bounded", "lower": 2.5, "upper": 4}),
+            ("epsilon", {"kind": "bounded", "lower": 4, "upper": 2}),
+            ("epsilon", {"kind": "exact", "lower": 0, "upper": 0}),
+            ("epsilon", {"kind": "exact", "lower": 2, "upper": 4}),
+            ("epsilon", {"kind": "irrelevant", "lower": 2, "upper": 2}),
+            ("mult_hi", None),
+            ("mult_hi", 2.0),
+            ("nu", 5),
+        ],
+        ids=repr,
+    )
+    def test_record(self, key, value):
+        record = serialize.row_to_record(_ROW)
+        assert serialize.row_from_record(record) == _ROW
+        with pytest.raises(ValueError):
+            serialize.row_from_record(dict(record, **{key: value}))
+
+    def test_record_with_half_a_multiplicity(self):
+        record = dict(serialize.row_to_record(_ROW), mult_lo=None)
+        with pytest.raises(ValueError):
+            serialize.row_from_record(record)
+
+    @pytest.mark.parametrize(
+        "key, cell",
+        [
+            ("n", "9.9"),
+            ("disc", " 20 "),
+            ("d", "+5"),
+            ("d", "5_0"),
+            ("d", "\u0665"),
+            ("h", ""),
+            ("epsilon", "0"),
+            ("epsilon", "1"),
+            ("epsilon", " 2"),
+            ("epsilon", "4..2"),
+            ("epsilon", "2..4..8"),
+            ("epsilon", "weird"),
+            ("mult_hi", ""),
+            ("nu", ""),
+        ],
+        ids=repr,
+    )
+    def test_csv(self, key, cell):
+        assert _row_with_cell(key, serialize.row_to_csv(_ROW)[
+            serialize.ROW_HEADER.index(key)
+        ]) == _ROW
+        with pytest.raises(ValueError):
+            _row_with_cell(key, cell)
+
+
 class TestGrowthCodecs:
     def test_header(self):
         assert serialize.GROWTH_HEADER == (
@@ -610,7 +703,7 @@ class TestGrowthCodecs:
         from covolume import survey
 
         report = survey.growth_ratio(f3, 2)
-        fields = serialize.growth_to_csv(report)
+        fields = serialize.cells(serialize.growth_to_record(report))
         assert fields[0] == "3"
         assert fields[2] == "1/90"
         assert fields[4] != ""
@@ -622,7 +715,7 @@ class TestGrowthCodecs:
         from covolume import survey
 
         report = survey.growth_ratio(f5, 2)
-        fields = serialize.growth_to_csv(report)
+        fields = serialize.cells(serialize.growth_to_record(report))
         assert fields[2] == "1/180..1/90"
         assert fields[4] == "" and fields[5] == ""
         record = serialize.growth_to_record(report)
