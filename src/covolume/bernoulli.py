@@ -4,7 +4,7 @@ Everything here is computed in exact arithmetic, integers and
 fractions.Fraction; no floating point enters any value.  The sign
 convention is B_1 = -1/2.  B_{k,chi} reads no Bernoulli number: it comes
 from one integer recurrence over the character's power sums
-(_PowerSums).
+(_PowerSums), which also keeps the field's L-product (_l_product).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = [
     "clear_caches",
 ]
 
-_lock = threading.Lock()
+_lock = threading.RLock()  # a factor pair reads B_2j under it
 _even_table: list[Fraction] = [Fraction(1)]  # _even_table[j] holds B_{2j}
 
 
@@ -137,8 +137,8 @@ class _PowerSums:
     the field's half-period character table, chi(a) for 0 <= a < q/2,
     read here once and not kept; range(q, 0, -2) is q - 2a over the same
     a.  sq holds the z^2 and pow the z^j for the last odd j, and g[i] is
-    g_{2i+1}; V_j is used once and not kept.  g only grows, under _lock,
-    so an entry read from it never goes stale.
+    g_{2i+1}; V_j is used once and not kept.  g and prefix only grow,
+    under _lock, so an entry read from either never goes stale.
     """
 
     def __init__(self, D: int, chi: tuple[int, ...]):
@@ -146,6 +146,7 @@ class _PowerSums:
         self.pow = list(filter(None, map(mul, chi, range(-D, 0, -2))))
         self.sq = _times(self.pow, self.pow)
         self.g = [sum(self.pow)]
+        self.prefix = [Fraction(1)]
 
     def extend(self, k: int) -> None:
         """Grow g up to g_k, for an odd k.
@@ -167,11 +168,44 @@ class _PowerSums:
                 raise InternalDefect(f"g_{j} of D = {-self.q} is not an integer")
             g.append(sum(self.pow) - quotient)
 
+    def pair(self, j: int) -> Fraction:
+        """zeta(1-2j) L(-2j, chi) = -B_2j g_(2j+1) / (2j (2j+1) 4^j q), j >= 1.
+
+        P(j) / P(j-1), positive, as one Fraction normalized once.  B_2j is
+        read through bernoulli_number on every step, never kept.
+        """
+        self.extend(2 * j + 1)
+        b = bernoulli_number(2 * j)
+        den = 2 * j * (2 * j + 1) * b.denominator * self.q
+        return Fraction(-b.numerator * self.g[j], den << 2 * j)
+
 
 @lru_cache(maxsize=1)
 def _power_state(D: int) -> _PowerSums:
     """The power sums of the field asked last (D < 0), built on a new D."""
     return _PowerSums(D, quadfield.chi_table(D))
+
+
+def _l_pair(D: int, j: int) -> Fraction:
+    """zeta(1-2j) L(-2j, chi_D) for a fundamental D < 0 and j >= 1."""
+    state = _power_state(D)
+    with _lock:
+        return state.pair(j)
+
+
+def _l_product(D: int, m: int) -> Fraction:
+    """P(m) = prod_{j<=m} zeta(1-2j) L(-2j, chi_D), with P(0) = 1.
+
+    Read from the state's append-only list P(0), P(1), ..., grown one
+    pair at a time, so a sweep over n = 2..N of one field pays for each
+    pair once; a new field or clear_caches starts a fresh list.
+    """
+    state = _power_state(D)
+    with _lock:
+        prefix = state.prefix
+        while len(prefix) <= m:
+            prefix.append(prefix[-1] * state.pair(len(prefix)))
+        return prefix[m]
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,6 @@ precision exercises every layer of the package at once.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,8 +49,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2 * math.pi)
-
-_lock = threading.Lock()
 
 
 class Interval(NamedTuple):
@@ -146,39 +143,6 @@ def h_torsion(field: QuadField, m: int) -> int:
     return quadfield.torsion_count(group, g)
 
 
-@lru_cache(maxsize=1)
-def _prefix_of(D: int) -> list[Fraction]:
-    """The list [P(0)] that _l_product grows for the field asked last."""
-    return [Fraction(1)]
-
-
-def _pair(field: QuadField, j: int) -> Fraction:
-    """zeta(1-2j) L(-2j, chi) = -B_2j L(-2j, chi) / 2j, for j >= 1.
-
-    One small Fraction, normalized once: P(j) / P(j-1), which is positive.
-    """
-    b = bernoulli.bernoulli_number(2 * j)
-    el = lvalues.l_negative(field, 2 * j + 1)
-    return Fraction(-b.numerator * el.numerator, 2 * j * b.denominator * el.denominator)
-
-
-def _l_product(field: QuadField, m: int) -> Fraction:
-    """P(m) = prod_{j<=m} zeta(1-2j) L(-2j, chi), with P(0) = 1.
-
-    Read from one append-only list P(0), P(1), ... that belongs to the
-    field asked last (_prefix_of) and grows one _pair at a time under
-    _lock, so a sweep over n = 2..N of one field pays for each L-value
-    once, and extending the list costs one product against the prefix.
-    A new field gets a fresh list and clear_caches drops it; entries are
-    never mutated, so a prefix read from the list never goes stale.
-    """
-    prefix = _prefix_of(field.disc_signed)
-    with _lock:
-        while len(prefix) <= m:
-            prefix.append(prefix[-1] * _pair(field, len(prefix)))
-        return prefix[m]
-
-
 def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
     """F(n), the factor of nu(n) = F(n) P(floor(n/2)) besides the L-product.
 
@@ -204,12 +168,12 @@ def nu(field: QuadField, n: int) -> ExactOrInterval:
     """Normalized Euler-Poincare covolume of Gamma_ell in PU(n,1).
 
     F(n) P(floor(n/2)): the small factor F (_small_factor), exact or an
-    interval, times the L-product P read from the field's prefix list
-    (_l_product).  The small factors are combined first, so the large P
-    enters one product per endpoint.
+    interval, times the L-product P that the field's power-sum state keeps
+    (bernoulli._l_product).  The small factors are combined first, so the
+    large P enters one product per endpoint.
     """
     small = _small_factor(field, n)  # validates n
-    prefix = _l_product(field, n // 2)
+    prefix = bernoulli._l_product(field.disc_signed, n // 2)
     if is_exact(small):
         return small * prefix
     return Interval(small.lower * prefix, small.upper * prefix)
@@ -469,7 +433,6 @@ def cross_path_check(
 
 
 def clear_caches() -> None:
-    """Reset this module's memo tables and the prefix list (used by tests)."""
-    _prefix_of.cache_clear()
+    """Reset this module's memo tables (used by tests)."""
     class_number.cache_clear()
     h_torsion.cache_clear()

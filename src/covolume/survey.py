@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
 
-from . import lattice, lvalues, quadfield
+from . import bernoulli, lattice, lvalues, quadfield
 from .errors import InternalDefect, InvalidDimension, TieDetected, require_int
 from .lattice import CovolumeResult, ExactOrInterval, Interval
 from .lvalues import NumericValue
@@ -353,10 +353,12 @@ def _growth_reports(field: QuadField, dims: range) -> Iterator[GrowthReport]:
     if dims.step != 1:
         raise InternalDefect(f"growth runs ascend by 1, got {dims}")
 
+    D = field.disc_signed
+
     def reports(f_n: ExactOrInterval) -> Iterator[GrowthReport]:
         for n in dims:
             f_next = lattice._small_factor(field, n + 1)
-            numer = f_next * lattice._pair(field, n // 2 + 1) if n % 2 else f_next
+            numer = f_next * bernoulli._l_pair(D, n // 2 + 1) if n % 2 else f_next
             yield _growth_report(field, n, f_n, numer)
             f_n = f_next
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import covolume
-from covolume import lattice, lvalues, quadfield
+from covolume import bernoulli, lattice, lvalues, quadfield
 from covolume.errors import InternalDefect, InvalidDimension, UnknownMultiplicity
 from covolume.lattice import Interval, is_exact
 
@@ -323,28 +323,30 @@ class TestPrefixProduct:
             pairs = [(field, n) for n in range(2, 31) for field in fields]
         else:
             pairs = [(field, n) for field in fields for n in dims]
-        lattice.clear_caches()
+        bernoulli.clear_caches()
         self._check(pairs, expected)
 
     def test_across_clear_caches(self, expected, f3, f23):
-        lattice.clear_caches()
+        bernoulli.clear_caches()
         self._check([(f23, n) for n in (12, 3, 20)], expected)
-        lattice.clear_caches()
+        bernoulli.clear_caches()
         self._check([(f23, n) for n in (30, 2)], expected)
         covolume.clear_caches()
         self._check([(f3, 9), (f23, 7), (f23, 25), (f3, 30)], expected)
 
     @pytest.mark.parametrize(
         "clear",
-        [covolume.clear_caches, lattice.clear_caches],
-        ids=["package", "lattice"],
+        [covolume.clear_caches, bernoulli.clear_caches],
+        ids=["package", "bernoulli"],
     )
     def test_perturbed_l_value_is_not_masked(self, monkeypatch, f23, clear):
+        # bernoulli owns the prefix list, so its clear_caches must drop it;
+        # every factor pair reads B_2j afresh, as the oracle's zeta does
         covolume.clear_caches()
         before = lattice.nu(f23, 10)  # leaves f23's prefix list warm
         clear()
-        real = lvalues.l_negative
-        monkeypatch.setattr(lvalues, "l_negative", lambda field, k: 2 * real(field, k))
+        real = bernoulli.bernoulli_number
+        monkeypatch.setattr(bernoulli, "bernoulli_number", lambda k: 2 * real(k))
         try:
             after = lattice.nu(f23, 10)
             assert after == oracles.nu_by_loop(f23, 10) == 2**5 * before
@@ -356,7 +358,7 @@ class TestPrefixProduct:
         fields = [quadfield.from_squarefree_d(d) for d in (1, 2, 3, 5, 23, 71)]
         pairs = [(field, n) for field in fields for n in range(2, 31)] * 2
         random.Random(7).shuffle(pairs)
-        lattice.clear_caches()
+        bernoulli.clear_caches()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -371,17 +373,17 @@ class TestPrefixProduct:
     def test_sweep_computes_each_l_value_once(self, monkeypatch, f3):
         covolume.clear_caches()
         calls = []
-        real = lvalues.l_negative
+        real = bernoulli._PowerSums.pair
 
-        def counting(field, k):
-            calls.append(k)
-            return real(field, k)
+        def counting(state, j):
+            calls.append(j)
+            return real(state, j)
 
-        monkeypatch.setattr(lvalues, "l_negative", counting)
+        monkeypatch.setattr(bernoulli._PowerSums, "pair", counting)
         for n in range(2, 201):
             lattice.nu(f3, n)
-        # k = 3, 5, ..., 201 once each; a loop per call makes 10000 calls
-        assert calls == list(range(3, 202, 2))
+        # pairs j = 1, ..., 100 once each; a loop per call makes 10000 steps
+        assert calls == list(range(1, 101))
 
     def test_one_discriminant_check_per_field(self, monkeypatch):
         fields = quadfield.fields_with_disc_at_most(400)

@@ -272,9 +272,13 @@ class TestFieldMajorSweep:
         monkeypatch.setattr(bernoulli, "_times", counting_times)
         survey.overall_minimum(60)
         # 10 fields up to the widest limit, each to k = 61: one squaring
-        # pass and 30 steps of the one signed list per field
-        assert len(built) == len(set(built)) == 10
-        assert passes[0] == 310
+        # pass and 30 steps of the one signed list per field.  The growth
+        # run over the winner's field (-3, the first swept) then rebuilds
+        # its state, since the state keeps the field asked last, and reads
+        # pairs up to j = 30, so k = 61 again: one build and 31 passes more
+        assert len(built) == 11 and len(set(built)) == 10
+        assert built[0] == built[-1] == -3
+        assert passes[0] == 341
 
 
 class TestGrowthRatio:
@@ -334,7 +338,7 @@ class TestGrowthRatio:
             raise AssertionError("growth run reached the L-product")
 
         monkeypatch.setattr(lattice, "nu", forbidden)
-        monkeypatch.setattr(lattice, "_l_product", forbidden)
+        monkeypatch.setattr(bernoulli, "_l_product", forbidden)
         reports = list(survey._growth_reports(f3, range(2, 60)))
         assert reports[0].q == oracles.GROWTH_RATIOS[2]
         assert reports[1].q == oracles.GROWTH_RATIOS[3]
@@ -536,7 +540,6 @@ class TestMemoInventory:
         "quadfield.reduced_forms",
         "quadfield._require_fundamental",
         "lattice.class_number",
-        "lattice._prefix_of",
         "bernoulli._power_state",
         "lvalues._kronecker_row",
     )
