@@ -6,7 +6,9 @@ the lattice Gamma_ell in dimension n.  It is an exact positive rational
 built from zeta and L values at nonpositive integers.  For odd n the
 formula carries a factor epsilon that is pinned down only when the field
 has a single ramified prime; otherwise nu is reported as an exact
-interval whose endpoints differ by a power of two.
+interval whose endpoints differ by a power of two.  The L-product in it
+comes from the field's power-sum state in bernoulli, which keeps its
+prefix; this module keeps no per-index state.
 
 An independent floating-point route evaluates the principal covolume
 through the adelic volume formula and renormalizes it by the index of

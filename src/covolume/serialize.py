@@ -281,13 +281,25 @@ def _volume_from_json(obj: Any) -> float | tuple[float, float]:
 
 
 def _saturated_from_json(obj: Any) -> float:
-    # what _json_saturated writes: a finite number, or exactly "inf"
+    # what _json_saturated writes: a finite JSON number (a bool is not
+    # one), or exactly "inf"
     if obj == "inf":
         return math.inf
-    v = float(obj)
-    if not math.isfinite(v):
-        raise ValueError(f"not a volume: {obj!r}")
-    return v
+    if type(obj) is int and abs(obj) < 2**1024 or type(obj) is float:
+        v = float(obj)
+        if math.isfinite(v):
+            return v
+    raise ValueError(f"not a volume: {obj!r:.40}")
+
+
+# the text format_float writes for a finite float
+_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
+
+
+def _volume_of_cell(cell: str | None) -> float | str | None:
+    """A volume cell in its JSON form: format_float's text becomes a
+    float, and anything else stays as it is, which only "inf" passes."""
+    return float(cell) if cell is not None and _DECIMAL.fullmatch(cell) else cell
 
 
 def format_epsilon(eps: EpsilonStatus) -> str:
@@ -456,21 +468,28 @@ def _epsilon_from_json(obj: dict[str, Any]) -> EpsilonStatus:
 
 def row_from_record(obj: dict[str, Any]) -> CovolumeResult:
     """The row of a record that row_to_record writes, or of its CSV cells;
-    ValueError on an integer, epsilon or multiplicity pair it never writes."""
-    mult = obj["mult_lo"], obj["mult_hi"]
-    return CovolumeResult(
-        d=_int(obj["d"]),
-        disc=_int(obj["disc"]),
-        n=_int(obj["n"]),
-        nu=_value_from_json(obj["nu"]),
-        chi=_value_from_json(obj["chi"]),
-        volume=_volume_from_json(obj["volume"]),
-        h=_int(obj["h"]),
-        h_torsion=_int(obj["h_torsion"]),
-        r=_int(obj["r"]),
-        epsilon=_epsilon_from_json(obj["epsilon"]),
-        multiplicity=None if mult == (None, None) else (_int(mult[0]), _int(mult[1])),
-    )
+    ValueError on anything it never writes: a missing key, a value of the
+    wrong shape, or an integer, volume, epsilon or multiplicity pair out
+    of its forms."""
+    try:
+        mult = obj["mult_lo"], obj["mult_hi"]
+        return CovolumeResult(
+            d=_int(obj["d"]),
+            disc=_int(obj["disc"]),
+            n=_int(obj["n"]),
+            nu=_value_from_json(obj["nu"]),
+            chi=_value_from_json(obj["chi"]),
+            volume=_volume_from_json(obj["volume"]),
+            h=_int(obj["h"]),
+            h_torsion=_int(obj["h_torsion"]),
+            r=_int(obj["r"]),
+            epsilon=_epsilon_from_json(obj["epsilon"]),
+            multiplicity=(
+                None if mult == (None, None) else (_int(mult[0]), _int(mult[1]))
+            ),
+        )
+    except (KeyError, TypeError) as exc:  # a missing key or a misshapen value
+        raise ValueError(f"not a covolume record: {exc!r:.80}") from None
 
 
 def row_to_csv(row: CovolumeResult) -> tuple[str, ...]:
@@ -485,6 +504,12 @@ def row_from_csv(values: tuple[str, ...]) -> CovolumeResult:
         for key, cell in zip(ROW_HEADER, values)
     }
     record["epsilon"] = vars(parse_epsilon(values[ROW_HEADER.index("epsilon")]))
+    volume = record["volume"]
+    record["volume"] = (
+        {key: _volume_of_cell(cell) for key, cell in volume.items()}
+        if isinstance(volume, dict)
+        else _volume_of_cell(volume)
+    )
     return row_from_record(record)
 
 

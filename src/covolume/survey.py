@@ -346,7 +346,8 @@ def _growth_reports(field: QuadField, dims: range) -> Iterator[GrowthReport]:
     cancels from q(n) = nu(n+1)/nu(n) but for one factor pair at odd
     n = 2m + 1: q(n) = F(n+1) P(m+1)/P(m) / F(n), where F(n+1) is exact.
     F and the pair are positive, and F(n+1) of each step is carried to
-    the next as its F(n), so a run computes no nu and no prefix product.
+    the next as its F(n), so a run computes no nu and no prefix product:
+    it reads each pair from the field's power-sum state (bernoulli._l_pair).
     The run is checked on the call, as in _scan_rows (its first F checks
     n >= 2), and each report is computed when it is asked for.
     """

@@ -14,9 +14,10 @@ sign of chi, and the expansion of B_k about 1/2 with its cleared
 coefficients are the exact kernels that the tiled table, the one
 signed power list of q - 2a and its integer recurrence replaced, kept
 as their differential oracles; likewise nu with its L-product rebuilt from j = 1 on every
-call, which the prefix list of lattice._l_product replaced, and the
-minimal-field certificate built one dimension at a time, which the
-field-major sweep of survey replaced.
+call, which the prefix list of bernoulli._l_product replaced, each
+factor pair read through lvalues.l_negative, which the pair step of the
+power-sum state replaced, and the minimal-field certificate built one
+dimension at a time, which the field-major sweep of survey replaced.
 The growth closed form written out twice, as a float and as a
 logarithm, the descending search for the growth threshold, and the field
 enumeration that factored each d up to three times are kept the same way
@@ -384,6 +385,14 @@ def generalized_bernoulli_a_powers(k: int, D: int) -> Fraction:
     ints, m = cleared_poly_a_powers(k)
     total = sum(c * q**i * sums[k - i] for i, c in enumerate(ints) if c)
     return Fraction(2 * total, m * q)
+
+
+def l_pair_by_l_negative(field: quadfield.QuadField, j: int) -> Fraction:
+    """zeta(1-2j) L(-2j, chi) = -B_2j L(-2j, chi) / 2j, with L(-2j, chi)
+    read through lvalues.l_negative and the memo of B_{k,chi}."""
+    b = bernoulli.bernoulli_number(2 * j)
+    el = lvalues.l_negative(field, 2 * j + 1)
+    return Fraction(-b.numerator * el.numerator, 2 * j * b.denominator * el.denominator)
 
 
 def nu_by_loop(field: quadfield.QuadField, n: int) -> lattice.ExactOrInterval:

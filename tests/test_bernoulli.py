@@ -16,7 +16,8 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from covolume import bernoulli, lattice, quadfield
+import covolume
+from covolume import bernoulli, lattice, quadfield, survey
 from covolume.errors import InternalDefect, InvalidInput, NonFundamentalDiscriminant
 
 from . import oracles
@@ -374,3 +375,42 @@ class TestSharedPowerSums:
             sys.setswitchinterval(interval)
         for p, value in zip(pairs, results):
             assert value == expected[p], p
+
+
+class TestLProduct:
+    """The factor pairs and the prefix product P(m) of the power-sum state
+    against the route through lvalues.l_negative that they replaced."""
+
+    @staticmethod
+    def _check(field, j_max):
+        D = field.disc_signed
+        expected = [Fraction(1)]
+        for j in range(1, j_max + 1):
+            pair = oracles.l_pair_by_l_negative(field, j)
+            assert bernoulli._l_pair(D, j) == pair, (D, j)
+            expected.append(expected[-1] * pair)
+        assert [bernoulli._l_product(D, m) for m in range(j_max + 1)] == expected, D
+
+    def test_matches_l_negative_route(self):
+        covolume.clear_caches()
+        try:
+            for field in quadfield.fields_with_disc_at_most(3000):
+                self._check(field, 10)
+        finally:
+            covolume.clear_caches()  # the oracle fills the B_{k,chi} memo
+
+    @pytest.mark.parametrize("d", [3, 1, 2, 163], ids=["D-3", "D-4", "D-8", "D-163"])
+    def test_matches_l_negative_route_deep(self, d):
+        covolume.clear_caches()
+        try:
+            self._check(quadfield.from_squarefree_d(d), 200)
+        finally:
+            covolume.clear_caches()
+
+    def test_scan_reads_no_b_k_chi(self):
+        # every CLI path reads the pairs from the state's g_k, so the memo
+        # of B_{k,chi} stays empty; it held 3055 entries after this scan
+        # when the pairs went through lvalues.l_negative
+        covolume.clear_caches()
+        survey.scan(10, 2000)
+        assert bernoulli._generalized_bernoulli.cache_info().currsize == 0

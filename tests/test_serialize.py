@@ -646,6 +646,18 @@ class TestRowParsersRefuse:
             ("mult_hi", None),
             ("mult_hi", 2.0),
             ("nu", 5),
+            ("nu", {"lower": "1/2"}),
+            ("epsilon", "2"),
+            ("epsilon", {"kind": "exact", "lower": 2}),
+            # a volume is a finite JSON number, never a bool, or exactly "inf"
+            ("volume", True),
+            ("volume", None),
+            ("volume", "0.5"),
+            ("volume", " 1.5 "),
+            pytest.param("volume", 2**1024, id="'volume'-2**1024"),
+            ("volume", {"lower": 0.5}),
+            ("volume", {"lower": 0.5, "upper": False}),
+            ("volume", {"lower": 0.5, "upper": "1"}),
         ],
         ids=repr,
     )
@@ -659,6 +671,18 @@ class TestRowParsersRefuse:
         record = dict(serialize.row_to_record(_ROW), mult_lo=None)
         with pytest.raises(ValueError):
             serialize.row_from_record(record)
+
+    @pytest.mark.parametrize("key", ["h", "mult_lo", "volume"])
+    def test_record_with_a_missing_key(self, key):
+        record = serialize.row_to_record(_ROW)
+        del record[key]
+        with pytest.raises(ValueError):
+            serialize.row_from_record(record)
+
+    @pytest.mark.parametrize("obj", [None, [], "record"], ids=repr)
+    def test_record_that_is_not_an_object(self, obj):
+        with pytest.raises(ValueError):
+            serialize.row_from_record(obj)
 
     @pytest.mark.parametrize(
         "key, cell",
@@ -677,6 +701,10 @@ class TestRowParsersRefuse:
             ("epsilon", "weird"),
             ("mult_hi", ""),
             ("nu", ""),
+            ("volume", ""),
+            ("volume", " 0.5"),
+            ("volume", "0_5"),
+            ("volume", "0.5.. 1"),
         ],
         ids=repr,
     )
