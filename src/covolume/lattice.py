@@ -82,11 +82,22 @@ class EpsilonStatus:
     kind is "exact" (single ramified prime, epsilon = 2), "bounded"
     (epsilon in {2, ..., 2^r}, reported as the interval [2, 2^r]), or
     "irrelevant" (even n, where no epsilon enters any formula).
+    Construction raises ValueError outside the forms irrelevant 1..1,
+    exact k..k with k >= 2 and bounded lo..hi with 2 <= lo <= hi.
     """
 
     kind: str
     lower: int
     upper: int
+
+    def __post_init__(self) -> None:
+        kind, low, high = self.kind, self.lower, self.upper
+        if not (
+            kind == "irrelevant" and low == high == 1
+            or kind == "exact" and 2 <= low == high
+            or kind == "bounded" and 2 <= low <= high
+        ):
+            raise ValueError(f"not an epsilon: {self!r:.80}")
 
     @property
     def exact(self) -> bool:

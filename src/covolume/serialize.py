@@ -7,8 +7,11 @@ is the identity.  Every printed item is first a JSON record; its CSV
 and table cells are the record's values flattened by one rule (_cell):
 null is an empty cell, a {"lower": ..., "upper": ...} pair is
 "lower..upper", and the epsilon object is format_epsilon's text.
-Every emitted record parses back to an equal CovolumeResult, and
-re-serializing the parsed form reproduces the original bytes.
+The writer is also the readers' only specification: row_from_record
+and row_from_csv read a row leniently and return it only if the writer
+writes it back to the very text it was read from, and raise ValueError
+otherwise.  So every emitted record parses back to an equal
+CovolumeResult, and nothing else parses.
 
 Large n: nu(n) has about n^2 log n digits (546k at n = 800 over
 Q(sqrt(-3))), and CPython before 3.12 converts int to str in quadratic
@@ -258,8 +261,8 @@ def _value_from_json(obj: str | dict[str, str]) -> ExactOrInterval:
 def _json_saturated(v: float) -> float | str:
     # volumes, closed-form growth ratios and hwang bounds past IEEE range
     # saturate to inf upstream; JSON numbers cannot carry infinity, so
-    # the saturated value travels as the string "inf" and parses back
-    # through _saturated_from_json
+    # the saturated value travels as the string "inf", which float()
+    # reads back
     if math.isinf(v) and v > 0:
         return "inf"
     return v
@@ -276,30 +279,8 @@ def _volume_json(v: float | tuple[float, float]) -> Any:
 
 def _volume_from_json(obj: Any) -> float | tuple[float, float]:
     if isinstance(obj, dict):
-        return (_saturated_from_json(obj["lower"]), _saturated_from_json(obj["upper"]))
-    return _saturated_from_json(obj)
-
-
-def _saturated_from_json(obj: Any) -> float:
-    # what _json_saturated writes: a finite JSON number (a bool is not
-    # one), or exactly "inf"
-    if obj == "inf":
-        return math.inf
-    if type(obj) is int and abs(obj) < 2**1024 or type(obj) is float:
-        v = float(obj)
-        if math.isfinite(v):
-            return v
-    raise ValueError(f"not a volume: {obj!r:.40}")
-
-
-# the text format_float writes for a finite float
-_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
-
-
-def _volume_of_cell(cell: str | None) -> float | str | None:
-    """A volume cell in its JSON form: format_float's text becomes a
-    float, and anything else stays as it is, which only "inf" passes."""
-    return float(cell) if cell is not None and _DECIMAL.fullmatch(cell) else cell
+        return (float(obj["lower"]), float(obj["upper"]))
+    return float(obj)
 
 
 def format_epsilon(eps: EpsilonStatus) -> str:
@@ -311,12 +292,17 @@ def format_epsilon(eps: EpsilonStatus) -> str:
 
 
 def parse_epsilon(s: str) -> EpsilonStatus:
+    """The epsilon that format_epsilon writes as s; ValueError on other text."""
     if s == "irrelevant":
         return EpsilonStatus("irrelevant", 1, 1)
     if ".." in s:
         lo, hi = s.split("..")
-        return EpsilonStatus("bounded", _int(lo), _int(hi))
-    return EpsilonStatus("exact", _int(s), _int(s))
+        eps = EpsilonStatus("bounded", int(lo), int(hi))
+    else:
+        eps = EpsilonStatus("exact", int(s), int(s))
+    if format_epsilon(eps) != s:
+        raise ValueError(f"not an epsilon: {s!r:.40}")
+    return eps
 
 
 def dumps(obj: Any) -> str:
@@ -382,8 +368,11 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _unpair(cell: str) -> str | dict[str, str]:
-    """The JSON form of a cell: "lower..upper" becomes a pair object."""
+def _uncell(cell: str) -> str | dict[str, str] | None:
+    """The JSON form of a cell, but for its numbers: an empty cell is
+    null, and "lower..upper" becomes a pair object."""
+    if cell == "":
+        return None
     if ".." in cell:
         lower, upper = cell.split("..")
         return {"lower": lower, "upper": upper}
@@ -446,50 +435,55 @@ def row_to_record(row: CovolumeResult) -> dict[str, Any]:
 
 
 def _int(value: Any) -> int:
-    """An integer of a record: a JSON int, or ASCII digits from a CSV cell."""
-    digits = isinstance(value, str) and value.isascii() and value.isdigit()
-    if not (digits or type(value) is int):  # a bool is not a record integer
+    """An integer of a JSON record: an int, and not a bool.  dumps writes
+    3.0 as 3, so only the type tells a float from the int written."""
+    if type(value) is not int:
         raise ValueError(f"not a record integer: {value!r:.40}")
-    return int(value)
+    return value
 
 
-def _epsilon_from_json(obj: dict[str, Any]) -> EpsilonStatus:
-    """irrelevant 1..1, exact k..k or bounded lo..hi with 2 <= k and
-    2 <= lo <= hi: the forms that lattice.epsilon_status returns."""
-    kind, low, high = obj["kind"], _int(obj["lower"]), _int(obj["upper"])
-    if not (
-        kind == "irrelevant" and low == high == 1
-        or kind == "exact" and 2 <= low == high
-        or kind == "bounded" and 2 <= low <= high
-    ):
-        raise ValueError(f"not an epsilon: {obj!r:.80}")
-    return EpsilonStatus(kind, low, high)
-
-
-def row_from_record(obj: dict[str, Any]) -> CovolumeResult:
-    """The row of a record that row_to_record writes, or of its CSV cells;
-    ValueError on anything it never writes: a missing key, a value of the
-    wrong shape, or an integer, volume, epsilon or multiplicity pair out
-    of its forms."""
+def _row_of(
+    obj: dict[str, Any],
+    integer: Callable[[Any], int],
+    written_back: Callable[[CovolumeResult], bool],
+) -> CovolumeResult:
+    """The row that a record describes, read leniently, integer reading each
+    integer field, if written_back finds that the writer writes the row back
+    to the text it was read from; ValueError otherwise."""
     try:
-        mult = obj["mult_lo"], obj["mult_hi"]
-        return CovolumeResult(
-            d=_int(obj["d"]),
-            disc=_int(obj["disc"]),
-            n=_int(obj["n"]),
+        eps, mult = obj["epsilon"], (obj["mult_lo"], obj["mult_hi"])
+        row = CovolumeResult(
+            d=integer(obj["d"]),
+            disc=integer(obj["disc"]),
+            n=integer(obj["n"]),
             nu=_value_from_json(obj["nu"]),
             chi=_value_from_json(obj["chi"]),
             volume=_volume_from_json(obj["volume"]),
-            h=_int(obj["h"]),
-            h_torsion=_int(obj["h_torsion"]),
-            r=_int(obj["r"]),
-            epsilon=_epsilon_from_json(obj["epsilon"]),
+            h=integer(obj["h"]),
+            h_torsion=integer(obj["h_torsion"]),
+            r=integer(obj["r"]),
+            epsilon=EpsilonStatus(
+                eps["kind"], integer(eps["lower"]), integer(eps["upper"])
+            ),
             multiplicity=(
-                None if mult == (None, None) else (_int(mult[0]), _int(mult[1]))
+                None if mult == (None, None) else (integer(mult[0]), integer(mult[1]))
             ),
         )
-    except (KeyError, TypeError) as exc:  # a missing key or a misshapen value
+        same = written_back(row)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"not a covolume record: {exc!r:.80}") from None
+    if not same:
+        raise ValueError("not a covolume record as the writer writes it")
+    return row
+
+
+def row_from_record(obj: dict[str, Any]) -> CovolumeResult:
+    """The row of a record, if dumps(row_to_record(row)) == dumps(obj).
+
+    The writer is the only specification: anything it never writes, key
+    order included, raises ValueError.
+    """
+    return _row_of(obj, _int, lambda row: dumps(row_to_record(row)) == dumps(obj))
 
 
 def row_to_csv(row: CovolumeResult) -> tuple[str, ...]:
@@ -497,20 +491,11 @@ def row_to_csv(row: CovolumeResult) -> tuple[str, ...]:
 
 
 def row_from_csv(values: tuple[str, ...]) -> CovolumeResult:
-    if len(values) != len(ROW_HEADER):
-        raise ValueError(f"expected {len(ROW_HEADER)} CSV fields, got {len(values)}")
-    record = {
-        key: None if cell == "" else _unpair(cell)
-        for key, cell in zip(ROW_HEADER, values)
-    }
+    """The row of CSV cells, if row_to_csv(row) == tuple(values); ValueError
+    on anything else."""
+    record = dict(zip(ROW_HEADER, map(_uncell, values), strict=True))
     record["epsilon"] = vars(parse_epsilon(values[ROW_HEADER.index("epsilon")]))
-    volume = record["volume"]
-    record["volume"] = (
-        {key: _volume_of_cell(cell) for key, cell in volume.items()}
-        if isinstance(volume, dict)
-        else _volume_of_cell(volume)
-    )
-    return row_from_record(record)
+    return _row_of(record, int, lambda row: row_to_csv(row) == tuple(values))
 
 
 def growth_to_record(report: GrowthReport) -> dict[str, Any]:

@@ -195,6 +195,39 @@ class TestIndexAndEpsilon:
                 status = lattice.epsilon_status(field, n)
                 assert status.exact == (field.r == 1 or n % 2 == 0)
 
+    # the odd-n epsilon of a field with r ramified primes
+    ODD_EPSILON = {
+        1: ("exact", 2, 2),
+        2: ("bounded", 2, 4),
+        3: ("bounded", 2, 8),
+        4: ("bounded", 2, 16),
+    }
+
+    @pytest.mark.parametrize("d, r", [(3, 1), (5, 2), (30, 3), (210, 4)])
+    def test_epsilon_values(self, d, r):
+        field = _field_for(d)
+        assert field.r == r
+        for n in range(2, 10):
+            status = lattice.epsilon_status(field, n)
+            expected = ("irrelevant", 1, 1) if n % 2 == 0 else self.ODD_EPSILON[r]
+            assert (status.kind, status.lower, status.upper) == expected, n
+
+    def test_construction_takes_only_the_three_forms(self):
+        forms = (
+            {("irrelevant", 1, 1)}
+            | {("exact", k, k) for k in range(2, 12)}
+            | {("bounded", lo, hi) for lo in range(2, 12) for hi in range(lo, 12)}
+        )
+        for kind in ("irrelevant", "exact", "bounded", "Exact", "weird", ""):
+            for lower in range(-2, 12):
+                for upper in range(-2, 12):
+                    if (kind, lower, upper) in forms:
+                        status = lattice.EpsilonStatus(kind, lower, upper)
+                        assert (status.lower, status.upper) == (lower, upper)
+                    else:
+                        with pytest.raises(ValueError):
+                            lattice.EpsilonStatus(kind, lower, upper)
+
 
 class TestTorsionByGcd:
     """h_torsion reduces m to gcd(m, h) before composing any class."""

@@ -8,6 +8,7 @@ through one format/parse pass first.
 """
 
 import contextlib
+import copy
 import dataclasses
 import json
 import math
@@ -123,10 +124,12 @@ def _cell_of(key, **fields):
     return serialize.cells(record)[serialize.ROW_HEADER.index(key)]
 
 
-def _row_with_cell(key, cell):
-    """row_from_csv of _ROW's cells with the cell under key replaced."""
+def _row_with_cell(key, cell, **more):
+    """row_from_csv of _ROW's cells with the cell under key, and the cells
+    under more's keys, replaced."""
     values = list(serialize.row_to_csv(_ROW))
-    values[serialize.ROW_HEADER.index(key)] = cell
+    for k, c in {key: cell, **more}.items():
+        values[serialize.ROW_HEADER.index(k)] = c
     return serialize.row_from_csv(tuple(values))
 
 
@@ -185,7 +188,8 @@ class TestScalarCodecs:
     def test_value_codec(self):
         interval = Interval(Fraction(1, 96), Fraction(1, 48))
         assert _cell_of("nu", nu=interval) == "1/96..1/48"
-        assert _row_with_cell("nu", "1/96..1/48").nu == interval
+        # the writer marks a row with an interval nu inexact
+        assert _row_with_cell("nu", "1/96..1/48", exact="false").nu == interval
         assert _row_with_cell("nu", "1/72").nu == Fraction(1, 72)
 
     def test_volume_codec(self):
@@ -228,6 +232,13 @@ class TestScalarCodecs:
             assert serialize.format_epsilon(serialize.parse_epsilon(text)) == (
                 text
             )
+
+    @pytest.mark.parametrize(
+        "bad", ["02", " 2", "+2", "2..04", "1", "1..1", "4..2", "2..", "", "exact"]
+    )
+    def test_parse_epsilon_takes_only_format_epsilon_text(self, bad):
+        with pytest.raises(ValueError):
+            serialize.parse_epsilon(bad)
 
     def test_csv_join_rejects_fields_needing_quotes(self):
         assert serialize.csv_join(("a", "b")) == "a,b"
@@ -714,6 +725,139 @@ class TestRowParsersRefuse:
         ]) == _ROW
         with pytest.raises(ValueError):
             _row_with_cell(key, cell)
+
+
+def _written_record(d, n):
+    """The JSON record that the CLI prints for nu --d d --n n, as read."""
+    from covolume import lattice, quadfield
+
+    row = lattice.covolume_result(quadfield.from_squarefree_d(d), n)
+    return json.loads(serialize.dumps(serialize.row_to_record(row)))
+
+
+# JSON values that come near what the writer writes, or break a reader
+_NEAR_JSON = st.sampled_from(
+    [
+        "inf", "-inf", "nan", "Infinity", "1e999", "0.5", "1/2", "2/4", "-0",
+        "0", "9", "05", " 5", "+5", "\u0665", "irrelevant", "exact", "bounded",
+        2**1024, -(2**1024), 1e308, -1.0, 0.0, 3.0, True, False, None,
+        {"lower": "1/2", "upper": "1/3"}, {"lower": 0.5, "upper": "inf"},
+        {"kind": "exact", "lower": 2, "upper": 2},
+        {"kind": "bounded", "lower": 2, "upper": 4},
+    ]
+)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _NEAR_JSON,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+# CSV cells that come near what the writer writes, or break a reader
+_NEAR_CELLS = st.sampled_from(
+    [
+        "", "inf", "-inf", "nan", "1e999", "5.0", "0.5", " 0.5", "1/2", "2/4",
+        "01/96", "-0", "0", "05", " 5", "+5", "5_0", "\u0665", "9" * 700,
+        "1..2", "2..4", "2..2", "4..2", "0.5..inf", "1/96..1/48",
+        "irrelevant", "true", "false",
+    ]
+)
+
+
+class TestWrittenFormOnly:
+    """A reader returns a row only if the writer writes that row back to the
+    very text it read: every form below is one the writer never writes."""
+
+    NU9 = _written_record(3, 9)
+    NU5_3 = _written_record(5, 3)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda r: dict(r, note=1),
+            lambda r: dict(reversed(list(r.items()))),
+            lambda r: dict(r, exact=False),
+            lambda r: dict(r, exact="yes"),
+            lambda r: {k: v for k, v in r.items() if k != "exact"},
+            lambda r: dict(r, n="9"),
+            lambda r: dict(r, nu="1618/11493410734080"),
+            lambda r: dict(r, nu="0809/5746705367040"),
+            lambda r: dict(r, nu="-0"),
+            lambda r: dict(r, epsilon=dict(r["epsilon"], note=1)),
+        ],
+        ids=[
+            "extra key", "key order", "exact flipped", "exact yes",
+            "exact missing", "n as text", "nu unreduced", "nu leading zero",
+            "nu minus zero", "extra key in epsilon",
+        ],
+    )
+    def test_record(self, change):
+        assert serialize.row_from_record(self.NU9)
+        with pytest.raises(ValueError):
+            serialize.row_from_record(change(self.NU9))
+
+    def test_record_with_an_extra_key_in_an_interval(self):
+        record = self.NU5_3
+        assert serialize.row_from_record(record)
+        for key in ("nu", "chi", "volume"):
+            with pytest.raises(ValueError):
+                serialize.row_from_record({**record, key: dict(record[key], x=1)})
+
+    @pytest.mark.parametrize(
+        "key, cell",
+        [
+            ("exact", "true"),
+            ("exact", "banana"),
+            ("exact", ""),
+            ("nu", "2/192..1/48"),
+            ("nu", "01/96..1/48"),
+            ("chi", "-0"),
+            ("d", "05"),
+            ("h", "007"),
+            ("volume", "5.0"),
+        ],
+        ids=repr,
+    )
+    def test_csv(self, key, cell):
+        values = list(serialize.cells(self.NU5_3))
+        assert serialize.row_from_csv(tuple(values))
+        values[serialize.ROW_HEADER.index(key)] = cell
+        with pytest.raises(ValueError):
+            serialize.row_from_csv(tuple(values))
+
+    @given(row=_rows, data=st.data())
+    def test_any_json_value_at_any_key(self, row, data):
+        record = json.loads(serialize.dumps(serialize.row_to_record(row)))
+        # change the record itself, or an object inside it
+        inner = [v for v in record.values() if isinstance(v, dict)]
+        target = data.draw(st.sampled_from([record, *inner]))
+        key = data.draw(st.sampled_from(list(target)) | st.text(max_size=6))
+        if data.draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            # a copy, since JSON holds no cycles
+            target[key] = data.draw(
+                _json_values | st.sampled_from(list(record.values())).map(copy.deepcopy)
+            )
+        # ValueError, or a row written back to the same text; no other way out
+        try:
+            parsed = serialize.row_from_record(record)
+        except ValueError:
+            return
+        text = serialize.dumps(serialize.row_to_record(parsed))
+        assert text == serialize.dumps(record)
+
+    @given(row=_rows, data=st.data())
+    def test_any_string_in_any_cell(self, row, data):
+        values = list(serialize.row_to_csv(row))
+        i = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+        values[i] = data.draw(st.text() | _NEAR_CELLS | st.sampled_from(values))
+        try:
+            parsed = serialize.row_from_csv(tuple(values))
+        except ValueError:
+            return
+        assert serialize.row_to_csv(parsed) == tuple(values)
 
 
 class TestGrowthCodecs:
