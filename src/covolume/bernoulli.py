@@ -12,7 +12,8 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import add, lshift, mul
 
 from . import quadfield
 from .errors import InternalDefect, NonFundamentalDiscriminant, require_int
@@ -108,6 +109,46 @@ def _times(xs: list[int], ys: list[int]) -> list[int]:
     return list(map(mul, xs, ys))
 
 
+_WORD_T = 1 << 14  # the word table holds t <= _WORD_T ...
+_WORD_J = 15  # ... and the odd powers j <= _WORD_J, an odd number >= 1
+_words: tuple[int, int, list[int]] = (0, 0, [])  # slots, slot width, words
+
+
+def _word_table(c: int, need: int) -> tuple[int, int, list[int]]:
+    """The shared table of packed odd powers, with c slots or more, grown
+    toward a word for t = need; called under _lock.
+
+    Word t packs t^1, t^3, ..., t^(2c-1) into c slots of `width` bits,
+    wide enough for any signed sum of the words of one parity, so that
+    one such sum carries the power sums of every slot: the Kronecker
+    substitution of Brent & Zimmermann, Modern Computer Arithmetic,
+    sec. 1.3.  A table that stops short of need grows to twice its
+    length, up to _WORD_T, and a request for more slots than it has
+    starts a new one; a new table stops at need, or at 63 if need is
+    larger.  So an ascending scan builds it about log2(max |disc|)
+    times, and a single large field only a small one; clear_caches
+    empties it.
+    """
+    global _words
+    slots, _, words = _words
+    top = len(words) - 1 if slots >= c else -1
+    if top >= need:
+        return _words
+    top = min(_WORD_T, max(2 * top + 1, min(need, 63)))
+    width = ((top // 2 + 1) * top ** (2 * c - 1)).bit_length() + 1
+    words = []
+    for start in range(0, top + 1, 256):  # by blocks, so few powers are held
+        ts = range(start, min(start + 256, top + 1))
+        sq, power = list(map(mul, ts, ts)), list(ts)
+        block = power
+        for shift in range(width, c * width, width):
+            power = list(map(mul, power, sq))
+            block = list(map(add, block, map(lshift, power, repeat(shift))))
+        words += block
+    _words = (c, width, words)
+    return _words
+
+
 class _PowerSums:
     """g_1, g_3, ... of one field, g_k = -2^(k-1) q B_{k,chi}, in integers.
 
@@ -135,38 +176,81 @@ class _PowerSums:
     chi(a) is 0 or +-1, so for odd j each term of V_j is z^j with
     z = chi(a) (q - 2a), and V_j is a plain power sum of the z.  chi is
     the field's half-period character table, chi(a) for 0 <= a < q/2,
-    read here once and not kept; range(q, 0, -2) is q - 2a over the same
-    a.  sq holds the z^2 and pow the z^j for the last odd j, and g[i] is
-    g_{2i+1}; V_j is used once and not kept.  g and prefix only grow,
-    under _lock, so an entry read from either never goes stale.
+    read by the first extend and not kept; range(q, 0, -2) is
+    t = q - 2a over the same a.  That extend takes the terms whose t the
+    shared word table (_word_table) holds from it, for every odd j it
+    needs up to _WORD_J: one signed pass sum(map(mul, chi, words)) over
+    them carries all those V_j, and the slots are unpacked from the
+    bottom, each with its borrow.  A residue left above the top slot,
+    which the width rules out, is a defect.  The other terms go through
+    power passes: pow holds their z^j for the last odd j and sq their
+    z^2.  When g grows past the slots read, the table's terms (low, from
+    t = t0 down) join those lists, and every t is a pass from then on.
+    g[i] is g_{2i+1}; V_j is used once and not kept.  g and prefix only
+    grow, under _lock, so an entry read from either never goes stale.
     """
 
     def __init__(self, D: int, chi: tuple[int, ...]):
         self.q = -D
-        self.pow = list(filter(None, map(mul, chi, range(-D, 0, -2))))
-        self.sq = _times(self.pow, self.pow)
-        self.g = [sum(self.pow)]
+        self.chi: tuple[int, ...] | None = chi
+        self.g: list[int] = []
         self.prefix = [Fraction(1)]
 
-    def extend(self, k: int) -> None:
-        """Grow g up to g_k, for an odd k.
+    def _push(self, v: int) -> None:
+        """Append g_j, j = 2 len(g) + 1, from V_j = v.
 
-        Each step takes one power pass for V_j, then the sum over m >= 2
-        by Horner's rule in q^2, from m = j - 1 (against g_1) down to
-        m = 2, with C(j + 1, m + 1) stepped by one exact division.
+        The sum over m >= 2 goes by Horner's rule in q^2, from m = j - 1
+        (against g_1) down to m = 2, with C(j + 1, m + 1) stepped by one
+        exact division.
         """
         g, q2 = self.g, self.q * self.q
-        while len(g) <= k // 2:
-            j = 2 * len(g) + 1
+        j = 2 * len(g) + 1
+        acc, binom = 0, j + 1
+        for r, gm in zip(range(j, 1, -2), g):  # r = m + 1
+            acc = acc * q2 + binom * gm
+            binom = binom * r * (r - 1) // ((j - r + 3) * (j - r + 2))
+        quotient, rest = divmod(acc * q2, j + 1)
+        if rest:
+            raise InternalDefect(f"g_{j} of D = {-self.q} is not an integer")
+        g.append(v - quotient)
+
+    def _split(self, k: int) -> None:
+        """The first extend, to k: read the terms that the word table
+        holds, start the power passes over the others, and push g_j for
+        every slot read."""
+        q, chi = self.q, self.chi
+        c, width, words = _word_table(min(k, _WORD_J) // 2 + 1, min(q, _WORD_T))
+        top = len(words) - 1
+        a = max(0, (q - top + 1) // 2)  # the first a with t = q - 2a <= top
+        self.pow = list(filter(None, map(mul, chi[:a], range(q, 0, -2))))
+        self.sq = _times(self.pow, self.pow)
+        self.low, self.t0, self.chi = chi[a:], q - 2 * a, None
+        total = sum(map(mul, self.low, words[self.t0 :: -2]))
+        half, slots = 1 << (width - 1), []
+        for _ in range(c):
+            v = ((total + half) & ((half << 1) - 1)) - half
+            slots.append(v)
+            total = (total - v) >> width
+        if total:
+            raise InternalDefect(f"packed power sums of D = {-q} overflow")
+        for i, v in enumerate(slots):
+            if i:
+                self.pow = _times(self.pow, self.sq)
+            self._push(v + sum(self.pow))
+
+    def extend(self, k: int) -> None:
+        """Grow g up to g_k, for an odd k: each step past the slots read
+        takes one power pass for V_j."""
+        if self.chi is not None:
+            self._split(k)
+        while len(self.g) <= k // 2:
             self.pow = _times(self.pow, self.sq)
-            acc, binom = 0, j + 1
-            for r, gm in zip(range(j, 1, -2), g):  # r = m + 1
-                acc = acc * q2 + binom * gm
-                binom = binom * r * (r - 1) // ((j - r + 3) * (j - r + 2))
-            quotient, rest = divmod(acc * q2, j + 1)
-            if rest:
-                raise InternalDefect(f"g_{j} of D = {-self.q} is not an integer")
-            g.append(sum(self.pow) - quotient)
+            if self.low:  # past the slots read, the table's terms join
+                zs = list(filter(None, map(mul, self.low, range(self.t0, 0, -2))))
+                self.sq += _times(zs, zs)
+                self.pow += map(pow, zs, repeat(2 * len(self.g) + 1))
+                self.low = ()
+            self._push(sum(self.pow))
 
     def pair(self, j: int) -> Fraction:
         """zeta(1-2j) L(-2j, chi) = -B_2j g_(2j+1) / (2j (2j+1) 4^j q), j >= 1.
@@ -202,6 +286,8 @@ def _l_product(D: int, m: int) -> Fraction:
     """
     state = _power_state(D)
     with _lock:
+        if not state.g:  # the first extend reads every slot the pairs need
+            state.extend(2 * m + 1)
         prefix = state.prefix
         while len(prefix) <= m:
             prefix.append(prefix[-1] * state.pair(len(prefix)))
@@ -225,8 +311,9 @@ def _generalized_bernoulli(k: int, D: int) -> Fraction:
 
 def clear_caches() -> None:
     """Reset every memo table in this module (used by tests)."""
-    global _even_table
+    global _even_table, _words
     with _lock:
         _even_table = [Fraction(1)]
+        _words = (0, 0, [])
     _power_state.cache_clear()
     _generalized_bernoulli.cache_clear()

@@ -43,7 +43,8 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
-from .lattice import CovolumeResult, EpsilonStatus, ExactOrInterval, Interval
+from .lattice import CovolumeResult, EpsilonStatus, ExactOrInterval, Interval, _chi_of
+from .quadfield import _field_if_squarefree
 from .survey import GrowthReport
 
 __all__ = [
@@ -474,7 +475,35 @@ def _row_of(
         raise ValueError(f"not a covolume record: {exc!r:.80}") from None
     if not same:
         raise ValueError("not a covolume record as the writer writes it")
+    clash = _contradiction(row)
+    if clash:
+        raise ValueError(f"not a covolume record, its values contradict: {clash}")
     return row
+
+
+def _contradiction(row: CovolumeResult) -> str:
+    """What in a row contradicts the rest, or "" if its values agree as in
+    every row the writer gets: each interval is ordered, chi = (-1)^n nu,
+    and disc and r are those of Q(sqrt(-d)).  d is factored by trial
+    division only up to 2^40: past that a field's character table would
+    hold 2^39 entries, more than a run of the writer can build."""
+    for name in ("nu", "chi", "volume"):
+        value = getattr(row, name)
+        if isinstance(value, tuple) and value[0] > value[1]:
+            return f"{name} has lower > upper"
+    if row.chi != _chi_of(row.nu, row.n):
+        return "chi != -nu" if row.n % 2 else "chi != nu"
+    d = row.d
+    if row.disc != (d if d % 4 == 3 else 4 * d):
+        return f"disc {row.disc} is not that of d = {d}"
+    if d.bit_length() > 40:
+        return f"d = {d} is past 2^40"
+    field = _field_if_squarefree(d)
+    if field is None:
+        return f"d = {d} is not squarefree"
+    if field.r != row.r:
+        return f"r {row.r} is not that of d = {d}"
+    return ""
 
 
 def row_from_record(obj: dict[str, Any]) -> CovolumeResult:
@@ -493,6 +522,8 @@ def row_to_csv(row: CovolumeResult) -> tuple[str, ...]:
 def row_from_csv(values: tuple[str, ...]) -> CovolumeResult:
     """The row of CSV cells, if row_to_csv(row) == tuple(values); ValueError
     on anything else."""
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError("not a covolume row: a CSV cell is not a string")
     record = dict(zip(ROW_HEADER, map(_uncell, values), strict=True))
     record["epsilon"] = vars(parse_epsilon(values[ROW_HEADER.index("epsilon")]))
     return _row_of(record, int, lambda row: row_to_csv(row) == tuple(values))

@@ -10,10 +10,11 @@ one Kronecker symbol per residue, the table sieved from one Kronecker
 symbol per prime, the table tiled over the full period rather than
 half of it, the full-period Horner sum for B_{k,chi}, the
 half-range power sums of a, the power sums of q - 2a split by the
-sign of chi, and the expansion of B_k about 1/2 with its cleared
-coefficients are the exact kernels that the tiled table, the one
-signed power list of q - 2a and its integer recurrence replaced, kept
-as their differential oracles; likewise nu with its L-product rebuilt from j = 1 on every
+sign of chi, the expansion of B_k about 1/2 with its cleared
+coefficients, and the power passes over one signed list of q - 2a are
+the exact kernels that the tiled table, the one signed power list, its
+integer recurrence and the packed word table replaced, kept as their
+differential oracles; likewise nu with its L-product rebuilt from j = 1 on every
 call, which the prefix list of bernoulli._l_product replaced, each
 factor pair read through lvalues.l_negative, which the pair step of the
 power-sum state replaced, and the minimal-field certificate built one
@@ -37,6 +38,7 @@ references for B_{k,chi}, the group law and the class number.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -358,6 +360,40 @@ def generalized_bernoulli_half_range(k: int, D: int) -> Fraction:
     for c, v in zip(reversed(ints), sums):
         total = total * q * q + c * v
     return Fraction(total, den * q)
+
+
+class PassPowerSums:
+    """g_1, g_3, ... of one field, g_k = -2^(k-1) q B_{k,chi}, with every
+    V_j = sum_{0<a<q/2} chi(a) (q - 2a)^j from one power pass.
+
+    One signed list z = chi(a) (q - 2a) over every a, stepped by its
+    squares, and the recurrence
+    (k + 1) V_k = sum over even m < k of C(k + 1, m + 1) q^m g_{k-m}: the
+    kernel that the packed word table of bernoulli replaced for
+    t = q - 2a <= bernoulli._WORD_T and odd j <= bernoulli._WORD_J.
+    """
+
+    def __init__(self, D: int):
+        self.q = -D
+        chi = quadfield.chi_table(D)
+        self.pow = [z for z in map(operator.mul, chi, range(-D, 0, -2)) if z]
+        self.sq = [z * z for z in self.pow]
+        self.g = [sum(self.pow)]
+
+    def extend(self, k: int) -> list[int]:
+        g, q2 = self.g, self.q * self.q
+        while len(g) <= k // 2:
+            j = 2 * len(g) + 1
+            self.pow = list(map(operator.mul, self.pow, self.sq))
+            acc, binom = 0, j + 1
+            for r, gm in zip(range(j, 1, -2), g):  # r = m + 1
+                acc = acc * q2 + binom * gm
+                binom = binom * r * (r - 1) // ((j - r + 3) * (j - r + 2))
+            quotient, rest = divmod(acc * q2, j + 1)
+            if rest:
+                raise InternalDefect(f"g_{j} of D = {-self.q} is not an integer")
+            g.append(sum(self.pow) - quotient)
+        return g
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ uses, so agreement actually checks something.
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 import itertools
 import math
 import random
@@ -337,26 +338,43 @@ class TestSharedPowerSums:
 
     def test_one_state_and_n_power_passes_per_nu(self, monkeypatch):
         field = quadfield.from_squarefree_d(23)
-        bernoulli.clear_caches()
-        built = []
+        built, reads = [], []
         passes = Counter()
         init, times = bernoulli._PowerSums.__init__, bernoulli._times
+        table = bernoulli._word_table
 
         def counting_init(self, D, chi):
             built.append(D)
             init(self, D, chi)
 
         def counting_times(xs, ys):
-            passes[id(ys)] += 1
+            if xs:
+                passes[id(ys)] += 1
             return times(xs, ys)
+
+        def counting_table(c, need):
+            reads.append((c, need))
+            return table(c, need)
 
         monkeypatch.setattr(bernoulli._PowerSums, "__init__", counting_init)
         monkeypatch.setattr(bernoulli, "_times", counting_times)
+        monkeypatch.setattr(bernoulli, "_word_table", counting_table)
+        bernoulli.clear_caches()
         lattice.nu(field, 10)
-        assert built == [-23]
-        # V_3 .. V_11 for k = 3, 5, ..., 11: one pass squaring the signed
-        # list chi(a) (q - 2a) and five steps by those squares
+        # V_1 .. V_11 for k = 1, 3, ..., 11 come from one table read of six
+        # slots, since every t = 23 - 2a is in the table: no power pass
+        assert built == [-23] and reads == [(6, 23)] and not passes
+
+        # with the table stopping at t = 8, the terms t = 23, 21, ..., 9
+        # take one pass squaring their signed list chi(a) (q - 2a) and
+        # five steps by those squares, and the table still gives t <= 8
+        monkeypatch.setattr(bernoulli, "_WORD_T", 8)
+        bernoulli.clear_caches()
+        del built[:], reads[:]
+        lattice.nu(field, 10)
+        assert built == [-23] and reads == [(6, 8)]
         assert sorted(passes.values()) == [1, 5]
+        bernoulli.clear_caches()
 
     def test_concurrent_fields(self):
         pairs = [(k, D) for D in self.FIELDS for k in range(1, 16, 2)] * 3
@@ -375,6 +393,67 @@ class TestSharedPowerSums:
             sys.setswitchinterval(interval)
         for p, value in zip(pairs, results):
             assert value == expected[p], p
+
+
+@lru_cache(maxsize=None)
+def _pass_g(D, k):
+    """g_1, g_3, ..., g_k of D by the power passes of oracles.PassPowerSums."""
+    return tuple(oracles.PassPowerSums(D).extend(k))
+
+
+class TestPackedWords:
+    """The shared word table against the power passes that it replaced,
+    with its bounds moved so that fields straddle t = _WORD_T, j = _WORD_J
+    or both, and so use the table and the passes in one state."""
+
+    BOUNDS = {
+        "T0": (0, 15),
+        "T64": (64, 15),
+        "default": (bernoulli._WORD_T, bernoulli._WORD_J),
+        "J3": (bernoulli._WORD_T, 3),
+        "T64-J1": (64, 1),
+    }
+
+    @pytest.fixture(params=list(BOUNDS))
+    def bounds(self, request, monkeypatch):
+        word_t, word_j = self.BOUNDS[request.param]
+        monkeypatch.setattr(bernoulli, "_WORD_T", word_t)
+        monkeypatch.setattr(bernoulli, "_WORD_J", word_j)
+        bernoulli.clear_caches()
+        yield
+        bernoulli.clear_caches()
+
+    @staticmethod
+    def _g(D, first, k):
+        state = bernoulli._PowerSums(D, quadfield.chi_table(D))
+        state.extend(first)
+        state.extend(k)
+        return tuple(state.g)
+
+    def test_matches_pass_oracle(self, bounds):
+        # the first extend asks for k = 1, 3, ..., 15, then 41, each over
+        # one ninth of the fields in ascending |disc|: the table grows
+        # within each ninth, starts again with more slots at the next, and
+        # k = 41 reads the slots of j <= _WORD_J
+        fields = quadfield.fields_with_disc_at_most(3000)
+        firsts = (1, 3, 5, 7, 9, 11, 13, 15, 41)
+        for i, field in enumerate(fields):
+            D, first = field.disc_signed, firsts[i * len(firsts) // len(fields)]
+            assert self._g(D, first, 41) == _pass_g(D, 41), (D, first)
+
+    @pytest.mark.parametrize("D", [-3, -4, -8, -163])
+    def test_matches_pass_oracle_deep(self, bounds, D):
+        for first in (1, 7, 15, 401):
+            assert self._g(D, first, 401) == _pass_g(D, 401), first
+
+    def test_narrow_slot_is_a_defect(self, monkeypatch):
+        # 3-bit slots hold -4..3, but V_1 of D = -7 is 5 + 3 - 1 = 7 and
+        # V_3 is 151, so a residue is left above the top slot
+        words = [t + (t**3 << 3) for t in range(64)]
+        monkeypatch.setattr(bernoulli, "_words", (2, 3, words))
+        state = bernoulli._PowerSums(-7, quadfield.chi_table(-7))
+        with pytest.raises(InternalDefect, match="overflow"):
+            state.extend(3)
 
 
 class TestLProduct:

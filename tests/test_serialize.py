@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import covolume
-from covolume import serialize
+from covolume import quadfield, serialize
 from covolume.lattice import CovolumeResult, EpsilonStatus, Interval
 
 
@@ -86,9 +87,22 @@ _multiplicities = st.one_of(
     ).map(lambda pair: (min(pair), max(pair))),
 )
 
+def _agreeing(row):
+    """row with disc and r those of Q(sqrt(-d)) and chi = (-1)^n nu, as in
+    every row the writer gets; the readers refuse any other."""
+    field = quadfield.from_squarefree_d(row.d)
+    if row.n % 2 == 0:
+        chi = row.nu
+    elif isinstance(row.nu, Interval):
+        chi = Interval(-row.nu.upper, -row.nu.lower)
+    else:
+        chi = -row.nu
+    return dataclasses.replace(row, disc=field.disc_abs, r=field.r, chi=chi)
+
+
 _rows = st.builds(
     CovolumeResult,
-    d=st.integers(min_value=1, max_value=10**6),
+    d=st.integers(min_value=1, max_value=10**6).filter(quadfield.is_squarefree),
     disc=st.integers(min_value=3, max_value=4 * 10**6),
     n=st.integers(min_value=2, max_value=200),
     nu=_values,
@@ -99,7 +113,7 @@ _rows = st.builds(
     r=st.integers(min_value=1, max_value=10),
     epsilon=_epsilons,
     multiplicity=_multiplicities,
-)
+).map(_agreeing)
 
 
 # a row with every cell filled, for the codecs of single cells
@@ -108,7 +122,7 @@ _ROW = CovolumeResult(
     disc=20,
     n=3,
     nu=Fraction(1, 72),
-    chi=Fraction(-1, 36),
+    chi=Fraction(-1, 72),
     volume=0.5,
     h=2,
     h_torsion=1,
@@ -188,8 +202,10 @@ class TestScalarCodecs:
     def test_value_codec(self):
         interval = Interval(Fraction(1, 96), Fraction(1, 48))
         assert _cell_of("nu", nu=interval) == "1/96..1/48"
-        # the writer marks a row with an interval nu inexact
-        assert _row_with_cell("nu", "1/96..1/48", exact="false").nu == interval
+        # the writer marks a row with an interval nu inexact, and its chi at
+        # n = 3 is the negated interval
+        row = _row_with_cell("nu", "1/96..1/48", chi="-1/48..-1/96", exact="false")
+        assert row.nu == interval
         assert _row_with_cell("nu", "1/72").nu == Fraction(1, 72)
 
     def test_volume_codec(self):
@@ -630,6 +646,14 @@ class TestRowCodecs:
         with pytest.raises(ValueError):
             serialize.row_from_csv(("1", "2", "3"))
 
+    @pytest.mark.parametrize("cell", [5, None, 2.0, b"5", ("5",)], ids=repr)
+    def test_rejects_a_cell_that_is_not_a_string(self, cell):
+        for i in range(len(serialize.ROW_HEADER)):
+            values = list(serialize.row_to_csv(_ROW))
+            values[i] = cell
+            with pytest.raises(ValueError):
+                serialize.row_from_csv(tuple(values))
+
     @given(row=_rows)
     def test_record_keys_are_the_header(self, row):
         assert tuple(serialize.row_to_record(row)) == serialize.ROW_HEADER
@@ -858,6 +882,73 @@ class TestWrittenFormOnly:
         except ValueError:
             return
         assert serialize.row_to_csv(parsed) == tuple(values)
+
+
+class TestContradictions:
+    """A record whose values contradict each other is refused by both
+    readers, though the writer would write each value back as it is."""
+
+    NU5_3 = _written_record(5, 3)  # nu 1/96..1/48, chi -1/48..-1/96
+    NU9 = _written_record(3, 9)
+
+    @staticmethod
+    def _refused(record, clash):
+        assert serialize.dumps(record)  # a record the writer can print
+        message = f"values contradict: {re.escape(clash)}"
+        with pytest.raises(ValueError, match=message):
+            serialize.row_from_record(record)
+        with pytest.raises(ValueError, match=message):
+            serialize.row_from_csv(serialize.cells(record))
+
+    def test_written_records_read_back(self):
+        for record in (self.NU5_3, self.NU9):
+            assert serialize.row_from_record(record)
+            assert serialize.row_from_csv(serialize.cells(record))
+
+    def test_interval_with_lower_above_upper(self):
+        nu = {"lower": "1/48", "upper": "1/96"}
+        self._refused(dict(self.NU5_3, nu=nu), "nu has lower > upper")
+        # chi = -nu for the swapped nu too, so only the order is wrong
+        chi = {"lower": "-1/96", "upper": "-1/48"}
+        self._refused(dict(self.NU5_3, chi=chi), "chi has lower > upper")
+
+    def test_volume_with_lower_above_upper(self):
+        volume = self.NU5_3["volume"]
+        swapped = {"lower": volume["upper"], "upper": volume["lower"]}
+        self._refused(dict(self.NU5_3, volume=swapped), "volume has lower > upper")
+
+    @pytest.mark.parametrize(
+        "fields, clash",
+        [
+            ({"disc": 7}, "disc 7 is not that of d = 5"),
+            ({"disc": 5}, "disc 5 is not that of d = 5"),
+            ({"r": 1}, "r 1 is not that of d = 5"),
+            ({"r": 3}, "r 3 is not that of d = 5"),
+            ({"d": 20, "disc": 80}, "d = 20 is not squarefree"),
+            ({"d": 2**40 + 1, "disc": 2**42 + 4}, f"d = {2**40 + 1} is past 2^40"),
+        ],
+        ids=["disc 7", "disc d", "r 1", "r 3", "d not squarefree", "d past 2^40"],
+    )
+    def test_disc_or_r_not_of_the_field(self, fields, clash):
+        # d = 5: Q(sqrt(-5)) has disc 20 and the two ramified primes 2, 5
+        self._refused(dict(self.NU5_3, **fields), clash)
+
+    @pytest.mark.parametrize(
+        "record, chi, clash",
+        [
+            (NU5_3, "5", "chi != -nu"),
+            (NU5_3, {"lower": "1/96", "upper": "1/48"}, "chi != -nu"),
+            (NU9, "809/5746705367040", "chi != -nu"),
+            (NU9, "-809/5746705367041", "chi != -nu"),
+            (_written_record(3, 8), "-1/5", "chi != nu"),
+        ],
+        ids=[
+            "exact for interval", "not negated", "n = 9 not negated",
+            "other value", "n = 8 negated",
+        ],
+    )
+    def test_chi_not_signed_nu(self, record, chi, clash):
+        self._refused(dict(record, chi=chi), clash)
 
 
 class TestGrowthCodecs:

@@ -256,29 +256,41 @@ class TestFieldMajorSweep:
 
     def test_one_power_state_per_field(self, monkeypatch):
         covolume.clear_caches()
-        built = []
+        built, reads = [], []
         passes = [0]
         init, times = bernoulli._PowerSums.__init__, bernoulli._times
+        table = bernoulli._word_table
 
         def counting_init(self, D, chi):
             built.append(D)
             init(self, D, chi)
 
         def counting_times(xs, ys):
-            passes[0] += 1
+            passes[0] += bool(xs)
             return times(xs, ys)
+
+        def counting_table(c, need):
+            before = bernoulli._words
+            reads.append((c, table(c, need) is not before))
+            return bernoulli._words
 
         monkeypatch.setattr(bernoulli._PowerSums, "__init__", counting_init)
         monkeypatch.setattr(bernoulli, "_times", counting_times)
+        monkeypatch.setattr(bernoulli, "_word_table", counting_table)
         survey.overall_minimum(60)
-        # 10 fields up to the widest limit, each to k = 61: one squaring
-        # pass and 30 steps of the one signed list per field.  The growth
+        # 10 fields up to the widest limit, each swept from n = 2, so each
+        # reads V_1 and V_3 from one table of two slots, which doubles to
+        # t = 3, 7, 15, 31 as |disc| grows, and takes k = 5, ..., 61 as one
+        # squaring pass and 28 steps of the one signed list.  The growth
         # run over the winner's field (-3, the first swept) then rebuilds
-        # its state, since the state keeps the field asked last, and reads
-        # pairs up to j = 30, so k = 61 again: one build and 31 passes more
+        # its state, since the state keeps the field asked last, and its
+        # first pair asks for k = 5: a new table of three slots to t = 3,
+        # one squaring pass and 27 steps up to k = 61
         assert len(built) == 11 and len(set(built)) == 10
         assert built[0] == built[-1] == -3
-        assert passes[0] == 341
+        assert [c for c, _ in reads] == [2] * 10 + [3]
+        assert sum(new for _, new in reads) == 5
+        assert passes[0] == 10 * 29 + 28
 
 
 class TestGrowthRatio:
@@ -554,17 +566,42 @@ class TestMemoInventory:
             if hasattr(obj, "cache_info")
         }
 
+    @staticmethod
+    def _word_count():
+        """The words in bernoulli's shared table, a memo with no cache_info."""
+        return len(bernoulli._words[2])
+
     def test_clear_caches_empties_every_memo(self):
         survey.scan(10, 400)
         serialize.format_rational(lattice.nu(quadfield.from_squarefree_d(3), 100))
         assert serialize._power_of_five.cache_info().currsize
+        assert self._word_count()
         covolume.clear_caches()
         held = {
             name: memo.cache_info().currsize
             for name, memo in self._memos().items()
             if name != "cli._parser"  # holds no computed value
         }
-        assert held and set(held.values()) == {0}, held
+        held["bernoulli._words"] = self._word_count()
+        assert len(held) > 1 and set(held.values()) == {0}, held
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: survey.scan(10, 400),
+            lambda: lattice.nu(quadfield.from_squarefree_d(285285), 10),
+        ],
+        ids=["scan", "nu-285285"],
+    )
+    def test_word_table_keeps_its_bounds(self, run):
+        # t <= _WORD_T and the slots of the odd j <= _WORD_J, whatever the
+        # fields asked: |disc| 1141140 is far past _WORD_T
+        covolume.clear_caches()
+        run()
+        slots, _, words = bernoulli._words
+        assert 0 < len(words) <= bernoulli._WORD_T + 1
+        assert 0 < slots <= (bernoulli._WORD_J + 1) // 2
+        covolume.clear_caches()
 
     def test_per_field_memos_keep_the_field_asked_last(self):
         covolume.clear_caches()
