@@ -138,16 +138,20 @@ def h_torsion(field: QuadField, m: int) -> int:
 
     Every class satisfies g^h = 1, so g^m = 1 exactly when
     g^gcd(m, h) = 1: h_{ell,m} = h_{ell,gcd(m,h)}, which is 1, with no
-    form built, when m is prime to the class number.  Otherwise the
-    reduced forms are enumerated, and their count must equal h, or
-    InternalDefect is raised.  The memo keeps a few entries: callers ask
-    one field for nearby m, never a whole scan's worth.
+    form built, when m is prime to the class number.  Any other m is
+    answered by the entry for g = gcd(m, h), so the reduced forms are
+    enumerated and counted once per divisor g of h while the memo holds
+    that entry; their count must equal h, or InternalDefect is raised.
+    The memo keeps 8 entries, and a sweep over m = 3, 4, ... adds one per
+    m, so a g entry read less often than every 8 or so m is counted again.
     """
     require_int(m, "m", 1)
     h = class_number(field)
     g = math.gcd(m, h)
     if g == 1:
         return 1
+    if g != m:
+        return h_torsion(field, g)
     group = quadfield.reduced_forms(field)
     if group.h != h:
         raise InternalDefect(
@@ -159,22 +163,25 @@ def h_torsion(field: QuadField, m: int) -> int:
 def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
     """F(n), the factor of nu(n) = F(n) P(floor(n/2)) besides the L-product.
 
-    (n+1) / (2^n h_{ell,n+1}), times (-1)^((n+1)/2) zeta(-n) eps at odd
-    n, which is positive.  eps = 2 when r = 1; otherwise eps in [2, 2^r]
-    widens F to an interval.  Its size grows like n log n digits, against
-    n^2 log n for P.  Raises InvalidDimension below n = 2, for nu and for
-    growth runs alike.
+    (n+1) / (2^n h_{ell,n+1}) at even n.  At odd n it is
+    (-1)^((n+1)/2) (n+1) zeta(-n) eps / (2^n h_{ell,n+1}), which is
+    positive; since (n+1) zeta(-n) = -B_{n+1}, each endpoint is one
+    quotient of integers, normalized once.  eps = 2 when r = 1; otherwise
+    eps in [2, 2^r] widens F to an interval.  Its size grows like n log n
+    digits, against n^2 log n for P.  Raises InvalidDimension below
+    n = 2, for nu and for growth runs alike.
     """
     require_int(n, "n", 2, InvalidDimension)
-    sign = -1 if n % 4 == 1 else 1  # (-1)^((n+1)/2) at odd n
-    small = Fraction(sign * (n + 1), 2**n * h_torsion(field, n + 1))
+    scale = 2**n * h_torsion(field, n + 1)
     if n % 2 == 0:
-        return small
-    small *= lvalues.zeta_negative(n + 1)  # zeta(-n)
+        return Fraction(n + 1, scale)
+    b = bernoulli.bernoulli_number(n + 1)
+    top = b.numerator if n % 4 == 1 else -b.numerator  # (-1)^((n+1)/2) (-B_{n+1})
+    scale *= b.denominator
     eps = epsilon_status(field, n)
     if eps.exact:
-        return small * 2
-    return Interval(small * eps.lower, small * eps.upper)
+        return Fraction(2 * top, scale)
+    return Interval(Fraction(eps.lower * top, scale), Fraction(eps.upper * top, scale))
 
 
 def nu(field: QuadField, n: int) -> ExactOrInterval:

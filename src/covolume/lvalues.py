@@ -2,15 +2,14 @@
 L-function attached to an imaginary quadratic field.
 
 Two independent routes are provided.  Values at nonpositive integers are
-exact rationals: zeta(1 - k) from the Bernoulli number B_k, and
-L(1 - k, chi) from the generalized Bernoulli number B_{k,chi}, which is
-built from the character's power sums alone.  Values at integer s >= 2
-are floats obtained by direct series summation accelerated with
-Euler-Maclaurin tail corrections, and each carries a rigorous bound on
-the truncation error.  The numeric route deliberately shares nothing
-with the exact route: its tail coefficients are hardcoded constants, and
-its character comes from one Kronecker symbol per residue, not from the
-tiled table the exact route reads.
+exact rationals: L(1 - k, chi) from the generalized Bernoulli number
+B_{k,chi}, which is built from the character's power sums alone.  Values
+at integer s >= 2 are floats obtained by direct series summation
+accelerated with Euler-Maclaurin tail corrections, and each carries a
+rigorous bound on the truncation error.  The numeric route deliberately
+shares nothing with the exact route: its tail coefficients are hardcoded
+constants, and its character comes from one Kronecker symbol per
+residue, not from the tiled table the exact route reads.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .quadfield import QuadField
 
 __all__ = [
     "NumericValue",
-    "zeta_negative",
     "l_negative",
     "zeta_numeric",
     "l_numeric",
@@ -46,14 +44,6 @@ class NumericValue:
         if self.value == 0.0:
             return math.inf
         return self.abs_error_bound / abs(self.value)
-
-
-def zeta_negative(k: int) -> Fraction:
-    """zeta(1 - k) = -B_k / k for even k >= 2, as an exact rational."""
-    require_int(k, "k", 2)
-    if k % 2:
-        raise InvalidInput(f"k must be even, got {k}")
-    return -bernoulli.bernoulli_number(k) / k
 
 
 def l_negative(field: QuadField, k: int) -> Fraction:

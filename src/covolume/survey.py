@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import bernoulli, lattice, lvalues, quadfield
@@ -125,17 +124,16 @@ def discriminant_bound(n: int) -> NumericValue:
     3 * (2 pi^5 / 3^(11/2)) ** ((n - t) / (2 (s - 1))) with t = 1 for
     even n, t = 0 for odd n, and s the discriminant exponent of the
     principal covolume.  The exponent decays like 1/n, so the bound
-    tends to 3 from above; it never exceeds 4 for n >= 4.
+    tends to 3 from above; it never exceeds 4 for n >= 4.  The exponent
+    is one int quotient, 2(n-1)/(n(n+3) - 4) at even n and
+    2n/((n-1)(n+2) - 4) at odd n, correctly rounded as int division is.
     """
     require_int(n, "n", 2, InvalidDimension)
     if n % 2 == 0:
-        s = Fraction(n * (n + 3), 4)
-        t = 1
+        exponent = 2 * (n - 1) / (n * (n + 3) - 4)
     else:
-        s = Fraction((n - 1) * (n + 2), 4)
-        t = 0
-    exponent = Fraction(n - t) / (2 * (s - 1))
-    value = 3.0 * (2 * math.pi**5 / 3**5.5) ** float(exponent)
+        exponent = 2 * n / ((n - 1) * (n + 2) - 4)
+    value = 3.0 * (2 * math.pi**5 / 3**5.5) ** exponent
     return NumericValue(value, abs(value) * 1e-14)
 
 

@@ -29,10 +29,14 @@ algorithm with two Bezout identities.  The even Bernoulli recurrence,
 one entry per step, is the oracle of the tangent-number table; the
 cleared coefficients built from Fractions, of their integer build; and
 class powers through the public compose, one FormClass per step, of the
-powers on reduced triples.
-Bernoulli polynomial values, inverse classes and the Brauer-Siegel
-class number bound are not used by the package; the tests keep them as
-references for B_{k,chi}, the group law and the class number.
+powers on reduced triples.  The small factor F(n) as a chain of
+Fractions through zeta(-n) and the discriminant bound's exponent built
+from Fractions are the oracles of the single quotients that replaced
+them.
+The values zeta(1 - k), Bernoulli polynomial values, inverse classes
+and the Brauer-Siegel class number bound are not used by the package;
+the tests keep them as references for the zeta values, B_{k,chi}, the
+group law and the class number.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from functools import lru_cache
 import mpmath
 
 from covolume import bernoulli, lattice, lvalues, quadfield, survey
-from covolume.errors import InternalDefect
+from covolume.errors import InternalDefect, InvalidInput, require_int
 
 
 def bernoulli_series(k_max: int) -> list[Fraction]:
@@ -423,6 +427,39 @@ def generalized_bernoulli_a_powers(k: int, D: int) -> Fraction:
     return Fraction(2 * total, m * q)
 
 
+def zeta_negative(k: int) -> Fraction:
+    """zeta(1 - k) = -B_k / k for even k >= 2, as an exact rational."""
+    require_int(k, "k", 2)
+    if k % 2:
+        raise InvalidInput(f"k must be even, got {k}")
+    return -bernoulli.bernoulli_number(k) / k
+
+
+def small_factor_by_zeta(field: quadfield.QuadField, n: int) -> lattice.ExactOrInterval:
+    """lattice._small_factor as the chain of Fractions it replaced:
+    Fraction(+-(n+1), 2^n h_t), times zeta(-n) and eps at odd n."""
+    sign = -1 if n % 4 == 1 else 1  # (-1)^((n+1)/2) at odd n
+    small = Fraction(sign * (n + 1), 2**n * lattice.h_torsion(field, n + 1))
+    if n % 2 == 0:
+        return small
+    small *= zeta_negative(n + 1)  # zeta(-n)
+    eps = lattice.epsilon_status(field, n)
+    if eps.exact:
+        return small * 2
+    return lattice.Interval(small * eps.lower, small * eps.upper)
+
+
+def discriminant_bound_by_fractions(n: int) -> float:
+    """survey.discriminant_bound(n).value with its exponent
+    (n - t) / (2 (s - 1)) built from Fractions and rounded once."""
+    if n % 2 == 0:
+        s, t = Fraction(n * (n + 3), 4), 1
+    else:
+        s, t = Fraction((n - 1) * (n + 2), 4), 0
+    exponent = Fraction(n - t) / (2 * (s - 1))
+    return 3.0 * (2 * math.pi**5 / 3**5.5) ** float(exponent)
+
+
 def l_pair_by_l_negative(field: quadfield.QuadField, j: int) -> Fraction:
     """zeta(1-2j) L(-2j, chi) = -B_2j L(-2j, chi) / 2j, with L(-2j, chi)
     read through lvalues.l_negative and the memo of B_{k,chi}."""
@@ -436,9 +473,9 @@ def nu_by_loop(field: quadfield.QuadField, n: int) -> lattice.ExactOrInterval:
     sign = 1 if n % 2 == 0 or (n + 1) // 2 % 2 == 0 else -1
     acc = Fraction(sign * (n + 1), 2**n * lattice.h_torsion(field, n + 1))
     if n % 2:
-        acc *= lvalues.zeta_negative(n + 1)  # zeta(-n)
+        acc *= zeta_negative(n + 1)  # zeta(-n)
     for j in range(1, n // 2 + 1):
-        acc *= lvalues.zeta_negative(2 * j)
+        acc *= zeta_negative(2 * j)
         acc *= lvalues.l_negative(field, 2 * j + 1)
     if n % 2 == 0:
         return acc

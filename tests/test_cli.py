@@ -728,6 +728,9 @@ GOLDEN_STDOUT = {
     "nu --d 15015 --n 10 --format json": "6206de448acac6bbde505ef6070a94d91d1405bf8bc7827758d8281ab7ad7ff8",
     "growth --d 3 --n-min 2 --n-max 400 --format json": "52e3849715d2aa73f300e79b04fc60b18b63b67bf778e5d8b13c376282a830ea",
     "growth --d 15 --n-min 2 --n-max 40 --format json": "18ec4d5ce0d0b7be5d5ef92cd1d0b87b4b051752c2c3009adf983686c56b8152",
+    "minimal --overall --n-max 120 --verbose --format json": "ecb144cd637a75562941b4aeab81ac161f54d2a967ccfeb251a3c8d01e19c5f1",
+    "scan --n 9 --max-disc 1000 --format csv": "ecd312ab237ce7fd1f3e7819f469ea12677bc3119bc34db71207348a05a7f03d",
+    "growth --d 105 --n-min 2 --n-max 60 --format json": "fcaaf1b346e3e3723d65e0f7511d02f3a440130284454edcf13491cabf158ac7",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under

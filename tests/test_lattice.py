@@ -35,7 +35,7 @@ class TestNu:
                 h_t = lattice.h_torsion(field, n + 1)
                 product = Fraction(1)
                 for j in range(1, n // 2 + 1):
-                    product *= lvalues.zeta_negative(2 * j)
+                    product *= oracles.zeta_negative(2 * j)
                     product *= lvalues.l_negative(field, 2 * j + 1)
                 lhs = lattice.nu(field, n) * 2**n * h_t / (n + 1)
                 assert lhs == product, (field.d, n)
@@ -44,8 +44,8 @@ class TestNu:
         # n = 3: nu = (-1)^2 * 4 * 2 / (2^3 h_t) * zeta(-3) * zeta(-1) L(-2)
         expected = (
             Fraction(4 * 2, 8)
-            * lvalues.zeta_negative(4)
-            * lvalues.zeta_negative(2)
+            * oracles.zeta_negative(4)
+            * oracles.zeta_negative(2)
             * lvalues.l_negative(f3, 3)
         )
         assert lattice.nu(f3, 3) == expected == Fraction(1, 6480)
@@ -255,6 +255,29 @@ class TestTorsionByGcd:
         lattice.clear_caches()
         monkeypatch.setattr(quadfield, "torsion_count", forbidden)
         assert [lattice.h_torsion(f23, m) for m in (2, 4, 5, 7, 11)] == [1] * 5
+
+    def test_matches_form_class_oracle(self):
+        for field in quadfield.fields_with_disc_at_most(3000):
+            group = quadfield.reduced_forms(field)
+            for m in range(1, 41):
+                assert lattice.h_torsion(field, m) == (
+                    oracles.torsion_count_by_form_classes(group, m)
+                ), (field.d, m)
+
+
+class TestSmallFactor:
+    """F(n) as one quotient of integers per endpoint equals the chain of
+    Fractions through zeta(-n) that it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 15, 23, 105, 1155])
+    def test_matches_fraction_chain(self, d):
+        field = _field_for(d)
+        for n in range(2, 401):
+            got = lattice._small_factor(field, n)
+            expected = oracles.small_factor_by_zeta(field, n)
+            assert is_exact(got) == is_exact(expected), (d, n)
+            assert got == expected, (d, n)
+            assert lattice._lower(got) > 0, (d, n)
 
 
 class TestClassNumber:

@@ -54,6 +54,19 @@ class TestDiscriminantBound:
         with pytest.raises(InvalidDimension):
             survey.discriminant_bound(1)
 
+    def test_equals_the_fraction_route(self):
+        for n in range(2, 5001):
+            expected = oracles.discriminant_bound_by_fractions(n)
+            assert survey.discriminant_bound(n).value == expected, n
+
+    def test_sweep_limits_unchanged(self):
+        for margin in (1, 20):
+            for mr in survey.overall_minimum(40, safety_margin=margin).per_n:
+                cert = mr.certificate
+                bound = oracles.discriminant_bound_by_fractions(cert.n)
+                assert cert.bound == bound, cert.n
+                assert cert.limit == max(math.ceil(bound), 4) + margin, cert.n
+
 
 class TestBrauerSiegelBound:
     """Class numbers from reduced forms under the oracle's analytic bound."""
@@ -184,6 +197,21 @@ class TestOverallMinimum:
         monkeypatch.setattr(lattice, "nu", counting)
         assert survey.overall_minimum(16).growth_threshold_n1 == 15
         assert [calls.count((3, n)) for n in (14, 15, 16)] == [1, 1, 1]
+
+    def test_torsion_counted_once_per_divisor_of_h(self, monkeypatch):
+        # the sweep asks each field for m = 3..61; an m with
+        # gcd(m, h) = g > 1 reads the entry for g, so each g is counted once
+        covolume.clear_caches()
+        calls = []
+        real = quadfield.torsion_count
+
+        def counting(group, m):
+            calls.append((group.field.d, m))
+            return real(group, m)
+
+        monkeypatch.setattr(quadfield, "torsion_count", counting)
+        survey.overall_minimum(60)
+        assert sorted(calls) == [(5, 2), (6, 2), (15, 2), (23, 3)]
 
 
 class TestFieldMajorSweep:
