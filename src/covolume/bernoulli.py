@@ -4,11 +4,13 @@ Everything here is computed in exact arithmetic, integers and
 fractions.Fraction; no floating point enters any value.  The sign
 convention is B_1 = -1/2.  B_{k,chi} reads no Bernoulli number: it comes
 from one integer recurrence over the character's power sums
-(_PowerSums), which also keeps the field's L-product (_l_product).
+(_PowerSums), which also keeps the field's L-product (_l_product) and
+its logarithm with an error bound (_ln_l_product), for ranking.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +27,9 @@ __all__ = [
 ]
 
 _lock = threading.RLock()  # a factor pair reads B_2j under it
+# each float step of a logarithm adds at most _LN_SLACK (bits + 3 + |value|)
+# to its error bound; see _PowerSums.ln_pair
+_LN_SLACK = 2.0**-48
 _even_table: list[Fraction] = [Fraction(1)]  # _even_table[j] holds B_{2j}
 
 
@@ -186,8 +191,9 @@ class _PowerSums:
     power passes: pow holds their z^j for the last odd j and sq their
     z^2.  When g grows past the slots read, the table's terms (low, from
     t = t0 down) join those lists, and every t is a pass from then on.
-    g[i] is g_{2i+1}; V_j is used once and not kept.  g and prefix only
-    grow, under _lock, so an entry read from either never goes stale.
+    g[i] is g_{2i+1}; V_j is used once and not kept.  g, prefix and
+    ln_prefix only grow, under _lock, so an entry read from any of them
+    never goes stale.
     """
 
     def __init__(self, D: int, chi: tuple[int, ...]):
@@ -195,6 +201,7 @@ class _PowerSums:
         self.chi: tuple[int, ...] | None = chi
         self.g: list[int] = []
         self.prefix = [Fraction(1)]
+        self.ln_prefix = [(0.0, 0.0)]
 
     def _push(self, v: int) -> None:
         """Append g_j, j = 2 len(g) + 1, from V_j = v.
@@ -252,16 +259,47 @@ class _PowerSums:
                 self.low = ()
             self._push(sum(self.pow))
 
-    def pair(self, j: int) -> Fraction:
-        """zeta(1-2j) L(-2j, chi) = -B_2j g_(2j+1) / (2j (2j+1) 4^j q), j >= 1.
-
-        P(j) / P(j-1), positive, as one Fraction normalized once.  B_2j is
-        read through bernoulli_number on every step, never kept.
-        """
+    def _pair_parts(self, j: int) -> tuple[int, int, int]:
+        """(a, g, d) with pair(j) = a g / d, read after extending to 2j + 1:
+        a = -B_2j's numerator, g = g_(2j+1), d = 2j (2j+1) 4^j q times
+        B_2j's denominator.  B_2j is read through bernoulli_number on
+        every step, never kept."""
         self.extend(2 * j + 1)
         b = bernoulli_number(2 * j)
         den = 2 * j * (2 * j + 1) * b.denominator * self.q
-        return Fraction(-b.numerator * self.g[j], den << 2 * j)
+        return -b.numerator, self.g[j], den << 2 * j
+
+    def pair(self, j: int) -> Fraction:
+        """zeta(1-2j) L(-2j, chi) = -B_2j g_(2j+1) / (2j (2j+1) 4^j q), j >= 1.
+
+        P(j) / P(j-1), positive, as one Fraction normalized once.
+        """
+        a, g, den = self._pair_parts(j)
+        return Fraction(a * g, den)
+
+    def ln_pair(self, j: int) -> tuple[float, int]:
+        """ln pair(j) as a float, and the bit lengths of the three integers
+        it is the logarithm of: |a| + |g| - d, with a, g, d as in _pair_parts.
+
+        No product is formed.  math.log(x) of a positive int x is within
+        2^-51 (b + 1) of ln x, b = x.bit_length(), if the platform's log
+        of a double is within 1 ulp.  Below 2^1024 CPython rounds x to the
+        nearest double, a relative error of 2^-53 that moves ln x by about
+        2^-53, and the log is within 1 ulp <= 2^-52 |ln x| < 2^-52 b of the
+        result.  Past that it takes the frexp split x = f 2^e with f in
+        [0.5, 1) rounded to 53 bits, e <= b, and returns log(f) + log(2) e:
+        the rounding of f and the log of f cost 2^-53 each, log(2)'s ulp
+        costs e 2^-53, and the product and the sum each round by half an
+        ulp of about 0.7 e, 2 (2^-53 0.7 e) in all; 2^-53 (2.4 e + 3) is
+        below 2^-51 (b + 1).  The two float subtractions here round by at
+        most 2^-53 of their magnitudes, each < 0.7 of the bits, so the
+        term is within 2^-50 (bits + 3) of ln pair(j): _LN_SLACK is four
+        times that, which also pays for the rounding of the bound itself.
+        """
+        a, g, den = self._pair_parts(j)
+        a, g = abs(a), abs(g)
+        bits = a.bit_length() + g.bit_length() + den.bit_length()
+        return math.log(a) + math.log(g) - math.log(den), bits
 
 
 @lru_cache(maxsize=1)
@@ -292,6 +330,28 @@ def _l_product(D: int, m: int) -> Fraction:
         while len(prefix) <= m:
             prefix.append(prefix[-1] * state.pair(len(prefix)))
         return prefix[m]
+
+
+def _ln_l_product(D: int, m: int) -> tuple[float, float]:
+    """ln P(m), with P as in _l_product, and a bound on its absolute error.
+
+    The sum of ln pair(j) over j <= m (_PowerSums.ln_pair), read from the
+    state's append-only list of (sum, bound), grown one pair at a time as
+    _l_product grows its prefix, which it never touches: no Fraction is
+    built.  Each step adds to the bound the pair's _LN_SLACK (bits + 3)
+    and _LN_SLACK |sum|, which covers the rounding of the float sum.
+    """
+    state = _power_state(D)
+    with _lock:
+        if not state.g:  # the first extend reads every slot the pairs need
+            state.extend(2 * m + 1)
+        logs = state.ln_prefix
+        while len(logs) <= m:
+            value, error = logs[-1]
+            term, bits = state.ln_pair(len(logs))
+            value += term
+            logs.append((value, error + _LN_SLACK * (bits + 3 + abs(value))))
+        return logs[m]
 
 
 @lru_cache(maxsize=None)

@@ -108,7 +108,10 @@ def cmd_minimal(args: argparse.Namespace) -> int:
         raise InvalidInput("one of --n or --overall is required")
     mr = survey.minimal_field(args.n, args.safety_margin)
     cert = mr.certificate
-    rows = [c.result for c in cert.candidates] if args.verbose else [mr.result]
+    if args.verbose:
+        rows = [lattice.covolume_result(c.field, args.n) for c in cert.candidates]
+    else:
+        rows = [mr.result]
     if fmt == "json" and args.verbose:
         record = {
             "winner": serialize.row_to_record(mr.result),

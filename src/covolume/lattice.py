@@ -160,28 +160,52 @@ def h_torsion(field: QuadField, m: int) -> int:
     return quadfield.torsion_count(group, g)
 
 
-def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
-    """F(n), the factor of nu(n) = F(n) P(floor(n/2)) besides the L-product.
+def _small_factor_parts(field: QuadField, n: int) -> tuple[int, int, int]:
+    """(low, high, scale): F(n) lies in [low / scale, high / scale], and is
+    low / scale when low == high.
 
-    (n+1) / (2^n h_{ell,n+1}) at even n.  At odd n it is
+    F(n) is the factor of nu(n) = F(n) P(floor(n/2)) besides the
+    L-product: (n+1) / (2^n h_{ell,n+1}) at even n.  At odd n it is
     (-1)^((n+1)/2) (n+1) zeta(-n) eps / (2^n h_{ell,n+1}), which is
     positive; since (n+1) zeta(-n) = -B_{n+1}, each endpoint is one
-    quotient of integers, normalized once.  eps = 2 when r = 1; otherwise
-    eps in [2, 2^r] widens F to an interval.  Its size grows like n log n
-    digits, against n^2 log n for P.  Raises InvalidDimension below
-    n = 2, for nu and for growth runs alike.
+    quotient of integers.  eps = 2 when r = 1; otherwise eps in [2, 2^r]
+    widens F to an interval.  Its size grows like n log n digits, against
+    n^2 log n for P.  Raises InvalidDimension below n = 2, for nu and for
+    growth runs alike.
     """
     require_int(n, "n", 2, InvalidDimension)
     scale = 2**n * h_torsion(field, n + 1)
     if n % 2 == 0:
-        return Fraction(n + 1, scale)
+        return n + 1, n + 1, scale
     b = bernoulli.bernoulli_number(n + 1)
     top = b.numerator if n % 4 == 1 else -b.numerator  # (-1)^((n+1)/2) (-B_{n+1})
-    scale *= b.denominator
     eps = epsilon_status(field, n)
-    if eps.exact:
-        return Fraction(2 * top, scale)
-    return Interval(Fraction(eps.lower * top, scale), Fraction(eps.upper * top, scale))
+    return eps.lower * top, eps.upper * top, scale * b.denominator
+
+
+def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
+    """F(n) (_small_factor_parts), each endpoint normalized once."""
+    low, high, scale = _small_factor_parts(field, n)
+    if low == high:
+        return Fraction(low, scale)
+    return Interval(Fraction(low, scale), Fraction(high, scale))
+
+
+def _ln_nu_bounds(field: QuadField, n: int) -> tuple[float, float]:
+    """Floats (low, high) with low <= ln nu_lower <= high, where nu_lower is
+    nu(field, n) or its lower endpoint.
+
+    ln F(n) from the integers of _small_factor_parts, plus ln P(floor(n/2))
+    from bernoulli._ln_l_product, with that function's error bound and
+    bernoulli._LN_SLACK (bits + 3 + |value|) for the two logarithms of F
+    and the float sums (see _PowerSums.ln_pair).  No Fraction is built.
+    """
+    low, _, scale = _small_factor_parts(field, n)  # validates n
+    ln_prefix, error = bernoulli._ln_l_product(field.disc_signed, n // 2)
+    value = math.log(low) - math.log(scale) + ln_prefix
+    bits = low.bit_length() + scale.bit_length()
+    error += bernoulli._LN_SLACK * (bits + 3 + abs(value))
+    return value - error, value + error
 
 
 def nu(field: QuadField, n: int) -> ExactOrInterval:

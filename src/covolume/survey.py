@@ -72,10 +72,14 @@ class GrowthReport:
 
 
 class Candidate(NamedTuple):
-    """One enumerated field in a minimal-covolume certificate."""
+    """One enumerated field in a minimal-covolume certificate, with floats
+    ln_low <= ln(nu_lower) <= ln_high (lattice._ln_nu_bounds), where
+    nu_lower is the field's nu at the certificate's n, or its lower
+    endpoint when nu is an interval."""
 
     field: QuadField
-    result: CovolumeResult
+    ln_low: float
+    ln_high: float
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,11 @@ class MinimalCertificate:
     """Proof data for a minimal-field determination at fixed n.
 
     candidates lists every imaginary quadratic field with |disc| at most
-    limit, in ascending discriminant order, with its full covolume
-    record; limit is max(discriminant_bound(n), 4) plus the safety
-    margin, so the enumeration is exhaustive for the comparison.
+    limit, in ascending discriminant order, with its ln interval; limit
+    is max(discriminant_bound(n), 4) plus the safety margin, so the
+    enumeration is exhaustive for the comparison.  A candidate whose
+    ln_low exceeds the least ln_high loses outright; the winner is the
+    unique least nu_lower among the others, compared exactly.
     """
 
     n: int
@@ -99,6 +105,11 @@ class MinimalResult(NamedTuple):
     result: CovolumeResult
     certificate: MinimalCertificate
 
+    @property
+    def candidate(self) -> Candidate:
+        """The winner's entry in the certificate."""
+        return next(c for c in self.certificate.candidates if c.field == self.field)
+
 
 class OverallMinimum(NamedTuple):
     """Location of the global covolume minimum over 2 <= n <= n_max.
@@ -108,7 +119,9 @@ class OverallMinimum(NamedTuple):
     dimension with the smallest hyperbolic volume; it is reported, not
     required to equal n_star.  growth_threshold_n1 is the smallest n1
     with q(m) > 1 for every n1 <= m < n_max, checked on the lower
-    endpoints of the ratios of the winner's field only.
+    endpoints of the ratios of the winner's field only.  per_n holds
+    each dimension's certified minimum, whose exact record is that of
+    its winner alone.
     """
 
     n_star: int
@@ -171,14 +184,33 @@ def _unique_min(
     return winners[0]
 
 
+def _overlapping(items: Sequence[_T], entry: Callable[[_T], Candidate]) -> list[_T]:
+    """The items whose ln interval, that of entry(item), reaches below the
+    least upper end.  Each other item's value exceeds that of the item
+    with the least upper end, so only these can be least."""
+    best = min(entry(item).ln_high for item in items)
+    return [item for item in items if entry(item).ln_low <= best]
+
+
 def _certify(
     n: int, bound: float, limit: int, candidates: tuple[Candidate, ...]
 ) -> MinimalResult:
-    """Pick the unique exact minimum among candidates, or raise TieDetected."""
+    """Pick the unique exact minimum among candidates, or raise TieDetected.
+
+    Exact records are built only for the candidates whose ln intervals
+    overlap the best one, and only their nu values are compared.
+    """
+    certificate = MinimalCertificate(
+        n=n, bound=bound, limit=limit, candidates=candidates
+    )
+    contenders = [
+        MinimalResult(c.field, lattice.covolume_result(c.field, n), certificate)
+        for c in _overlapping(candidates, lambda c: c)
+    ]
     winner = _unique_min(
-        candidates,
-        lambda c: c.result.nu_lower,
-        lambda c: str(c.field),
+        contenders,
+        lambda mr: mr.result.nu_lower,
+        lambda mr: str(mr.field),
         f"minimum at n = {n} is shared by {{}}",
     )
     if not winner.result.exact:
@@ -186,18 +218,19 @@ def _certify(
             f"minimum at n = {n} falls on an interval candidate "
             f"({winner.field}); comparison by lower endpoint is inconclusive"
         )
-    certificate = MinimalCertificate(
-        n=n, bound=bound, limit=limit, candidates=candidates
-    )
-    return MinimalResult(winner.field, winner.result, certificate)
+    return winner
 
 
 def _sweep(dims: range, safety_margin: int) -> tuple[MinimalResult, ...]:
     """The certified minimum of each n in dims, checked in that order.
 
     Each field up to the widest limit is swept across the dimensions
-    whose limit includes it, in ascending n, so its L-product prefix and
-    power sums are built once for the whole range.
+    whose limit includes it, in ascending n, so its power sums and the
+    logarithm of its L-product are built once for the whole range; that
+    gives each candidate its ln interval (lattice._ln_nu_bounds).  Only
+    then does _certify build exact records, for each n's overlapping
+    candidates: a loser's L-product is never multiplied out, and its
+    record never built.
     """
     bounds = {n: discriminant_bound(n).value for n in dims}
     limits = {n: max(math.ceil(b), 4) + safety_margin for n, b in bounds.items()}
@@ -205,8 +238,8 @@ def _sweep(dims: range, safety_margin: int) -> tuple[MinimalResult, ...]:
     for field in quadfield.fields_with_disc_at_most(max(limits.values())):
         for n, limit in limits.items():
             if field.disc_abs <= limit:
-                result = lattice.covolume_result(field, n)
-                candidates[n].append(Candidate(field, result))
+                low, high = lattice._ln_nu_bounds(field, n)
+                candidates[n].append(Candidate(field, low, high))
     return tuple(
         _certify(n, bounds[n], limits[n], tuple(candidates[n])) for n in dims
     )
@@ -216,10 +249,12 @@ def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
     """Field of minimal covolume at dimension n, with a full certificate.
 
     Enumerates every field with |disc| <= max(discriminant_bound(n), 4)
-    + safety_margin and compares exact nu values (lower endpoints for
-    interval candidates, which is sound because the winner must be
-    exact).  A tie for the minimum, or an inexact winner, raises
-    TieDetected rather than guessing.
+    + safety_margin and ranks them by rigorous intervals on ln nu (the
+    lower endpoint for interval candidates, which is sound because the
+    winner must be exact).  Exact nu values are built and compared only
+    for the candidates whose intervals overlap the best one.  A tie for
+    the minimum, or an inexact winner, raises TieDetected rather than
+    guessing.
     """
     require_int(n, "n", 2, InvalidDimension)
     require_int(safety_margin, "safety_margin", 1)
@@ -239,15 +274,18 @@ def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
     run once over n = 2..n_max, so each equals minimal_field(n) and a
     tie raises at the lowest tied dimension.  The winner of each ranking
     (Euler-Poincare value, hyperbolic volume) must be unique; the two
-    need not agree.  n1 is the smallest dimension from which q(m) > 1
-    for every m < n_max, by lower endpoints and over the winner's field
-    only, so it says nothing about dimensions past n_max.
+    need not agree.  The Euler-Poincare ranking reads the winners' ln
+    intervals and compares exact values only where they overlap; the
+    volume ranking compares the records' floats.  n1 is the smallest
+    dimension from which q(m) > 1 for every m < n_max, by lower
+    endpoints and over the winner's field only, so it says nothing
+    about dimensions past n_max.
     """
     require_int(n_max, "n_max", 10)
     require_int(safety_margin, "safety_margin", 1)
     per_n = _sweep(range(2, n_max + 1), safety_margin)
     winner = _unique_min(
-        per_n,
+        _overlapping(per_n, lambda mr: mr.candidate),
         lambda mr: mr.result.nu_lower,
         lambda mr: str(mr.result.n),
         "overall minimum is shared by dimensions {}",

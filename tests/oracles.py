@@ -18,7 +18,9 @@ differential oracles; likewise nu with its L-product rebuilt from j = 1 on every
 call, which the prefix list of bernoulli._l_product replaced, each
 factor pair read through lvalues.l_negative, which the pair step of the
 power-sum state replaced, and the minimal-field certificate built one
-dimension at a time, which the field-major sweep of survey replaced.
+dimension at a time, which the field-major sweep of survey replaced;
+that sweep itself, with the full record of every candidate ranked by
+Fraction comparisons, is the oracle of its ranking by ln intervals.
 The growth closed form written out twice, as a float and as a
 logarithm, the descending search for the growth threshold, and the field
 enumeration that factored each d up to three times are kept the same way
@@ -41,15 +43,17 @@ group law and the class number.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath
 
 from covolume import bernoulli, lattice, lvalues, quadfield, survey
-from covolume.errors import InternalDefect, InvalidInput, require_int
+from covolume.errors import InternalDefect, InvalidInput, TieDetected, require_int
 
 
 def bernoulli_series(k_max: int) -> list[Fraction]:
@@ -460,6 +464,14 @@ def discriminant_bound_by_fractions(n: int) -> float:
     return 3.0 * (2 * math.pi**5 / 3**5.5) ** float(exponent)
 
 
+def ln_by_decimal(x: Fraction, digits: int = 50) -> decimal.Decimal:
+    """ln x for a positive rational, from its exact numerator and
+    denominator, to `digits` significant digits with decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return decimal.Decimal(x.numerator).ln() - decimal.Decimal(x.denominator).ln()
+
+
 def l_pair_by_l_negative(field: quadfield.QuadField, j: int) -> Fraction:
     """zeta(1-2j) L(-2j, chi) = -B_2j L(-2j, chi) / 2j, with L(-2j, chi)
     read through lvalues.l_negative and the memo of B_{k,chi}."""
@@ -485,9 +497,18 @@ def nu_by_loop(field: quadfield.QuadField, n: int) -> lattice.ExactOrInterval:
     return lattice.Interval(acc * eps.lower, acc * eps.upper)
 
 
+class ExactCandidate(NamedTuple):
+    """A certificate entry of the exact-ranking oracles: a field and its
+    full covolume record."""
+
+    field: quadfield.QuadField
+    result: lattice.CovolumeResult
+
+
 def minimal_field_by_loop(n: int, safety_margin: int = 20) -> survey.MinimalResult:
     """minimal_field(n) with every candidate of dimension n computed on its
-    own, in ascending discriminant, and the winner picked by min().
+    own, in ascending discriminant, and the winner picked by min() over
+    the full records (ExactCandidate entries in the certificate).
 
     Ties and inexact winners are not checked here; minimal_field raises
     on them, which a comparison with this oracle reports as an error.
@@ -495,12 +516,51 @@ def minimal_field_by_loop(n: int, safety_margin: int = 20) -> survey.MinimalResu
     bound = survey.discriminant_bound(n).value
     limit = max(math.ceil(bound), 4) + safety_margin
     candidates = tuple(
-        survey.Candidate(f, lattice.covolume_result(f, n))
+        ExactCandidate(f, lattice.covolume_result(f, n))
         for f in quadfield.fields_with_disc_at_most(limit)
     )
     winner = min(candidates, key=lambda c: c.result.nu_lower)
     certificate = survey.MinimalCertificate(n, bound, limit, candidates)
     return survey.MinimalResult(winner.field, winner.result, certificate)
+
+
+def _certify_by_exact_ranking(
+    n: int, bound: float, limit: int, candidates: tuple[ExactCandidate, ...]
+) -> survey.MinimalResult:
+    """The unique exact minimum among candidates, or TieDetected."""
+    winner = survey._unique_min(
+        candidates,
+        lambda c: c.result.nu_lower,
+        lambda c: str(c.field),
+        f"minimum at n = {n} is shared by {{}}",
+    )
+    if not winner.result.exact:
+        raise TieDetected(
+            f"minimum at n = {n} falls on an interval candidate "
+            f"({winner.field}); comparison by lower endpoint is inconclusive"
+        )
+    certificate = survey.MinimalCertificate(n, bound, limit, candidates)
+    return survey.MinimalResult(winner.field, winner.result, certificate)
+
+
+def sweep_by_exact_ranking(
+    dims: range, safety_margin: int = 20
+) -> tuple[survey.MinimalResult, ...]:
+    """survey._sweep as it was before its ln-interval ranking: the full
+    record of every (field, n) candidate, in one field-major sweep, each
+    n's winner picked by Fraction comparisons of every nu_lower."""
+    bounds = {n: survey.discriminant_bound(n).value for n in dims}
+    limits = {n: max(math.ceil(b), 4) + safety_margin for n, b in bounds.items()}
+    candidates: dict[int, list[ExactCandidate]] = {n: [] for n in dims}
+    for field in quadfield.fields_with_disc_at_most(max(limits.values())):
+        for n, limit in limits.items():
+            if field.disc_abs <= limit:
+                result = lattice.covolume_result(field, n)
+                candidates[n].append(ExactCandidate(field, result))
+    return tuple(
+        _certify_by_exact_ranking(n, bounds[n], limits[n], tuple(candidates[n]))
+        for n in dims
+    )
 
 
 def fields_by_triple_factoring(limit: int) -> tuple[quadfield.QuadField, ...]:

@@ -60,7 +60,8 @@ def test_criterion_2_first_field_minimal_in_every_dimension():
             continue
         winner_nu = mr.result.nu_lower
         for candidate in mr.certificate.candidates:
-            if candidate.result.nu_lower < winner_nu:
+            nu_lower = lattice.covolume_result(candidate.field, n).nu_lower
+            if nu_lower < winner_nu:
                 failures.append((n, candidate.field.d))
     elapsed = time.perf_counter() - t0
     status = "PASS" if not failures and elapsed < 60 else "FAIL"

@@ -731,6 +731,10 @@ GOLDEN_STDOUT = {
     "minimal --overall --n-max 120 --verbose --format json": "ecb144cd637a75562941b4aeab81ac161f54d2a967ccfeb251a3c8d01e19c5f1",
     "scan --n 9 --max-disc 1000 --format csv": "ecd312ab237ce7fd1f3e7819f469ea12677bc3119bc34db71207348a05a7f03d",
     "growth --d 105 --n-min 2 --n-max 60 --format json": "fcaaf1b346e3e3723d65e0f7511d02f3a440130284454edcf13491cabf158ac7",
+    "minimal --overall --n-max 240 --format json": "ddb0a2abae12c809631eca15bf113d0be211efbb8ec392c06a2db214f62f13d3",
+    "minimal --overall --n-max 480 --format json": "ddb0a2abae12c809631eca15bf113d0be211efbb8ec392c06a2db214f62f13d3",
+    "minimal --n 2 --verbose --format json": "2890ec08c4d5ed466f762964930b1df24231f677a79e7a7277b76fe2777af587",
+    "minimal --n 3 --verbose --format csv": "71037368ca47fb7bb96d03db47855103847158f9735996f0b566cae843edfe8f",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under

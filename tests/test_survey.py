@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -113,6 +114,18 @@ class TestScan:
             survey.scan(1, 100)
 
 
+def _overlap(monkeypatch, where, interval=(-1000.0, -999.0)):
+    """Give every (field, n) that where() picks one ln interval, below
+    every true one at n <= 60, so that their records, and only theirs,
+    reach the exact comparison together."""
+    real = lattice._ln_nu_bounds
+
+    def bounds(field, n):
+        return interval if where(field, n) else real(field, n)
+
+    monkeypatch.setattr(lattice, "_ln_nu_bounds", bounds)
+
+
 class TestMinimalField:
     @pytest.mark.parametrize(
         "n,expected_nu",
@@ -135,17 +148,23 @@ class TestMinimalField:
         assert tuple(c.field for c in cert.candidates) == expected_fields
         winner_nu = best.result.nu_lower
         for candidate in cert.candidates:
-            assert winner_nu <= candidate.result.nu_lower
+            nu_lower = lattice.covolume_result(candidate.field, 4).nu_lower
+            assert winner_nu <= nu_lower
+            ln = oracles.ln_by_decimal(nu_lower)
+            assert Decimal(candidate.ln_low) <= ln <= Decimal(candidate.ln_high)
         assert any(c.field == best.field for c in cert.candidates)
+        assert best.candidate.field == best.field
 
     def test_tie_raises(self, monkeypatch):
+        # the tied records are compared only where the intervals overlap
         real = lattice.covolume_result
 
         def tied(field, n):
             return dataclasses.replace(real(field, n), nu=Fraction(1, 7))
 
         monkeypatch.setattr(lattice, "covolume_result", tied)
-        with pytest.raises(TieDetected):
+        _overlap(monkeypatch, lambda field, n: True)
+        with pytest.raises(TieDetected, match="^minimum at n = 2 is shared by "):
             survey.minimal_field(2)
 
     def test_inexact_winner_raises(self, monkeypatch):
@@ -222,9 +241,12 @@ class TestFieldMajorSweep:
         overall = survey.overall_minimum(40)
         assert len(overall.per_n) == 39
         for n, mr in enumerate(overall.per_n, start=2):
+            assert survey.minimal_field(n) == mr, n
             expected = oracles.minimal_field_by_loop(n)
-            assert mr == expected, n
-            assert survey.minimal_field(n) == expected, n
+            assert (mr.field, mr.result) == (expected.field, expected.result), n
+            cert, exact = mr.certificate, expected.certificate
+            assert (cert.n, cert.bound, cert.limit) == (exact.n, exact.bound, exact.limit)
+            assert [c.field for c in cert.candidates] == [c.field for c in exact.candidates]
 
     @pytest.mark.parametrize("tied", [{2, 3}, {7, 11}, {40}])
     def test_tie_raises_at_lowest_tied_dimension(self, monkeypatch, tied):
@@ -237,6 +259,7 @@ class TestFieldMajorSweep:
             return dataclasses.replace(result, nu=Fraction(1, 7))
 
         monkeypatch.setattr(lattice, "covolume_result", tied_at)
+        _overlap(monkeypatch, lambda field, n: n in tied)
         with pytest.raises(TieDetected, match=f"minimum at n = {min(tied)} is shared"):
             survey.overall_minimum(40)
 
@@ -250,7 +273,9 @@ class TestFieldMajorSweep:
     )
     def test_ranking_tie_raises(self, monkeypatch, replace, message):
         # only Q(sqrt(-3)), the unique exact winner of every dimension,
-        # is changed, so each per-dimension certificate still passes
+        # is changed, so each per-dimension certificate still passes; its
+        # tied nu records get one interval, below every other, so that
+        # the ranking of the dimensions compares them exactly
         real = lattice.covolume_result
         tiny = {"nu": Fraction(1, 10**40), "volume": 1e-300}
 
@@ -261,6 +286,7 @@ class TestFieldMajorSweep:
             return dataclasses.replace(result, **{replace[n]: tiny[replace[n]]})
 
         monkeypatch.setattr(lattice, "covolume_result", tied_winners)
+        _overlap(monkeypatch, lambda field, n: field.d == 3 and replace.get(n) == "nu")
         with pytest.raises(TieDetected, match=f"^{re.escape(message)}$"):
             survey.overall_minimum(12)
 
@@ -309,16 +335,130 @@ class TestFieldMajorSweep:
         # 10 fields up to the widest limit, each swept from n = 2, so each
         # reads V_1 and V_3 from one table of two slots, which doubles to
         # t = 3, 7, 15, 31 as |disc| grows, and takes k = 5, ..., 61 as one
-        # squaring pass and 28 steps of the one signed list.  The growth
-        # run over the winner's field (-3, the first swept) then rebuilds
-        # its state, since the state keeps the field asked last, and its
-        # first pair asks for k = 5: a new table of three slots to t = 3,
-        # one squaring pass and 27 steps up to k = 61
+        # squaring pass and 28 steps of the one signed list.  The exact
+        # records of the winner's field (-3, the first swept) then rebuild
+        # its state, since the state keeps the field asked last, from
+        # n = 2 on: the same table read, which the table already holds,
+        # and the same 29 passes.  The growth run over that field reads
+        # the state they leave
         assert len(built) == 11 and len(set(built)) == 10
         assert built[0] == built[-1] == -3
-        assert [c for c, _ in reads] == [2] * 10 + [3]
-        assert sum(new for _, new in reads) == 5
-        assert passes[0] == 10 * 29 + 28
+        assert [c for c, _ in reads] == [2] * 11
+        assert sum(new for _, new in reads) == 4
+        assert passes[0] == 11 * 29
+
+
+class TestLnRanking:
+    """Candidates are ranked by intervals on ln nu_lower; exact records
+    are built and compared only where those intervals overlap."""
+
+    @pytest.mark.parametrize("margin", [1, 20])
+    def test_matches_exact_ranking(self, margin):
+        dims = range(2, 241)
+        ranked = survey._sweep(dims, margin)
+        exact = oracles.sweep_by_exact_ranking(dims, margin)
+        for n, mr, expected in zip(dims, ranked, exact):
+            assert mr.field == expected.field, n
+            assert mr.result == expected.result, n
+            cert, full = mr.certificate, expected.certificate
+            assert (cert.n, cert.bound, cert.limit) == (n, full.bound, full.limit)
+            assert [c.field for c in cert.candidates] == [
+                c.field for c in full.candidates
+            ], n
+
+    def test_intervals_enclose_ln_nu(self):
+        entries = sorted(
+            (
+                (c.field.disc_abs, mr.certificate.n, c)
+                for mr in survey.overall_minimum(60).per_n
+                for c in mr.certificate.candidates
+            ),
+            key=lambda e: e[:2],
+        )
+        assert len(entries) > 500
+        for _, n, c in entries:
+            ln = oracles.ln_by_decimal(lattice._lower(lattice.nu(c.field, n)))
+            assert Decimal(c.ln_low) <= ln <= Decimal(c.ln_high), (c.field, n)
+            assert c.ln_high - c.ln_low < 1e-8, (c.field, n)
+
+    @pytest.mark.parametrize("D", [-3, -4, -20, -23, -84, -455])
+    def test_ln_l_product_bound(self, D):
+        covolume.clear_caches()
+        logs = [bernoulli._ln_l_product(D, m) for m in range(41)]
+        # the logarithms are summed with no Fraction: the prefix is untouched
+        assert bernoulli._power_state(D).prefix == [Fraction(1)]
+        assert logs[0] == (0.0, 0.0)
+        for m, (value, error) in enumerate(logs):
+            ln = oracles.ln_by_decimal(bernoulli._l_product(D, m))
+            assert abs(Decimal(value) - ln) <= Decimal(error), (D, m)
+            assert error < 1e-8, (D, m)
+
+    def test_overlap_is_compared_exactly(self, monkeypatch):
+        # forced to overlap, Q(sqrt(-3)) and Q(i) are compared by their
+        # exact records: the true winner stands, and a tie raises with the
+        # message of the exact comparison
+        def first_two(field, n):
+            return n == 2 and field.d in (1, 3)
+
+        _overlap(monkeypatch, first_two)
+        best = survey.minimal_field(2)
+        assert best.field.d == 3 and best.result.nu == Fraction(1, 72)
+        real = lattice.covolume_result
+
+        def tied(field, n):
+            result = real(field, n)
+            return dataclasses.replace(result, nu=Fraction(1, 7)) if first_two(field, n) else result
+
+        monkeypatch.setattr(lattice, "covolume_result", tied)
+        message = "minimum at n = 2 is shared by Q(sqrt(-3)), Q(i)"
+        with pytest.raises(TieDetected, match=f"^{re.escape(message)}$"):
+            survey.minimal_field(2)
+
+    def test_interval_valued_minimum_raises(self, monkeypatch):
+        # Q(sqrt(-5)) has two ramified primes, so nu at odd n is an
+        # interval; forced to overlap Q(sqrt(-3)) with the least lower
+        # endpoint, it is the minimum, which cannot be certified
+        real = lattice.covolume_result
+
+        def widened(field, n):
+            result = real(field, n)
+            if field.d != 5:
+                return result
+            return dataclasses.replace(result, nu=Interval(Fraction(1, 10**9), Fraction(1)))
+
+        monkeypatch.setattr(lattice, "covolume_result", widened)
+        _overlap(monkeypatch, lambda field, n: field.d in (3, 5))
+        message = (
+            "minimum at n = 3 falls on an interval candidate (Q(sqrt(-5))); "
+            "comparison by lower endpoint is inconclusive"
+        )
+        with pytest.raises(TieDetected, match=f"^{re.escape(message)}$"):
+            survey.minimal_field(3)
+
+    def test_only_winners_get_records(self, monkeypatch):
+        # one exact record per dimension, and the L-product of no other
+        # field is multiplied out: every factor pair is Q(sqrt(-3))'s
+        covolume.clear_caches()
+        records, pairs = [], set()
+        real_result, real_pair = lattice.covolume_result, bernoulli._PowerSums.pair
+
+        def counting_result(field, n):
+            records.append((field.d, n))
+            return real_result(field, n)
+
+        def counting_pair(state, j):
+            pairs.add(state.q)
+            return real_pair(state, j)
+
+        monkeypatch.setattr(lattice, "covolume_result", counting_result)
+        monkeypatch.setattr(bernoulli._PowerSums, "pair", counting_pair)
+        overall = survey.overall_minimum(60)
+        assert records == [(3, n) for n in range(2, 61)]
+        assert pairs == {3}
+        assert [mr.result for mr in overall.per_n] == [
+            lattice.covolume_result(quadfield.from_squarefree_d(3), n)
+            for n in range(2, 61)
+        ]
 
 
 class TestGrowthRatio:
