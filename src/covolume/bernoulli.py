@@ -4,8 +4,8 @@ Everything here is computed in exact arithmetic, integers and
 fractions.Fraction; no floating point enters any value.  The sign
 convention is B_1 = -1/2.  B_{k,chi} reads no Bernoulli number: it comes
 from one integer recurrence over the character's power sums
-(_PowerSums), which also keeps the field's L-product (_l_product) and
-its logarithm with an error bound (_ln_l_product), for ranking.
+(_PowerSums), which also keep the field's L-product (_l_product).  Its
+logarithm, for ranking (_ln_l_product), reads no power sum.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ __all__ = [
     "clear_caches",
 ]
 
-_lock = threading.RLock()  # a factor pair reads B_2j under it
+_lock = threading.RLock()  # a factor pair and _ln_sums read B_2j under it
 # each float step of a logarithm adds at most _LN_SLACK (bits + 3 + |value|)
-# to its error bound; see _PowerSums.ln_pair
+# to its error bound; see _ln_l_product
 _LN_SLACK = 2.0**-48
+_LN_2PI = math.log(2 * math.pi)  # within 2^-51 of ln 2 pi; see _ln_l_product
 _even_table: list[Fraction] = [Fraction(1)]  # _even_table[j] holds B_{2j}
+_ln_sums: list[tuple[float, float]] = [(0.0, 0.0)]  # (S(m), W(m)); see _ln_l_product
 
 
 def _even_values(start: int, stop: int) -> list[Fraction]:
@@ -191,9 +193,8 @@ class _PowerSums:
     power passes: pow holds their z^j for the last odd j and sq their
     z^2.  When g grows past the slots read, the table's terms (low, from
     t = t0 down) join those lists, and every t is a pass from then on.
-    g[i] is g_{2i+1}; V_j is used once and not kept.  g, prefix and
-    ln_prefix only grow, under _lock, so an entry read from any of them
-    never goes stale.
+    g[i] is g_{2i+1}; V_j is used once and not kept.  g and prefix only
+    grow, under _lock, so an entry read from either never goes stale.
     """
 
     def __init__(self, D: int, chi: tuple[int, ...]):
@@ -201,7 +202,6 @@ class _PowerSums:
         self.chi: tuple[int, ...] | None = chi
         self.g: list[int] = []
         self.prefix = [Fraction(1)]
-        self.ln_prefix = [(0.0, 0.0)]
 
     def _push(self, v: int) -> None:
         """Append g_j, j = 2 len(g) + 1, from V_j = v.
@@ -259,47 +259,16 @@ class _PowerSums:
                 self.low = ()
             self._push(sum(self.pow))
 
-    def _pair_parts(self, j: int) -> tuple[int, int, int]:
-        """(a, g, d) with pair(j) = a g / d, read after extending to 2j + 1:
-        a = -B_2j's numerator, g = g_(2j+1), d = 2j (2j+1) 4^j q times
-        B_2j's denominator.  B_2j is read through bernoulli_number on
-        every step, never kept."""
-        self.extend(2 * j + 1)
-        b = bernoulli_number(2 * j)
-        den = 2 * j * (2 * j + 1) * b.denominator * self.q
-        return -b.numerator, self.g[j], den << 2 * j
-
     def pair(self, j: int) -> Fraction:
         """zeta(1-2j) L(-2j, chi) = -B_2j g_(2j+1) / (2j (2j+1) 4^j q), j >= 1.
 
-        P(j) / P(j-1), positive, as one Fraction normalized once.
+        P(j) / P(j-1), positive, as one Fraction normalized once.  B_2j
+        is read through bernoulli_number on every step, never kept.
         """
-        a, g, den = self._pair_parts(j)
-        return Fraction(a * g, den)
-
-    def ln_pair(self, j: int) -> tuple[float, int]:
-        """ln pair(j) as a float, and the bit lengths of the three integers
-        it is the logarithm of: |a| + |g| - d, with a, g, d as in _pair_parts.
-
-        No product is formed.  math.log(x) of a positive int x is within
-        2^-51 (b + 1) of ln x, b = x.bit_length(), if the platform's log
-        of a double is within 1 ulp.  Below 2^1024 CPython rounds x to the
-        nearest double, a relative error of 2^-53 that moves ln x by about
-        2^-53, and the log is within 1 ulp <= 2^-52 |ln x| < 2^-52 b of the
-        result.  Past that it takes the frexp split x = f 2^e with f in
-        [0.5, 1) rounded to 53 bits, e <= b, and returns log(f) + log(2) e:
-        the rounding of f and the log of f cost 2^-53 each, log(2)'s ulp
-        costs e 2^-53, and the product and the sum each round by half an
-        ulp of about 0.7 e, 2 (2^-53 0.7 e) in all; 2^-53 (2.4 e + 3) is
-        below 2^-51 (b + 1).  The two float subtractions here round by at
-        most 2^-53 of their magnitudes, each < 0.7 of the bits, so the
-        term is within 2^-50 (bits + 3) of ln pair(j): _LN_SLACK is four
-        times that, which also pays for the rounding of the bound itself.
-        """
-        a, g, den = self._pair_parts(j)
-        a, g = abs(a), abs(g)
-        bits = a.bit_length() + g.bit_length() + den.bit_length()
-        return math.log(a) + math.log(g) - math.log(den), bits
+        self.extend(2 * j + 1)
+        b = bernoulli_number(2 * j)
+        den = 2 * j * (2 * j + 1) * b.denominator * self.q
+        return Fraction(-b.numerator * self.g[j], den << 2 * j)
 
 
 @lru_cache(maxsize=1)
@@ -333,25 +302,53 @@ def _l_product(D: int, m: int) -> Fraction:
 
 
 def _ln_l_product(D: int, m: int) -> tuple[float, float]:
-    """ln P(m), with P as in _l_product, and a bound on its absolute error.
+    """ln P(m), P as in _l_product, as a float and a half-width W that
+    encloses the real value, with no power sum read.
 
-    The sum of ln pair(j) over j <= m (_PowerSums.ln_pair), read from the
-    state's append-only list of (sum, bound), grown one pair at a time as
-    _l_product grows its prefix, which it never touches: no Fraction is
-    built.  Each step adds to the bound the pair's _LN_SLACK (bits + 3)
-    and _LN_SLACK |sum|, which covers the rounding of the float sum.
+    chi_D is primitive and odd, q = |D|, so |zeta(1-2j)| = |B_2j| / 2j
+    and, by the functional equation (Davenport, Multiplicative Number
+    Theory, ch. 9), |L(-2j, chi)| = 2 (2j)! q^(2j+1/2) (2 pi)^-(2j+1)
+    L(2j+1, chi).  By the Euler product zeta(2s)/zeta(s) <= L(s, chi) <=
+    zeta(s), and ln zeta(2j+1) <= zeta(2j+1) - 1 <= 4^-j; so ln P(m) =
+    S(m) + (m(m+1) + m/2) ln q within E(m) = sum_{j<=m} 4^-j < 1/3, where
+    S(m) sums t_j = ln|B_2j| - ln j + ln (2j)! - (2j+1) ln 2 pi for every
+    field.  _ln_sums[m] holds S(m) and W(m), E(m) plus S's float error,
+    grown under _lock and emptied by clear_caches.
+
+    The float error, term by term.  math.log of a b-bit int is within
+    2^-51 (b + 1) of ln, with a libm log within 1 ulp: below 2^1024 the
+    int rounds to a double (2^-53) and the log's ulp is < 2^-52 b; past
+    that CPython logs the frexp split f 2^e, e <= b, whose roundings cost
+    2^-53 (2.4 e + 3).  t_j takes four such logs, of |B_2j|'s numerator
+    and denominator, j and (2j)! (math.factorial, exact): within
+    2^-51 (B + 4) for B bits in all, each below 0.7 of its bits.
+    2 math.pi is within 2^-51 of 2 pi, which moves ln by < 2^-53.6, and
+    the log's ulp is 2^-52, so _LN_2PI is within 2^-51 of ln 2 pi, and
+    (2j + 1) _LN_2PI, rounded once and below 1.9 (2j + 1), is within
+    1.5 (2j + 1) 2^-51.  The four float sums round by 2^-53 of partial
+    sums below 0.7 B + 1.9 (2j + 1).  So t_j is within 2^-50 (bits + 2),
+    bits = B + 2 (2j + 1), and the sum S rounds by 2^-53 |S|: each step
+    adds _LN_SLACK (bits + 3 + |S|), four times that, whose rest pays for
+    the rounding of W's own sums while W < 2^6.  Last, math.log(q) is
+    within 2^-51 (b_q + 1) and c is exact, so the value is within
+    2^-50 c (b_q + 1) + 2^-53 |value|, and the slack is four times that.
     """
-    state = _power_state(D)
-    with _lock:
-        if not state.g:  # the first extend reads every slot the pairs need
-            state.extend(2 * m + 1)
-        logs = state.ln_prefix
-        while len(logs) <= m:
-            value, error = logs[-1]
-            term, bits = state.ln_pair(len(logs))
-            value += term
-            logs.append((value, error + _LN_SLACK * (bits + 3 + abs(value))))
-        return logs[m]
+    sums = _ln_sums  # one name, since clear_caches may swap the table
+    if m >= len(sums):
+        with _lock:
+            while len(sums) <= m:
+                j = len(sums)
+                b = bernoulli_number(2 * j)
+                ints = (abs(b.numerator), b.denominator, j, math.factorial(2 * j))
+                la, ld, lj, lf = map(math.log, ints)
+                s, width = sums[-1]
+                s += la - ld - lj + lf - (2 * j + 1) * _LN_2PI
+                bits = sum(x.bit_length() for x in ints) + 2 * (2 * j + 1)
+                sums.append((s, width + 4.0**-j + _LN_SLACK * (bits + 3 + abs(s))))
+    s, width = sums[m]
+    q, c = -D, m * (m + 1) + m / 2
+    value = s + c * math.log(q)
+    return value, width + _LN_SLACK * (c * (q.bit_length() + 1) + abs(value))
 
 
 @lru_cache(maxsize=None)
@@ -371,9 +368,10 @@ def _generalized_bernoulli(k: int, D: int) -> Fraction:
 
 def clear_caches() -> None:
     """Reset every memo table in this module (used by tests)."""
-    global _even_table, _words
+    global _even_table, _words, _ln_sums
     with _lock:
         _even_table = [Fraction(1)]
         _words = (0, 0, [])
+        _ln_sums = [(0.0, 0.0)]
     _power_state.cache_clear()
     _generalized_bernoulli.cache_clear()

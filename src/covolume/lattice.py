@@ -50,8 +50,6 @@ __all__ = [
     "clear_caches",
 ]
 
-_LOG_2PI = math.log(2 * math.pi)
-
 
 class Interval(NamedTuple):
     """A closed interval with exact rational endpoints, lower <= upper."""
@@ -196,9 +194,9 @@ def _ln_nu_bounds(field: QuadField, n: int) -> tuple[float, float]:
     nu(field, n) or its lower endpoint.
 
     ln F(n) from the integers of _small_factor_parts, plus ln P(floor(n/2))
-    from bernoulli._ln_l_product, with that function's error bound and
-    bernoulli._LN_SLACK (bits + 3 + |value|) for the two logarithms of F
-    and the float sums (see _PowerSums.ln_pair).  No Fraction is built.
+    from bernoulli._ln_l_product (no power sum read), with its half-width,
+    under 1/3 plus float error, and bernoulli._LN_SLACK (bits + 3 + |value|)
+    for the two logarithms of F and the float sums, as argued there.
     """
     low, _, scale = _small_factor_parts(field, n)  # validates n
     ln_prefix, error = bernoulli._ln_l_product(field.disc_signed, n // 2)
@@ -312,7 +310,7 @@ def prasad_principal_covolume_numeric(field: QuadField, n: int) -> NumericValue:
         s = (n - 1) * (n + 2) / 4
     log_value = s * math.log(field.disc_abs)
     for j in range(1, n + 1):
-        log_value += math.log(math.factorial(j)) - (j + 1) * _LOG_2PI
+        log_value += math.log(math.factorial(j)) - (j + 1) * bernoulli._LN_2PI
     rel_bound = 0.0
     for a in range(2, n + 2):
         nv = lvalues.zeta_numeric(a) if a % 2 == 0 else lvalues.l_numeric(field, a)

@@ -75,7 +75,8 @@ class Candidate(NamedTuple):
     """One enumerated field in a minimal-covolume certificate, with floats
     ln_low <= ln(nu_lower) <= ln_high (lattice._ln_nu_bounds), where
     nu_lower is the field's nu at the certificate's n, or its lower
-    endpoint when nu is an interval."""
+    endpoint when nu is an interval.  From the functional equation with
+    no power sum, the interval is under 2/3 wide, plus float error."""
 
     field: QuadField
     ln_low: float
@@ -88,8 +89,9 @@ class MinimalCertificate:
 
     candidates lists every imaginary quadratic field with |disc| at most
     limit, in ascending discriminant order, with its ln interval; limit
-    is max(discriminant_bound(n), 4) plus the safety margin, so the
-    enumeration is exhaustive for the comparison.  A candidate whose
+    is max(discriminant_bound(n) rounded up with its error, 4) plus the
+    safety margin, so the enumeration is exhaustive for the comparison
+    (bound is the float value).  A candidate whose
     ln_low exceeds the least ln_high loses outright; the winner is the
     unique least nu_lower among the others, compared exactly.
     """
@@ -224,16 +226,17 @@ def _certify(
 def _sweep(dims: range, safety_margin: int) -> tuple[MinimalResult, ...]:
     """The certified minimum of each n in dims, checked in that order.
 
-    Each field up to the widest limit is swept across the dimensions
-    whose limit includes it, in ascending n, so its power sums and the
-    logarithm of its L-product are built once for the whole range; that
-    gives each candidate its ln interval (lattice._ln_nu_bounds).  Only
-    then does _certify build exact records, for each n's overlapping
-    candidates: a loser's L-product is never multiplied out, and its
-    record never built.
+    Each n's limit rounds the discriminant bound up with its error bound.
+    Every candidate gets its ln interval (lattice._ln_nu_bounds) from the
+    functional equation, with no power sum, so the field-major order
+    serves only each field's class-number and torsion memos.  Then
+    _certify builds exact records, in ascending n, for the overlapping
+    candidates alone: in practice the winner's, whose power-sum state is
+    built once and grown along.  A loser's power sums are never formed.
     """
-    bounds = {n: discriminant_bound(n).value for n in dims}
-    limits = {n: max(math.ceil(b), 4) + safety_margin for n, b in bounds.items()}
+    bounds = {n: discriminant_bound(n) for n in dims}
+    ceils = {n: math.ceil(b.value + b.abs_error_bound) for n, b in bounds.items()}
+    limits = {n: max(c, 4) + safety_margin for n, c in ceils.items()}
     candidates: dict[int, list[Candidate]] = {n: [] for n in dims}
     for field in quadfield.fields_with_disc_at_most(max(limits.values())):
         for n, limit in limits.items():
@@ -241,7 +244,7 @@ def _sweep(dims: range, safety_margin: int) -> tuple[MinimalResult, ...]:
                 low, high = lattice._ln_nu_bounds(field, n)
                 candidates[n].append(Candidate(field, low, high))
     return tuple(
-        _certify(n, bounds[n], limits[n], tuple(candidates[n])) for n in dims
+        _certify(n, bounds[n].value, limits[n], tuple(candidates[n])) for n in dims
     )
 
 

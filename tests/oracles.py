@@ -20,7 +20,9 @@ factor pair read through lvalues.l_negative, which the pair step of the
 power-sum state replaced, and the minimal-field certificate built one
 dimension at a time, which the field-major sweep of survey replaced;
 that sweep itself, with the full record of every candidate ranked by
-Fraction comparisons, is the oracle of its ranking by ln intervals.
+Fraction comparisons, is the oracle of its ranking by ln intervals, and
+the logarithm of the L-product summed from each field's exact power
+sums is the oracle of the functional equation's closed form.
 The growth closed form written out twice, as a float and as a
 logarithm, the descending search for the growth threshold, and the field
 enumeration that factored each d up to three times are kept the same way
@@ -470,6 +472,39 @@ def ln_by_decimal(x: Fraction, digits: int = 50) -> decimal.Decimal:
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         return decimal.Decimal(x.numerator).ln() - decimal.Decimal(x.denominator).ln()
+
+
+def ln_pair_by_power_sums(D: int, j: int) -> tuple[float, int]:
+    """ln pair(j) of the field's power-sum state as a float, and the bit
+    lengths of the three integers it is the logarithm of: pair(j) =
+    a g / d with a = -B_2j's numerator, g = g_(2j+1) and
+    d = 2j (2j+1) 4^j q times B_2j's denominator, and no product formed.
+    Each of the three logs is within 2^-51 (b + 1) of ln, and the two
+    float sums round by 2^-53 of their magnitudes, so the term is within
+    2^-50 (bits + 3) of ln pair(j) (see bernoulli._ln_l_product)."""
+    state = bernoulli._power_state(D)
+    with bernoulli._lock:
+        state.extend(2 * j + 1)
+    b = bernoulli.bernoulli_number(2 * j)
+    a, g = abs(b.numerator), abs(state.g[j])
+    den = (2 * j * (2 * j + 1) * b.denominator * state.q) << 2 * j
+    bits = a.bit_length() + g.bit_length() + den.bit_length()
+    return math.log(a) + math.log(g) - math.log(den), bits
+
+
+def ln_l_products_by_power_sums(D: int, m: int) -> list[tuple[float, float]]:
+    """(ln P(i), error bound) for i = 0..m, with P as in bernoulli._l_product:
+    the sum of ln_pair_by_power_sums over j <= i, each step adding
+    bernoulli._LN_SLACK (bits + 3 + |sum|) to the bound.  This is the
+    route that the closed form of bernoulli._ln_l_product replaced; it
+    reads the field's exact g_(2j+1), so its bound is float error alone."""
+    logs = [(0.0, 0.0)]
+    for j in range(1, m + 1):
+        value, error = logs[-1]
+        term, bits = ln_pair_by_power_sums(D, j)
+        value += term
+        logs.append((value, error + bernoulli._LN_SLACK * (bits + 3 + abs(value))))
+    return logs
 
 
 def l_pair_by_l_negative(field: quadfield.QuadField, j: int) -> Fraction:

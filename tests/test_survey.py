@@ -4,8 +4,10 @@ growth certificates, and the cusped-volume lower bound.
 
 import dataclasses
 import math
+import random
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 
@@ -124,6 +126,26 @@ def _overlap(monkeypatch, where, interval=(-1000.0, -999.0)):
         return interval if where(field, n) else real(field, n)
 
     monkeypatch.setattr(lattice, "_ln_nu_bounds", bounds)
+
+
+def _e(m):
+    """E(m) = sum_{j<=m} 4^-j, the analytic half-width of ln P(m)."""
+    return sum(4.0**-j for j in range(1, m + 1))
+
+
+def _check_ln_l_products(D, logs):
+    """Each (value, half-width) of logs, ln P(m) for m = 0, 1, ..., encloses
+    the decimal ln of the exact P(m) and the whole interval of the
+    power-sum oracle, and is no wider than E(m) plus 1e-8 of float error."""
+    oracle = oracles.ln_l_products_by_power_sums(D, len(logs) - 1)
+    for m, ((value, width), (exact_sum, error)) in enumerate(zip(logs, oracle)):
+        ln = oracles.ln_by_decimal(bernoulli._l_product(D, m))
+        low, high = Decimal(value) - Decimal(width), Decimal(value) + Decimal(width)
+        assert low <= ln <= high, (D, m)
+        assert abs(Decimal(exact_sum) - ln) <= Decimal(error), (D, m)
+        assert low <= Decimal(exact_sum) - Decimal(error), (D, m)
+        assert Decimal(exact_sum) + Decimal(error) <= high, (D, m)
+        assert _e(m) <= width < _e(m) + 1e-8, (D, m)
 
 
 class TestMinimalField:
@@ -309,6 +331,11 @@ class TestFieldMajorSweep:
             survey.overall_minimum(10, safety_margin=0)
 
     def test_one_power_state_per_field(self, monkeypatch):
+        # ranking reads no power sum, so only the winner's field, -3 at
+        # every n <= 60, gets a power-sum state, once: its exact records
+        # grow it from n = 2 on (one table read of two slots, then one
+        # squaring pass and 28 steps of the one signed list to k = 61),
+        # and the growth run reads the state they leave
         covolume.clear_caches()
         built, reads = [], []
         passes = [0]
@@ -332,20 +359,9 @@ class TestFieldMajorSweep:
         monkeypatch.setattr(bernoulli, "_times", counting_times)
         monkeypatch.setattr(bernoulli, "_word_table", counting_table)
         survey.overall_minimum(60)
-        # 10 fields up to the widest limit, each swept from n = 2, so each
-        # reads V_1 and V_3 from one table of two slots, which doubles to
-        # t = 3, 7, 15, 31 as |disc| grows, and takes k = 5, ..., 61 as one
-        # squaring pass and 28 steps of the one signed list.  The exact
-        # records of the winner's field (-3, the first swept) then rebuild
-        # its state, since the state keeps the field asked last, from
-        # n = 2 on: the same table read, which the table already holds,
-        # and the same 29 passes.  The growth run over that field reads
-        # the state they leave
-        assert len(built) == 11 and len(set(built)) == 10
-        assert built[0] == built[-1] == -3
-        assert [c for c, _ in reads] == [2] * 11
-        assert sum(new for _, new in reads) == 4
-        assert passes[0] == 11 * 29
+        assert built == [-3]
+        assert reads == [(2, True)]
+        assert passes[0] == 29
 
 
 class TestLnRanking:
@@ -379,19 +395,81 @@ class TestLnRanking:
         for _, n, c in entries:
             ln = oracles.ln_by_decimal(lattice._lower(lattice.nu(c.field, n)))
             assert Decimal(c.ln_low) <= ln <= Decimal(c.ln_high), (c.field, n)
-            assert c.ln_high - c.ln_low < 1e-8, (c.field, n)
+            # twice E(m) of bernoulli._ln_l_product, plus float error
+            width = 2 * _e(n // 2)
+            assert width <= c.ln_high - c.ln_low < width + 1e-8, (c.field, n)
 
     @pytest.mark.parametrize("D", [-3, -4, -20, -23, -84, -455])
     def test_ln_l_product_bound(self, D):
+        # ranking reads the closed form alone: it builds no power-sum state
         covolume.clear_caches()
         logs = [bernoulli._ln_l_product(D, m) for m in range(41)]
-        # the logarithms are summed with no Fraction: the prefix is untouched
-        assert bernoulli._power_state(D).prefix == [Fraction(1)]
+        field = quadfield.from_squarefree_d(-D // 4 if D % 4 == 0 else -D)
+        for n in range(2, 82):
+            lattice._ln_nu_bounds(field, n)
+        assert bernoulli._power_state.cache_info().misses == 0
         assert logs[0] == (0.0, 0.0)
-        for m, (value, error) in enumerate(logs):
-            ln = oracles.ln_by_decimal(bernoulli._l_product(D, m))
-            assert abs(Decimal(value) - ln) <= Decimal(error), (D, m)
-            assert error < 1e-8, (D, m)
+        _check_ln_l_products(D, logs)
+
+    def test_ln_l_product_encloses_every_small_field(self, fields_500):
+        for field in fields_500:
+            D = field.disc_signed
+            _check_ln_l_products(D, [bernoulli._ln_l_product(D, m) for m in range(21)])
+
+    def test_ln_sums_under_concurrency(self):
+        # the shared table grows under the lock, and a clear_caches in
+        # between leaves every caller with the value a sequential run gives
+        pairs = [(D, m) for D in (-3, -4, -455) for m in range(0, 60, 7)] * 3
+        random.Random(5).shuffle(pairs)
+        covolume.clear_caches()
+        expected = {p: bernoulli._ln_l_product(*p) for p in set(pairs)}
+
+        def worker(i):
+            if i % 11 == 0:
+                bernoulli.clear_caches()
+            return bernoulli._ln_l_product(*pairs[i])
+
+        covolume.clear_caches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(worker, i) for i in range(len(pairs))]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected[p] for p in pairs]
+
+    def test_ln_2pi_within_its_bound(self):
+        with mpmath.workdps(50):
+            ln_2pi = Decimal(str(mpmath.log(2 * mpmath.pi)))
+        assert abs(Decimal(bernoulli._LN_2PI) - ln_2pi) <= Decimal(2.0**-51)
+
+    @pytest.mark.parametrize("margin", [1, 20])
+    def test_limits_round_outward_and_stay(self, monkeypatch, margin):
+        # the enumeration limit rounds the discriminant bound up with its
+        # error bound; over n = 2..5000 no limit moves from the bare value
+        monkeypatch.setattr(lattice, "_ln_nu_bounds", lambda field, n: (0.0, 0.0))
+        monkeypatch.setattr(survey, "_certify", lambda n, bound, limit, cands: limit)
+        dims = range(2, 5001)
+        for n, limit in zip(dims, survey._sweep(dims, margin)):
+            bound = survey.discriminant_bound(n)
+            assert limit >= bound.value + bound.abs_error_bound + margin, n
+            assert limit == max(math.ceil(bound.value), 4) + margin, n
+
+    def test_wide_margin_matches_exact_ranking(self):
+        # margin 400 enumerates every field with |disc| <= 404 at n <= 20
+        dims = range(2, 21)
+        ranked = survey._sweep(dims, 400)
+        exact = oracles.sweep_by_exact_ranking(dims, 400)
+        assert len(ranked[-1].certificate.candidates) > 120
+        for n, mr, expected in zip(dims, ranked, exact):
+            assert (mr.field, mr.result) == (expected.field, expected.result), n
+            cert, full = mr.certificate, expected.certificate
+            assert (cert.bound, cert.limit) == (full.bound, full.limit), n
+            assert [c.field for c in cert.candidates] == [
+                c.field for c in full.candidates
+            ], n
 
     def test_overlap_is_compared_exactly(self, monkeypatch):
         # forced to overlap, Q(sqrt(-3)) and Q(i) are compared by their
@@ -739,11 +817,17 @@ class TestMemoInventory:
         """The words in bernoulli's shared table, a memo with no cache_info."""
         return len(bernoulli._words[2])
 
+    @staticmethod
+    def _ln_sum_count():
+        """The sums past S(0) in bernoulli's shared table of ln terms."""
+        return len(bernoulli._ln_sums) - 1
+
     def test_clear_caches_empties_every_memo(self):
         survey.scan(10, 400)
         serialize.format_rational(lattice.nu(quadfield.from_squarefree_d(3), 100))
+        survey.minimal_field(40)
         assert serialize._power_of_five.cache_info().currsize
-        assert self._word_count()
+        assert self._word_count() and self._ln_sum_count()
         covolume.clear_caches()
         held = {
             name: memo.cache_info().currsize
@@ -751,6 +835,7 @@ class TestMemoInventory:
             if name != "cli._parser"  # holds no computed value
         }
         held["bernoulli._words"] = self._word_count()
+        held["bernoulli._ln_sums"] = self._ln_sum_count()
         assert len(held) > 1 and set(held.values()) == {0}, held
 
     @pytest.mark.parametrize(
