@@ -5,7 +5,8 @@ fractions.Fraction; no floating point enters any value.  The sign
 convention is B_1 = -1/2.  B_{k,chi} reads no Bernoulli number: it comes
 from one integer recurrence over the character's power sums
 (_PowerSums), which also keep the field's L-product (_l_product).  Its
-logarithm, for ranking (_ln_l_product), reads no power sum.
+logarithm's field-independent part, for ranking (_ln_sum), reads no
+power sum.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ __all__ = [
 
 _lock = threading.RLock()  # a factor pair and _ln_sums read B_2j under it
 # each float step of a logarithm adds at most _LN_SLACK (bits + 3 + |value|)
-# to its error bound; see _ln_l_product
+# to its error bound; see _ln_sum
 _LN_SLACK = 2.0**-48
-_LN_2PI = math.log(2 * math.pi)  # within 2^-51 of ln 2 pi; see _ln_l_product
+_LN_2PI = math.log(2 * math.pi)  # within 2^-51 of ln 2 pi; see _ln_sum
 _even_table: list[Fraction] = [Fraction(1)]  # _even_table[j] holds B_{2j}
-_ln_sums: list[tuple[float, float]] = [(0.0, 0.0)]  # (S(m), W(m)); see _ln_l_product
+_ln_sums: list[tuple[float, float]] = [(0.0, 0.0)]  # (S(m), W(m)); see _ln_sum
 
 
 def _even_values(start: int, stop: int) -> list[Fraction]:
@@ -301,19 +302,20 @@ def _l_product(D: int, m: int) -> Fraction:
         return prefix[m]
 
 
-def _ln_l_product(D: int, m: int) -> tuple[float, float]:
-    """ln P(m), P as in _l_product, as a float and a half-width W that
-    encloses the real value, with no power sum read.
+def _ln_sum(m: int) -> tuple[float, float]:
+    """(S(m), W(m)): the part of ln P(m), P as in _l_product, that every
+    field shares, and its half-width; no power sum is read.
 
     chi_D is primitive and odd, q = |D|, so |zeta(1-2j)| = |B_2j| / 2j
     and, by the functional equation (Davenport, Multiplicative Number
     Theory, ch. 9), |L(-2j, chi)| = 2 (2j)! q^(2j+1/2) (2 pi)^-(2j+1)
     L(2j+1, chi).  By the Euler product zeta(2s)/zeta(s) <= L(s, chi) <=
     zeta(s), and ln zeta(2j+1) <= zeta(2j+1) - 1 <= 4^-j; so ln P(m) =
-    S(m) + (m(m+1) + m/2) ln q within E(m) = sum_{j<=m} 4^-j < 1/3, where
-    S(m) sums t_j = ln|B_2j| - ln j + ln (2j)! - (2j+1) ln 2 pi for every
-    field.  _ln_sums[m] holds S(m) and W(m), E(m) plus S's float error,
-    grown under _lock and emptied by clear_caches.
+    S(m) + c(m) ln q within E(m) = sum_{j<=m} 4^-j < 1/3, where
+    c(m) = m(m+1) + m/2 and S(m) sums t_j = ln|B_2j| - ln j + ln (2j)! -
+    (2j+1) ln 2 pi.  _ln_sums[m] holds S(m) and W(m), E(m) plus S's float
+    error, grown under _lock and emptied by clear_caches;
+    lattice._ln_nu_interval adds the field's c(m) ln q.
 
     The float error, term by term.  math.log of a b-bit int is within
     2^-51 (b + 1) of ln, with a libm log within 1 ulp: below 2^1024 the
@@ -329,9 +331,7 @@ def _ln_l_product(D: int, m: int) -> tuple[float, float]:
     sums below 0.7 B + 1.9 (2j + 1).  So t_j is within 2^-50 (bits + 2),
     bits = B + 2 (2j + 1), and the sum S rounds by 2^-53 |S|: each step
     adds _LN_SLACK (bits + 3 + |S|), four times that, whose rest pays for
-    the rounding of W's own sums while W < 2^6.  Last, math.log(q) is
-    within 2^-51 (b_q + 1) and c is exact, so the value is within
-    2^-50 c (b_q + 1) + 2^-53 |value|, and the slack is four times that.
+    the rounding of W's own sums while W < 2^6.
     """
     sums = _ln_sums  # one name, since clear_caches may swap the table
     if m >= len(sums):
@@ -345,10 +345,7 @@ def _ln_l_product(D: int, m: int) -> tuple[float, float]:
                 s += la - ld - lj + lf - (2 * j + 1) * _LN_2PI
                 bits = sum(x.bit_length() for x in ints) + 2 * (2 * j + 1)
                 sums.append((s, width + 4.0**-j + _LN_SLACK * (bits + 3 + abs(s))))
-    s, width = sums[m]
-    q, c = -D, m * (m + 1) + m / 2
-    value = s + c * math.log(q)
-    return value, width + _LN_SLACK * (c * (q.bit_length() + 1) + abs(value))
+    return sums[m]
 
 
 @lru_cache(maxsize=None)

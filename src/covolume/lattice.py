@@ -158,27 +158,32 @@ def h_torsion(field: QuadField, m: int) -> int:
     return quadfield.torsion_count(group, g)
 
 
-def _small_factor_parts(field: QuadField, n: int) -> tuple[int, int, int]:
-    """(low, high, scale): F(n) lies in [low / scale, high / scale], and is
-    low / scale when low == high.
+def _small_factor_ints(n: int) -> tuple[int, int]:
+    """(top, scale) with F(n) = eps top / (scale h_{ell,n+1}), for every field.
 
     F(n) is the factor of nu(n) = F(n) P(floor(n/2)) besides the
-    L-product: (n+1) / (2^n h_{ell,n+1}) at even n.  At odd n it is
-    (-1)^((n+1)/2) (n+1) zeta(-n) eps / (2^n h_{ell,n+1}), which is
-    positive; since (n+1) zeta(-n) = -B_{n+1}, each endpoint is one
-    quotient of integers.  eps = 2 when r = 1; otherwise eps in [2, 2^r]
-    widens F to an interval.  Its size grows like n log n digits, against
-    n^2 log n for P.  Raises InvalidDimension below n = 2, for nu and for
-    growth runs alike.
+    L-product: (n+1) / (2^n h_{ell,n+1}) at even n, where eps = 1.  At
+    odd n it is (-1)^((n+1)/2) (n+1) zeta(-n) eps / (2^n h_{ell,n+1}),
+    which is positive; since (n+1) zeta(-n) = -B_{n+1}, each endpoint is
+    one quotient of integers.  eps = 2 when r = 1; otherwise eps in
+    [2, 2^r] widens F to an interval.  Its size grows like n log n
+    digits, against n^2 log n for P.  Raises InvalidDimension below
+    n = 2, for nu, ranking and growth runs alike.
     """
     require_int(n, "n", 2, InvalidDimension)
-    scale = 2**n * h_torsion(field, n + 1)
     if n % 2 == 0:
-        return n + 1, n + 1, scale
+        return n + 1, 1 << n
     b = bernoulli.bernoulli_number(n + 1)
     top = b.numerator if n % 4 == 1 else -b.numerator  # (-1)^((n+1)/2) (-B_{n+1})
+    return top, b.denominator << n
+
+
+def _small_factor_parts(field: QuadField, n: int) -> tuple[int, int, int]:
+    """(low, high, scale): F(n) (_small_factor_ints) lies in
+    [low / scale, high / scale], and is low / scale when low == high."""
+    top, scale = _small_factor_ints(n)
     eps = epsilon_status(field, n)
-    return eps.lower * top, eps.upper * top, scale * b.denominator
+    return eps.lower * top, eps.upper * top, scale * h_torsion(field, n + 1)
 
 
 def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
@@ -189,20 +194,62 @@ def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
     return Interval(Fraction(low, scale), Fraction(high, scale))
 
 
-def _ln_nu_bounds(field: QuadField, n: int) -> tuple[float, float]:
-    """Floats (low, high) with low <= ln nu_lower <= high, where nu_lower is
-    nu(field, n) or its lower endpoint.
+def _dim_terms(n: int) -> tuple[int, float, int, int, float, int, float, float, float]:
+    """The terms of ln nu_lower at one n that every field shares
+    (_ln_nu_interval), as the plain tuple (n, ln low, low's bits, scale,
+    ln scale, scale's bits, S(m), W(m), c(m)): the small factor's
+    integers for h_{ell,n+1} = 1, low = eps.lower top (eps.lower is 1 at
+    even n and 2 at odd n, for every field) and scale; and S, W and c of
+    ln P(m), m = floor(n/2) (bernoulli._ln_sum)."""
+    top, scale = _small_factor_ints(n)  # validates n
+    low = top << (n % 2)
+    m = n // 2
+    s, width = bernoulli._ln_sum(m)
+    return (
+        n,
+        math.log(low),
+        low.bit_length(),
+        scale,
+        math.log(scale),
+        scale.bit_length(),
+        s,
+        width,
+        m * (m + 1) + m / 2,
+    )
 
-    ln F(n) from the integers of _small_factor_parts, plus ln P(floor(n/2))
-    from bernoulli._ln_l_product (no power sum read), with its half-width,
-    under 1/3 plus float error, and bernoulli._LN_SLACK (bits + 3 + |value|)
-    for the two logarithms of F and the float sums, as argued there.
+
+def _field_terms(field: QuadField) -> tuple[QuadField, int, float, int]:
+    """The terms of ln nu_lower that one field shares across n, as the
+    plain tuple (field, h, ln q, q's bit length plus 1), for q = |D|."""
+    q = field.disc_abs
+    return field, class_number(field), math.log(q), q.bit_length() + 1
+
+
+def _ln_nu_interval(dim: tuple, fld: tuple) -> tuple[float, float]:
+    """Floats (low, high) with low <= ln nu_lower <= high, where nu_lower is
+    nu(field, n) or its lower endpoint, from dim = _dim_terms(n) and
+    fld = _field_terms(field).
+
+    ln P(m) = S(m) + c(m) ln q within W(m) (bernoulli._ln_sum), plus
+    ln low - ln scale from the integers of _small_factor_parts; scale
+    takes h_{ell,n+1}, read only where gcd(n + 1, h) > 1, since it is 1
+    elsewhere.  The float error, term by term: math.log(q) is within
+    2^-51 (b_q + 1) of ln q and c is exact, so c ln q + S is within
+    2^-50 c (b_q + 1) + 2^-53 |value| of its real sum, and the slack
+    added is four times that.  The two logs of F are within 2^-51 (b + 1)
+    each, and the two float sums round by 2^-53 of their magnitudes;
+    bernoulli._LN_SLACK (bits + 3 + |value|) pays for them as in
+    _ln_sum.  The float steps are taken in one order for every field.
     """
-    low, _, scale = _small_factor_parts(field, n)  # validates n
-    ln_prefix, error = bernoulli._ln_l_product(field.disc_signed, n // 2)
-    value = math.log(low) - math.log(scale) + ln_prefix
-    bits = low.bit_length() + scale.bit_length()
-    error += bernoulli._LN_SLACK * (bits + 3 + abs(value))
+    n, ln_low, low_bits, scale, ln_scale, scale_bits, s, width, c = dim
+    field, h, ln_q, q_bits = fld
+    ln_prefix = s + c * ln_q
+    error = width + bernoulli._LN_SLACK * (c * q_bits + abs(ln_prefix))
+    if math.gcd(n + 1, h) > 1:
+        scale *= h_torsion(field, n + 1)
+        ln_scale, scale_bits = math.log(scale), scale.bit_length()
+    value = ln_low - ln_scale + ln_prefix
+    error += bernoulli._LN_SLACK * (low_bits + scale_bits + 3 + abs(value))
     return value - error, value + error
 
 

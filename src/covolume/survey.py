@@ -15,7 +15,9 @@ Q(sqrt(-3)) outright, so enumerating discriminants up to that threshold
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import bernoulli, lattice, lvalues, quadfield
@@ -43,6 +45,10 @@ _T = TypeVar("_T")
 # 4 pi = _FOUR_PI / 2^_FOUR_PI_BITS to within 1.4e-43, relatively (42 digits)
 _FOUR_PI = 0xC90FDAA22168C234C4C6628B80DC1CD1290
 _FOUR_PI_BITS = 136
+_LN_2 = math.log(2)
+_LN_4PI = math.log(4 * math.pi)
+_LN_HUGE = math.log(sys.float_info.max)  # of the largest double
+_LN_TINY = math.log(sys.float_info.min)  # of the least normal double
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ class GrowthReport:
 
 class Candidate(NamedTuple):
     """One enumerated field in a minimal-covolume certificate, with floats
-    ln_low <= ln(nu_lower) <= ln_high (lattice._ln_nu_bounds), where
+    ln_low <= ln(nu_lower) <= ln_high (lattice._ln_nu_interval), where
     nu_lower is the field's nu at the certificate's n, or its lower
     endpoint when nu is an interval.  From the functional equation with
     no power sum, the interval is under 2/3 wide, plus float error."""
@@ -93,7 +99,9 @@ class MinimalCertificate:
     safety margin, so the enumeration is exhaustive for the comparison
     (bound is the float value).  A candidate whose
     ln_low exceeds the least ln_high loses outright; the winner is the
-    unique least nu_lower among the others, compared exactly.
+    unique least nu_lower among the others, compared exactly, or the
+    lone other, which needs no exact value and must have an exact
+    epsilon.  The certificate holds no exact record.
     """
 
     n: int
@@ -102,10 +110,23 @@ class MinimalCertificate:
     candidates: tuple[Candidate, ...]
 
 
-class MinimalResult(NamedTuple):
+@dataclass(frozen=True)
+class MinimalResult:
+    """The certified minimal field at the certificate's n.
+
+    result, the winner's exact record, is built when it is first read
+    (lattice.covolume_result) and then kept, so every reader gets the
+    same record; the certificate itself ranks by ln intervals, so a
+    caller that prints no record builds none.  Two results are equal
+    when their fields and certificates are, which fixes their records.
+    """
+
     field: QuadField
-    result: CovolumeResult
     certificate: MinimalCertificate
+
+    @cached_property
+    def result(self) -> CovolumeResult:
+        return lattice.covolume_result(self.field, self.certificate.n)
 
     @property
     def candidate(self) -> Candidate:
@@ -121,9 +142,9 @@ class OverallMinimum(NamedTuple):
     dimension with the smallest hyperbolic volume; it is reported, not
     required to equal n_star.  growth_threshold_n1 is the smallest n1
     with q(m) > 1 for every n1 <= m < n_max, checked on the lower
-    endpoints of the ratios of the winner's field only.  per_n holds
-    each dimension's certified minimum, whose exact record is that of
-    its winner alone.
+    endpoints of the ratios of the winner's field only.  result is
+    n_star's record.  per_n holds each dimension's certified minimum,
+    whose record is built when it is read, as under --verbose.
     """
 
     n_star: int
@@ -177,7 +198,10 @@ def _unique_min(
     message: str,
 ) -> _T:
     """The item of least key, or TieDetected(message) naming every item
-    that shares it ("{}" in message receives the comma-joined names)."""
+    that shares it ("{}" in message receives the comma-joined names).
+    A single item is the minimum with no key read."""
+    if len(items) == 1:
+        return items[0]
     keys = [key(item) for item in items]
     best = min(keys)
     winners = [item for item, k in zip(items, keys) if k == best]
@@ -186,12 +210,19 @@ def _unique_min(
     return winners[0]
 
 
-def _overlapping(items: Sequence[_T], entry: Callable[[_T], Candidate]) -> list[_T]:
-    """The items whose ln interval, that of entry(item), reaches below the
-    least upper end.  Each other item's value exceeds that of the item
-    with the least upper end, so only these can be least."""
-    best = min(entry(item).ln_high for item in items)
-    return [item for item in items if entry(item).ln_low <= best]
+def _overlapping(
+    items: Sequence[_T], bounds: Callable[[_T], tuple[float, float]]
+) -> list[_T]:
+    """The items whose interval (low, high) = bounds(item) reaches below
+    the least upper end.  Each other item's value exceeds that of the
+    item with the least upper end, so only these can be least."""
+    pairs = [bounds(item) for item in items]
+    best = min(high for _, high in pairs)
+    return [item for item, (low, _) in zip(items, pairs) if low <= best]
+
+
+def _candidate_bounds(c: Candidate) -> tuple[float, float]:
+    return c.ln_low, c.ln_high
 
 
 def _certify(
@@ -199,15 +230,17 @@ def _certify(
 ) -> MinimalResult:
     """Pick the unique exact minimum among candidates, or raise TieDetected.
 
-    Exact records are built only for the candidates whose ln intervals
-    overlap the best one, and only their nu values are compared.
+    Exact records are built only when two or more candidates' ln
+    intervals overlap the best one, and only their nu values are
+    compared.  A lone contender wins with no record built: it is exact
+    when its epsilon is (lattice.epsilon_status), as its record would be.
     """
     certificate = MinimalCertificate(
         n=n, bound=bound, limit=limit, candidates=candidates
     )
     contenders = [
-        MinimalResult(c.field, lattice.covolume_result(c.field, n), certificate)
-        for c in _overlapping(candidates, lambda c: c)
+        MinimalResult(c.field, certificate)
+        for c in _overlapping(candidates, _candidate_bounds)
     ]
     winner = _unique_min(
         contenders,
@@ -215,7 +248,11 @@ def _certify(
         lambda mr: str(mr.field),
         f"minimum at n = {n} is shared by {{}}",
     )
-    if not winner.result.exact:
+    if len(contenders) > 1:
+        exact = winner.result.exact
+    else:
+        exact = lattice.epsilon_status(winner.field, n).exact
+    if not exact:
         raise TieDetected(
             f"minimum at n = {n} falls on an interval candidate "
             f"({winner.field}); comparison by lower endpoint is inconclusive"
@@ -227,22 +264,24 @@ def _sweep(dims: range, safety_margin: int) -> tuple[MinimalResult, ...]:
     """The certified minimum of each n in dims, checked in that order.
 
     Each n's limit rounds the discriminant bound up with its error bound.
-    Every candidate gets its ln interval (lattice._ln_nu_bounds) from the
-    functional equation, with no power sum, so the field-major order
-    serves only each field's class-number and torsion memos.  Then
-    _certify builds exact records, in ascending n, for the overlapping
-    candidates alone: in practice the winner's, whose power-sum state is
-    built once and grown along.  A loser's power sums are never formed.
+    Every candidate gets its ln interval from terms computed once per
+    sweep: those of each n (lattice._dim_terms) and those of each field
+    (lattice._field_terms), which the field-major loop takes once per
+    field; lattice._ln_nu_interval adds them up.  Then _certify builds
+    exact records, in ascending n, only where two intervals overlap; a
+    winner's record waits until it is read.
     """
     bounds = {n: discriminant_bound(n) for n in dims}
     ceils = {n: math.ceil(b.value + b.abs_error_bound) for n, b in bounds.items()}
     limits = {n: max(c, 4) + safety_margin for n, c in ceils.items()}
+    terms = [(n, lattice._dim_terms(n)) for n in dims]
+    rank = lattice._ln_nu_interval
     candidates: dict[int, list[Candidate]] = {n: [] for n in dims}
     for field in quadfield.fields_with_disc_at_most(max(limits.values())):
-        for n, limit in limits.items():
-            if field.disc_abs <= limit:
-                low, high = lattice._ln_nu_bounds(field, n)
-                candidates[n].append(Candidate(field, low, high))
+        shared = lattice._field_terms(field)
+        for n, dim in terms:
+            if field.disc_abs <= limits[n]:
+                candidates[n].append(Candidate(field, *rank(dim, shared)))
     return tuple(
         _certify(n, bounds[n].value, limits[n], tuple(candidates[n])) for n in dims
     )
@@ -255,9 +294,9 @@ def minimal_field(n: int, safety_margin: int = 20) -> MinimalResult:
     + safety_margin and ranks them by rigorous intervals on ln nu (the
     lower endpoint for interval candidates, which is sound because the
     winner must be exact).  Exact nu values are built and compared only
-    for the candidates whose intervals overlap the best one.  A tie for
-    the minimum, or an inexact winner, raises TieDetected rather than
-    guessing.
+    when two or more intervals overlap the best one; the winner's record
+    is built when it is first read.  A tie for the minimum, or an
+    inexact winner, raises TieDetected rather than guessing.
     """
     require_int(n, "n", 2, InvalidDimension)
     require_int(safety_margin, "safety_margin", 1)
@@ -269,6 +308,66 @@ def _volume_value(result: CovolumeResult) -> float:
     return vol[0] if isinstance(vol, tuple) else vol
 
 
+def _ln_volume_bounds(mr: MinimalResult) -> tuple[float, float]:
+    """Floats (low, high) with low <= ln v <= high, for v the float
+    volume that mr's record holds (_volume_value), ln 0 = -inf and
+    ln inf = inf; the candidate's interval [a, b] on ln nu_lower, plus
+    n ln 4 pi - ln (n+1)!, plus a slack for the floats on both sides.
+
+    Let u = 2^-53, A = max(-a, b) >= |ln nu_lower|, G = lgamma(n + 2) and
+    K a bound on ln of nu_lower's denominator: F(n)'s is at most
+    2^n h 4^(n+2) (B_{n+1}'s denominator is a product of primes up to
+    n + 2, below 4^(n+2)), and factor pair j's divides
+    2j (2j+1) 4^j q times B_2j's (bernoulli._PowerSums.pair), so
+    K = (3n + 4 + 3m^2 + 5m) ln 2 + ln h + m ln q + 2m ln(2m + 1).
+    Then ln of the numerator is at most A + K.  lattice._volume takes
+    one of two routes to v:
+    - Directly, float(nu) (4 pi)^n / (n+1)!.  float(nu), float((n+1)!)
+      and the product and quotient each round by u, (4 math.pi)^n is
+      within 2u of its real value (libm pow within 1 ulp) and 4 math.pi
+      within 2^-54 relatively of 4 pi, so while the three partial
+      results are normal doubles, ln v is within u (n + 7) of ln of the
+      real volume.
+    - Past OverflowError, through logs: n ln(4 math.pi) - G + ln nu,
+      with ln nu the difference of the logs of nu's numerator and
+      denominator.  n ln(4 math.pi) is within 2^-50 n of n ln 4 pi;
+      CPython's lgamma (Lanczos) is taken within 2^-48 (G + 8) of
+      ln (n+1)!, which tests check against mpmath to n = 3000; math.log
+      of an int x is within 2^-51 (ln x + 2), so ln nu is within
+      2^-51 (A + 2K + 4) + u A; the three sums round by u of partial
+      sums below 2.6 n + G + A, and exp, within 1 ulp, adds 2u while v
+      is a normal double.
+    Both routes are within E = 2^-47 (n + G + A + K + 8) of ln of the
+    real volume, the second by a factor of about 2 in each term.  This
+    function's own sums err by less than E, so the slack is 2E.  Where
+    v can leave the normal range, the bound is opened.  High is inf when
+    b + n ln 4 pi plus the slack reaches the log of the largest double:
+    float(nu) times (4 pi)^n can overflow to inf before the division,
+    and exp saturates.  When ln nu_lower or ln v minus the slack can
+    fall below ln t, t the least normal double, low is -inf; and since
+    below t float(nu) and v round by an absolute amount, to at most t,
+    high is raised to ln t + max(shift, 0) plus the slack, shift being
+    n ln 4 pi - ln (n+1)!.
+    """
+    n, (_, a, b) = mr.certificate.n, mr.candidate
+    m, q = n // 2, mr.field.disc_abs
+    g = math.lgamma(n + 2)
+    k = (
+        (3 * n + 4 + 3 * m * m + 5 * m) * _LN_2
+        + math.log(lattice.class_number(mr.field))
+        + m * math.log(q)
+        + 2 * m * math.log(2 * m + 1)
+    )
+    slack = 2.0**-46 * (n + g + max(-a, b) + k + 8)
+    shift = n * _LN_4PI - g
+    low, high = a + shift - slack, b + shift + slack
+    if min(a - slack, low) <= _LN_TINY:
+        low, high = -math.inf, max(high, _LN_TINY + max(shift, 0.0) + slack)
+    if b + n * _LN_4PI + slack >= _LN_HUGE:
+        high = math.inf
+    return low, high
+
+
 def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
     """Global minimum over 2 <= n <= n_max of the per-dimension minima.
 
@@ -277,9 +376,11 @@ def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
     run once over n = 2..n_max, so each equals minimal_field(n) and a
     tie raises at the lowest tied dimension.  The winner of each ranking
     (Euler-Poincare value, hyperbolic volume) must be unique; the two
-    need not agree.  The Euler-Poincare ranking reads the winners' ln
-    intervals and compares exact values only where they overlap; the
-    volume ranking compares the records' floats.  n1 is the smallest
+    need not agree.  Both rankings read intervals, the winners' ln nu
+    intervals and their ln volume intervals (_ln_volume_bounds), and
+    compare records, exact values or floats, only where two overlap; so
+    the records built are n_star's and those of overlaps, and the other
+    per_n records wait until they are read.  n1 is the smallest
     dimension from which q(m) > 1 for every m < n_max, by lower
     endpoints and over the winner's field only, so it says nothing
     about dimensions past n_max.
@@ -288,15 +389,15 @@ def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
     require_int(safety_margin, "safety_margin", 1)
     per_n = _sweep(range(2, n_max + 1), safety_margin)
     winner = _unique_min(
-        _overlapping(per_n, lambda mr: mr.candidate),
+        _overlapping(per_n, lambda mr: _candidate_bounds(mr.candidate)),
         lambda mr: mr.result.nu_lower,
-        lambda mr: str(mr.result.n),
+        lambda mr: str(mr.certificate.n),
         "overall minimum is shared by dimensions {}",
     )
     volume_winner = _unique_min(
-        per_n,
+        _overlapping(per_n, _ln_volume_bounds),
         lambda mr: _volume_value(mr.result),
-        lambda mr: str(mr.result.n),
+        lambda mr: str(mr.certificate.n),
         "volume minimum is shared by dimensions {}",
     )
 
@@ -309,9 +410,9 @@ def overall_minimum(n_max: int, safety_margin: int = 20) -> OverallMinimum:
             n1 = report.n + 1
 
     return OverallMinimum(
-        n_star=winner.result.n,
+        n_star=winner.certificate.n,
         result=winner.result,
-        volume_n_star=volume_winner.result.n,
+        volume_n_star=volume_winner.certificate.n,
         growth_threshold_n1=n1,
         per_n=per_n,
     )

@@ -22,7 +22,11 @@ dimension at a time, which the field-major sweep of survey replaced;
 that sweep itself, with the full record of every candidate ranked by
 Fraction comparisons, is the oracle of its ranking by ln intervals, and
 the logarithm of the L-product summed from each field's exact power
-sums is the oracle of the functional equation's closed form.
+sums is the oracle of the functional equation's closed form.  The ln
+interval of one candidate with every term computed anew is the oracle
+of the terms the sweep shares across fields and dimensions, and the
+rankings of the dimensions over every per-n record built up front are
+the oracle of the rankings by interval that build records on demand.
 The growth closed form written out twice, as a float and as a
 logarithm, the descending search for the growth threshold, and the field
 enumeration that factored each d up to three times are kept the same way
@@ -50,7 +54,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import mpmath
 
@@ -474,6 +478,34 @@ def ln_by_decimal(x: Fraction, digits: int = 50) -> decimal.Decimal:
         return decimal.Decimal(x.numerator).ln() - decimal.Decimal(x.denominator).ln()
 
 
+def ln_l_product(D: int, m: int) -> tuple[float, float]:
+    """ln P(m), P as in bernoulli._l_product, as a float and a half-width
+    that encloses the real value, for one field and one m: S(m) and W(m)
+    from bernoulli._ln_sum, plus c(m) ln q with its float slack (see
+    lattice._ln_nu_interval).  This is the per-call form that the sweep's
+    shared terms replaced."""
+    s, width = bernoulli._ln_sum(m)
+    q, c = -D, m * (m + 1) + m / 2
+    value = s + c * math.log(q)
+    return value, width + bernoulli._LN_SLACK * (c * (q.bit_length() + 1) + abs(value))
+
+
+def ln_nu_bounds(field: quadfield.QuadField, n: int) -> tuple[float, float]:
+    """Floats (low, high) with low <= ln nu_lower <= high, each term
+    computed anew for the one (field, n): ln F(n) from the integers of
+    lattice._small_factor_parts, plus ln P(floor(n/2)) (ln_l_product)
+    with its half-width and bernoulli._LN_SLACK (bits + 3 + |value|) for
+    the two logarithms of F and the float sums.  This is the per-candidate
+    form that lattice._ln_nu_interval replaced, with the same float
+    operations in the same order."""
+    low, _, scale = lattice._small_factor_parts(field, n)  # validates n
+    ln_prefix, error = ln_l_product(field.disc_signed, n // 2)
+    value = math.log(low) - math.log(scale) + ln_prefix
+    bits = low.bit_length() + scale.bit_length()
+    error += bernoulli._LN_SLACK * (bits + 3 + abs(value))
+    return value - error, value + error
+
+
 def ln_pair_by_power_sums(D: int, j: int) -> tuple[float, int]:
     """ln pair(j) of the field's power-sum state as a float, and the bit
     lengths of the three integers it is the logarithm of: pair(j) =
@@ -481,7 +513,7 @@ def ln_pair_by_power_sums(D: int, j: int) -> tuple[float, int]:
     d = 2j (2j+1) 4^j q times B_2j's denominator, and no product formed.
     Each of the three logs is within 2^-51 (b + 1) of ln, and the two
     float sums round by 2^-53 of their magnitudes, so the term is within
-    2^-50 (bits + 3) of ln pair(j) (see bernoulli._ln_l_product)."""
+    2^-50 (bits + 3) of ln pair(j) (see bernoulli._ln_sum)."""
     state = bernoulli._power_state(D)
     with bernoulli._lock:
         state.extend(2 * j + 1)
@@ -496,7 +528,7 @@ def ln_l_products_by_power_sums(D: int, m: int) -> list[tuple[float, float]]:
     """(ln P(i), error bound) for i = 0..m, with P as in bernoulli._l_product:
     the sum of ln_pair_by_power_sums over j <= i, each step adding
     bernoulli._LN_SLACK (bits + 3 + |sum|) to the bound.  This is the
-    route that the closed form of bernoulli._ln_l_product replaced; it
+    route that the closed form of ln_l_product replaced; it
     reads the field's exact g_(2j+1), so its bound is float error alone."""
     logs = [(0.0, 0.0)]
     for j in range(1, m + 1):
@@ -540,7 +572,16 @@ class ExactCandidate(NamedTuple):
     result: lattice.CovolumeResult
 
 
-def minimal_field_by_loop(n: int, safety_margin: int = 20) -> survey.MinimalResult:
+class ExactMinimum(NamedTuple):
+    """A certified minimum of the exact-ranking oracles: the winner's field,
+    its record, built with every other candidate's, and the certificate."""
+
+    field: quadfield.QuadField
+    result: lattice.CovolumeResult
+    certificate: survey.MinimalCertificate
+
+
+def minimal_field_by_loop(n: int, safety_margin: int = 20) -> ExactMinimum:
     """minimal_field(n) with every candidate of dimension n computed on its
     own, in ascending discriminant, and the winner picked by min() over
     the full records (ExactCandidate entries in the certificate).
@@ -556,12 +597,12 @@ def minimal_field_by_loop(n: int, safety_margin: int = 20) -> survey.MinimalResu
     )
     winner = min(candidates, key=lambda c: c.result.nu_lower)
     certificate = survey.MinimalCertificate(n, bound, limit, candidates)
-    return survey.MinimalResult(winner.field, winner.result, certificate)
+    return ExactMinimum(winner.field, winner.result, certificate)
 
 
 def _certify_by_exact_ranking(
     n: int, bound: float, limit: int, candidates: tuple[ExactCandidate, ...]
-) -> survey.MinimalResult:
+) -> ExactMinimum:
     """The unique exact minimum among candidates, or TieDetected."""
     winner = survey._unique_min(
         candidates,
@@ -575,12 +616,12 @@ def _certify_by_exact_ranking(
             f"({winner.field}); comparison by lower endpoint is inconclusive"
         )
     certificate = survey.MinimalCertificate(n, bound, limit, candidates)
-    return survey.MinimalResult(winner.field, winner.result, certificate)
+    return ExactMinimum(winner.field, winner.result, certificate)
 
 
 def sweep_by_exact_ranking(
     dims: range, safety_margin: int = 20
-) -> tuple[survey.MinimalResult, ...]:
+) -> tuple[ExactMinimum, ...]:
     """survey._sweep as it was before its ln-interval ranking: the full
     record of every (field, n) candidate, in one field-major sweep, each
     n's winner picked by Fraction comparisons of every nu_lower."""
@@ -596,6 +637,55 @@ def sweep_by_exact_ranking(
         _certify_by_exact_ranking(n, bounds[n], limits[n], tuple(candidates[n]))
         for n in dims
     )
+
+
+class EagerOverall(NamedTuple):
+    """overall_minimum(n_max) as it was before its rankings read intervals:
+    n_star, volume_n_star, n1 and the winner's record, from every per-n
+    record built up front."""
+
+    n_star: int
+    result: lattice.CovolumeResult
+    volume_n_star: int
+    growth_threshold_n1: int
+
+
+def overall_minima_by_records(
+    records: Sequence[lattice.CovolumeResult], n_maxes: range
+) -> dict[int, EagerOverall]:
+    """The eager answer of overall_minimum(n_max) for each n_max in n_maxes,
+    from records[i], the exact record of dimension i + 2's minimal field:
+    the least exact nu_lower over every record up to n_max, compared as
+    Fractions, the least float volume over every record, and n1 from
+    the winner's growth ratios by lower endpoints, each ratio computed
+    once by growth_ratio.  A tie in either ranking raises TieDetected
+    with the message overall_minimum gives."""
+    at_most_one: dict[tuple[int, int], bool] = {}
+    answers = {}
+    for n_max in n_maxes:
+        per_n = records[: n_max - 1]
+        winner = survey._unique_min(
+            per_n,
+            lambda r: r.nu_lower,
+            lambda r: str(r.n),
+            "overall minimum is shared by dimensions {}",
+        )
+        volume_winner = survey._unique_min(
+            per_n,
+            survey._volume_value,
+            lambda r: str(r.n),
+            "volume minimum is shared by dimensions {}",
+        )
+        field = quadfield.from_squarefree_d(winner.d)
+        n1 = 2
+        for m in range(2, n_max):
+            if (field.d, m) not in at_most_one:
+                q = survey.growth_ratio(field, m).q
+                at_most_one[field.d, m] = lattice._lower(q) <= 1
+            if at_most_one[field.d, m]:
+                n1 = m + 1
+        answers[n_max] = EagerOverall(winner.n, winner, volume_winner.n, n1)
+    return answers
 
 
 def fields_by_triple_factoring(limit: int) -> tuple[quadfield.QuadField, ...]:

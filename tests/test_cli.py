@@ -736,6 +736,7 @@ GOLDEN_STDOUT = {
     "minimal --n 2 --verbose --format json": "2890ec08c4d5ed466f762964930b1df24231f677a79e7a7277b76fe2777af587",
     "minimal --n 3 --verbose --format csv": "71037368ca47fb7bb96d03db47855103847158f9735996f0b566cae843edfe8f",
     "minimal --overall --n-max 120 --safety-margin 400 --format json": "ddb0a2abae12c809631eca15bf113d0be211efbb8ec392c06a2db214f62f13d3",
+    "minimal --overall --n-max 1000 --format json": "ddb0a2abae12c809631eca15bf113d0be211efbb8ec392c06a2db214f62f13d3",
 }
 
 # `python -m covolume nu --d 3 --n 300` (58k digits per value) under

@@ -3,12 +3,13 @@ growth certificates, and the cusped-volume lower bound.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +26,8 @@ from covolume.errors import (
 from covolume.lattice import Interval
 
 from . import oracles
+
+_LN_CONTEXT = Context(prec=50)  # for decimal ln of a float volume
 
 
 class TestDiscriminantBound:
@@ -120,12 +123,39 @@ def _overlap(monkeypatch, where, interval=(-1000.0, -999.0)):
     """Give every (field, n) that where() picks one ln interval, below
     every true one at n <= 60, so that their records, and only theirs,
     reach the exact comparison together."""
-    real = lattice._ln_nu_bounds
+    real = lattice._ln_nu_interval
 
-    def bounds(field, n):
-        return interval if where(field, n) else real(field, n)
+    def bounds(dim, shared):
+        return interval if where(shared[0], dim[0]) else real(dim, shared)
 
-    monkeypatch.setattr(lattice, "_ln_nu_bounds", bounds)
+    monkeypatch.setattr(lattice, "_ln_nu_interval", bounds)
+
+
+def _counting_records(monkeypatch):
+    """The (d, n) of every exact record built from here on, in order."""
+    records = []
+    real = lattice.covolume_result
+
+    def counting(field, n):
+        records.append((field.d, n))
+        return real(field, n)
+
+    monkeypatch.setattr(lattice, "covolume_result", counting)
+    return records
+
+
+def _encloses(bounds, volume):
+    """Whether bounds = (low, high) holds ln volume, with ln 0 = -inf and
+    ln inf = inf, compared in decimal."""
+    low, high = bounds
+    if volume == math.inf:
+        return high == math.inf
+    if volume == 0.0:
+        return low == -math.inf
+    ln = Decimal(volume).ln(_LN_CONTEXT)
+    return (low == -math.inf or Decimal(low) <= ln) and (
+        high == math.inf or ln <= Decimal(high)
+    )
 
 
 def _e(m):
@@ -190,6 +220,8 @@ class TestMinimalField:
             survey.minimal_field(2)
 
     def test_inexact_winner_raises(self, monkeypatch):
+        # forced to overlap, every record is compared, and the least one
+        # is an interval
         real = lattice.covolume_result
 
         def widened(field, n):
@@ -198,8 +230,33 @@ class TestMinimalField:
             return dataclasses.replace(result, nu=Interval(low, 2 * low))
 
         monkeypatch.setattr(lattice, "covolume_result", widened)
+        _overlap(monkeypatch, lambda field, n: True)
         with pytest.raises(TieDetected):
             survey.minimal_field(2)
+
+    def test_lone_contender_is_checked_by_its_epsilon(self, monkeypatch):
+        # forced below every other interval, Q(sqrt(-5)) is the lone
+        # contender and wins with no record built; at odd n its two
+        # ramified primes leave epsilon, and so nu, an interval
+        records = _counting_records(monkeypatch)
+        _overlap(monkeypatch, lambda field, n: field.d == 5)
+        assert survey.minimal_field(2).field.d == 5
+        message = (
+            "minimum at n = 3 falls on an interval candidate (Q(sqrt(-5))); "
+            "comparison by lower endpoint is inconclusive"
+        )
+        with pytest.raises(TieDetected, match=f"^{re.escape(message)}$"):
+            survey.minimal_field(3)
+        assert records == []
+
+    def test_result_is_built_once_when_read(self, monkeypatch):
+        records = _counting_records(monkeypatch)
+        best = survey.minimal_field(9)
+        assert records == []
+        assert best.result is best.result
+        assert best.result == lattice.covolume_result(best.field, 9)
+        assert records == [(3, 9), (3, 9)]
+        assert best == survey.minimal_field(9)
 
     def test_rejects_bad_margin(self):
         with pytest.raises(InvalidInput):
@@ -226,8 +283,9 @@ class TestOverallMinimum:
             survey.overall_minimum(9)
 
     def test_growth_threshold_computes_each_nu_once(self, monkeypatch):
-        # minimal_field asks for each (field, n) once; the n1 loop over
-        # the winner's ratios reads L-factor pairs and adds no request
+        # the rankings build one record, n_star's, so nu is asked once;
+        # the n1 loop over the winner's ratios reads L-factor pairs and
+        # adds no request
         calls = []
         nu = lattice.nu
 
@@ -237,7 +295,109 @@ class TestOverallMinimum:
 
         monkeypatch.setattr(lattice, "nu", counting)
         assert survey.overall_minimum(16).growth_threshold_n1 == 15
-        assert [calls.count((3, n)) for n in (14, 15, 16)] == [1, 1, 1]
+        assert calls == [(3, 9)]
+
+    @pytest.mark.parametrize("margin", [1, 20])
+    def test_matches_eager_oracle(self, margin):
+        # every n_max from 10 to 240 against the rankings of every per-n
+        # record built up front, nu by Fractions and volumes by floats
+        dims = range(2, 241)
+        records = [
+            lattice.covolume_result(mr.field, n)
+            for n, mr in zip(dims, survey._sweep(dims, margin))
+        ]
+        eager = oracles.overall_minima_by_records(records, range(10, 241))
+        for n_max, expected in eager.items():
+            overall = survey.overall_minimum(n_max, margin)
+            assert overall.n_star == expected.n_star, n_max
+            assert overall.volume_n_star == expected.volume_n_star, n_max
+            assert overall.growth_threshold_n1 == expected.growth_threshold_n1, n_max
+            assert overall.result == expected.result, n_max
+            assert [mr.result for mr in overall.per_n] == records[: n_max - 1]
+
+    def test_records_only_where_intervals_overlap(self, monkeypatch):
+        # n_star's record alone, then with three dimensions forced to
+        # overlap, theirs, each built once though both rankings read it
+        records = _counting_records(monkeypatch)
+        assert survey.overall_minimum(60).n_star == 9
+        assert records == [(3, 9)]
+        records.clear()
+        _overlap(
+            monkeypatch,
+            lambda field, n: field.d == 3 and n in (7, 9, 11),
+            interval=(-30.0, -20.0),
+        )
+        overall = survey.overall_minimum(60)
+        assert (overall.n_star, overall.volume_n_star) == (9, 9)
+        assert sorted(records) == [(3, 7), (3, 9), (3, 11)]
+
+    def test_verbose_builds_each_record_once(self, monkeypatch, capsys):
+        records = _counting_records(monkeypatch)
+        assert cli.main(["minimal", "--overall", "--n-max", "60", "--verbose"]) == 0
+        assert sorted(records) == [(3, n) for n in range(2, 61)]
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_volume_near_tie_is_compared_by_floats(self, monkeypatch):
+        # Q(sqrt(-3))'s ln nu at n = 4 and 6 forced to points whose ln
+        # volumes differ by 1e-13, below what the floats of a volume can
+        # resolve: the two are compared by their records' float volumes,
+        # here equal, so the tie raises
+        def shift(n):
+            return n * survey._LN_4PI - math.lgamma(n + 2)
+
+        x4 = -30.0
+        x6 = x4 + shift(4) - shift(6) + 1e-13
+        points = {4: (x4, x4), 6: (x6, x6)}
+        real_bounds = lattice._ln_nu_interval
+
+        def bounds(dim, shared):
+            if shared[0].d == 3 and dim[0] in points:
+                return points[dim[0]]
+            return real_bounds(dim, shared)
+
+        real = lattice.covolume_result
+
+        def tied(field, n):
+            result = real(field, n)
+            if field.d == 3 and n in points:
+                return dataclasses.replace(result, volume=1e-300)
+            return result
+
+        monkeypatch.setattr(lattice, "_ln_nu_interval", bounds)
+        monkeypatch.setattr(lattice, "covolume_result", tied)
+        message = "volume minimum is shared by dimensions 4, 6"
+        with pytest.raises(TieDetected, match=f"^{re.escape(message)}$"):
+            survey.overall_minimum(12)
+
+    @pytest.mark.parametrize("n", [60, 169, 170, 300])
+    def test_ln_volume_bounds_hold_past_double_range(self, n):
+        # nu_lower = 2^k and 5/7 2^k from below the least double, where
+        # the volume is 0.0 or a subnormal rounded up by up to 67%, past
+        # the overflow of float(nu) (4 pi)^n, where it is inf though its
+        # real value is not, to that of the volume itself; each
+        # denominator is within the bound the slack assumes
+        field = quadfield.from_squarefree_d(3)
+        kinds = set()
+        for k, c in itertools.product(range(-1200, 3001, 3), (1, Fraction(5, 7))):
+            nu = c * Fraction(2) ** k
+            ln = k * math.log(2) + math.log(c)
+            certificate = survey.MinimalCertificate(
+                n, 0.0, 0, (survey.Candidate(field, ln - 0.3, ln + 0.3),)
+            )
+            bounds = survey._ln_volume_bounds(survey.MinimalResult(field, certificate))
+            volume = lattice._volume(nu, n)
+            assert _encloses(bounds, volume), (k, bounds, volume)
+            kinds.add(volume if volume in (0.0, math.inf) else 1.0)
+        assert kinds == {0.0, 1.0, math.inf}
+
+    def test_lgamma_within_its_bound(self):
+        # _ln_volume_bounds takes math.lgamma(n + 2) within 2^-48 (G + 8)
+        # of ln (n+1)!; it is within an eighth of that (0.075 at n = 90)
+        with mpmath.workdps(60):
+            for n in range(2, 3001):
+                g = math.lgamma(n + 2)
+                exact = mpmath.loggamma(n + 2)
+                assert abs(mpmath.mpf(g) - exact) <= 2.0**-48 * (g + 8) / 8, n
 
     def test_torsion_counted_once_per_divisor_of_h(self, monkeypatch):
         # the sweep asks each field for m = 3..61; an m with
@@ -296,8 +456,9 @@ class TestFieldMajorSweep:
     def test_ranking_tie_raises(self, monkeypatch, replace, message):
         # only Q(sqrt(-3)), the unique exact winner of every dimension,
         # is changed, so each per-dimension certificate still passes; its
-        # tied nu records get one interval, below every other, so that
-        # the ranking of the dimensions compares them exactly
+        # tied records get one ln nu interval, below every other and wide
+        # enough that their ln volume intervals overlap too, so that the
+        # ranking of the dimensions compares them exactly
         real = lattice.covolume_result
         tiny = {"nu": Fraction(1, 10**40), "volume": 1e-300}
 
@@ -308,7 +469,11 @@ class TestFieldMajorSweep:
             return dataclasses.replace(result, **{replace[n]: tiny[replace[n]]})
 
         monkeypatch.setattr(lattice, "covolume_result", tied_winners)
-        _overlap(monkeypatch, lambda field, n: field.d == 3 and replace.get(n) == "nu")
+        _overlap(
+            monkeypatch,
+            lambda field, n: field.d == 3 and n in replace,
+            interval=(-1000.0, -990.0),
+        )
         with pytest.raises(TieDetected, match=f"^{re.escape(message)}$"):
             survey.overall_minimum(12)
 
@@ -323,6 +488,7 @@ class TestFieldMajorSweep:
             return dataclasses.replace(result, nu=Interval(low, 2 * low))
 
         monkeypatch.setattr(lattice, "covolume_result", widened)
+        _overlap(monkeypatch, lambda field, n: n in (6, 9))
         with pytest.raises(TieDetected, match="minimum at n = 6 falls on an interval"):
             survey.overall_minimum(40)
 
@@ -332,10 +498,10 @@ class TestFieldMajorSweep:
 
     def test_one_power_state_per_field(self, monkeypatch):
         # ranking reads no power sum, so only the winner's field, -3 at
-        # every n <= 60, gets a power-sum state, once: its exact records
-        # grow it from n = 2 on (one table read of two slots, then one
-        # squaring pass and 28 steps of the one signed list to k = 61),
-        # and the growth run reads the state they leave
+        # every n <= 60, gets a power-sum state, once: n_star's record
+        # builds it (one table read of three slots, to k = 9), and the
+        # growth run grows it from there (one squaring pass and 27 steps
+        # of the one signed list to k = 61)
         covolume.clear_caches()
         built, reads = [], []
         passes = [0]
@@ -360,8 +526,8 @@ class TestFieldMajorSweep:
         monkeypatch.setattr(bernoulli, "_word_table", counting_table)
         survey.overall_minimum(60)
         assert built == [-3]
-        assert reads == [(2, True)]
-        assert passes[0] == 29
+        assert reads == [(3, True)]
+        assert passes[0] == 28
 
 
 class TestLnRanking:
@@ -370,9 +536,12 @@ class TestLnRanking:
 
     @pytest.mark.parametrize("margin", [1, 20])
     def test_matches_exact_ranking(self, margin):
+        # and each candidate's ln volume interval holds its float volume,
+        # inf past double range
         dims = range(2, 241)
         ranked = survey._sweep(dims, margin)
         exact = oracles.sweep_by_exact_ranking(dims, margin)
+        saturated = 0
         for n, mr, expected in zip(dims, ranked, exact):
             assert mr.field == expected.field, n
             assert mr.result == expected.result, n
@@ -381,6 +550,24 @@ class TestLnRanking:
             assert [c.field for c in cert.candidates] == [
                 c.field for c in full.candidates
             ], n
+            for c in full.candidates:
+                volume = survey._volume_value(c.result)
+                bounds = survey._ln_volume_bounds(survey.MinimalResult(c.field, cert))
+                assert _encloses(bounds, volume), (c.field, n, bounds, volume)
+                saturated += volume == math.inf
+        assert saturated > 0
+
+    def test_shared_terms_match_per_candidate_oracle(self):
+        # the same float operations in the same order as the per-candidate
+        # form, so every interval is equal to its
+        dims = [lattice._dim_terms(n) for n in range(2, 401)]
+        fields = quadfield.fields_with_disc_at_most(1000)
+        assert len(fields) == 305
+        for field in fields:
+            shared = lattice._field_terms(field)
+            for dim in dims:
+                expected = oracles.ln_nu_bounds(field, dim[0])
+                assert lattice._ln_nu_interval(dim, shared) == expected, (field, dim[0])
 
     def test_intervals_enclose_ln_nu(self):
         entries = sorted(
@@ -395,7 +582,7 @@ class TestLnRanking:
         for _, n, c in entries:
             ln = oracles.ln_by_decimal(lattice._lower(lattice.nu(c.field, n)))
             assert Decimal(c.ln_low) <= ln <= Decimal(c.ln_high), (c.field, n)
-            # twice E(m) of bernoulli._ln_l_product, plus float error
+            # twice E(m) of bernoulli._ln_sum, plus float error
             width = 2 * _e(n // 2)
             assert width <= c.ln_high - c.ln_low < width + 1e-8, (c.field, n)
 
@@ -403,10 +590,11 @@ class TestLnRanking:
     def test_ln_l_product_bound(self, D):
         # ranking reads the closed form alone: it builds no power-sum state
         covolume.clear_caches()
-        logs = [bernoulli._ln_l_product(D, m) for m in range(41)]
+        logs = [oracles.ln_l_product(D, m) for m in range(41)]
         field = quadfield.from_squarefree_d(-D // 4 if D % 4 == 0 else -D)
+        shared = lattice._field_terms(field)
         for n in range(2, 82):
-            lattice._ln_nu_bounds(field, n)
+            lattice._ln_nu_interval(lattice._dim_terms(n), shared)
         assert bernoulli._power_state.cache_info().misses == 0
         assert logs[0] == (0.0, 0.0)
         _check_ln_l_products(D, logs)
@@ -414,7 +602,7 @@ class TestLnRanking:
     def test_ln_l_product_encloses_every_small_field(self, fields_500):
         for field in fields_500:
             D = field.disc_signed
-            _check_ln_l_products(D, [bernoulli._ln_l_product(D, m) for m in range(21)])
+            _check_ln_l_products(D, [oracles.ln_l_product(D, m) for m in range(21)])
 
     def test_ln_sums_under_concurrency(self):
         # the shared table grows under the lock, and a clear_caches in
@@ -422,12 +610,12 @@ class TestLnRanking:
         pairs = [(D, m) for D in (-3, -4, -455) for m in range(0, 60, 7)] * 3
         random.Random(5).shuffle(pairs)
         covolume.clear_caches()
-        expected = {p: bernoulli._ln_l_product(*p) for p in set(pairs)}
+        expected = {p: oracles.ln_l_product(*p) for p in set(pairs)}
 
         def worker(i):
             if i % 11 == 0:
                 bernoulli.clear_caches()
-            return bernoulli._ln_l_product(*pairs[i])
+            return oracles.ln_l_product(*pairs[i])
 
         covolume.clear_caches()
         interval = sys.getswitchinterval()
@@ -449,7 +637,8 @@ class TestLnRanking:
     def test_limits_round_outward_and_stay(self, monkeypatch, margin):
         # the enumeration limit rounds the discriminant bound up with its
         # error bound; over n = 2..5000 no limit moves from the bare value
-        monkeypatch.setattr(lattice, "_ln_nu_bounds", lambda field, n: (0.0, 0.0))
+        monkeypatch.setattr(lattice, "_dim_terms", lambda n: None)
+        monkeypatch.setattr(lattice, "_ln_nu_interval", lambda dim, shared: (0.0, 0.0))
         monkeypatch.setattr(survey, "_certify", lambda n, bound, limit, cands: limit)
         dims = range(2, 5001)
         for n, limit in zip(dims, survey._sweep(dims, margin)):
@@ -514,8 +703,10 @@ class TestLnRanking:
             survey.minimal_field(3)
 
     def test_only_winners_get_records(self, monkeypatch):
-        # one exact record per dimension, and the L-product of no other
-        # field is multiplied out: every factor pair is Q(sqrt(-3))'s
+        # no interval overlaps another, so the one record built is
+        # n_star's, and the L-product of no other field is multiplied
+        # out: every factor pair is Q(sqrt(-3))'s; each other winner's
+        # record is built when it is read, equal to a fresh one
         covolume.clear_caches()
         records, pairs = [], set()
         real_result, real_pair = lattice.covolume_result, bernoulli._PowerSums.pair
@@ -531,7 +722,7 @@ class TestLnRanking:
         monkeypatch.setattr(lattice, "covolume_result", counting_result)
         monkeypatch.setattr(bernoulli._PowerSums, "pair", counting_pair)
         overall = survey.overall_minimum(60)
-        assert records == [(3, n) for n in range(2, 61)]
+        assert records == [(3, 9)]
         assert pairs == {3}
         assert [mr.result for mr in overall.per_n] == [
             lattice.covolume_result(quadfield.from_squarefree_d(3), n)
