@@ -4,14 +4,11 @@ Everything here is computed in exact arithmetic, integers and
 fractions.Fraction; no floating point enters any value.  The sign
 convention is B_1 = -1/2.  B_{k,chi} reads no Bernoulli number: it comes
 from one integer recurrence over the character's power sums
-(_PowerSums), which also keep the field's L-product (_l_product).  Its
-logarithm's field-independent part, for ranking (_ln_sum), reads no
-power sum.
+(_PowerSums), which also keep the field's L-product (_l_product).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -27,13 +24,8 @@ __all__ = [
     "clear_caches",
 ]
 
-_lock = threading.RLock()  # a factor pair and _ln_sums read B_2j under it
-# each float step of a logarithm adds at most _LN_SLACK (bits + 3 + |value|)
-# to its error bound; see _ln_sum
-_LN_SLACK = 2.0**-48
-_LN_2PI = math.log(2 * math.pi)  # within 2^-51 of ln 2 pi; see _ln_sum
+_lock = threading.RLock()  # a factor pair reads B_2j under it
 _even_table: list[Fraction] = [Fraction(1)]  # _even_table[j] holds B_{2j}
-_ln_sums: list[tuple[float, float]] = [(0.0, 0.0)]  # (S(m), W(m)); see _ln_sum
 
 
 def _even_values(start: int, stop: int) -> list[Fraction]:
@@ -302,52 +294,6 @@ def _l_product(D: int, m: int) -> Fraction:
         return prefix[m]
 
 
-def _ln_sum(m: int) -> tuple[float, float]:
-    """(S(m), W(m)): the part of ln P(m), P as in _l_product, that every
-    field shares, and its half-width; no power sum is read.
-
-    chi_D is primitive and odd, q = |D|, so |zeta(1-2j)| = |B_2j| / 2j
-    and, by the functional equation (Davenport, Multiplicative Number
-    Theory, ch. 9), |L(-2j, chi)| = 2 (2j)! q^(2j+1/2) (2 pi)^-(2j+1)
-    L(2j+1, chi).  By the Euler product zeta(2s)/zeta(s) <= L(s, chi) <=
-    zeta(s), and ln zeta(2j+1) <= zeta(2j+1) - 1 <= 4^-j; so ln P(m) =
-    S(m) + c(m) ln q within E(m) = sum_{j<=m} 4^-j < 1/3, where
-    c(m) = m(m+1) + m/2 and S(m) sums t_j = ln|B_2j| - ln j + ln (2j)! -
-    (2j+1) ln 2 pi.  _ln_sums[m] holds S(m) and W(m), E(m) plus S's float
-    error, grown under _lock and emptied by clear_caches;
-    lattice._ln_nu_interval adds the field's c(m) ln q.
-
-    The float error, term by term.  math.log of a b-bit int is within
-    2^-51 (b + 1) of ln, with a libm log within 1 ulp: below 2^1024 the
-    int rounds to a double (2^-53) and the log's ulp is < 2^-52 b; past
-    that CPython logs the frexp split f 2^e, e <= b, whose roundings cost
-    2^-53 (2.4 e + 3).  t_j takes four such logs, of |B_2j|'s numerator
-    and denominator, j and (2j)! (math.factorial, exact): within
-    2^-51 (B + 4) for B bits in all, each below 0.7 of its bits.
-    2 math.pi is within 2^-51 of 2 pi, which moves ln by < 2^-53.6, and
-    the log's ulp is 2^-52, so _LN_2PI is within 2^-51 of ln 2 pi, and
-    (2j + 1) _LN_2PI, rounded once and below 1.9 (2j + 1), is within
-    1.5 (2j + 1) 2^-51.  The four float sums round by 2^-53 of partial
-    sums below 0.7 B + 1.9 (2j + 1).  So t_j is within 2^-50 (bits + 2),
-    bits = B + 2 (2j + 1), and the sum S rounds by 2^-53 |S|: each step
-    adds _LN_SLACK (bits + 3 + |S|), four times that, whose rest pays for
-    the rounding of W's own sums while W < 2^6.
-    """
-    sums = _ln_sums  # one name, since clear_caches may swap the table
-    if m >= len(sums):
-        with _lock:
-            while len(sums) <= m:
-                j = len(sums)
-                b = bernoulli_number(2 * j)
-                ints = (abs(b.numerator), b.denominator, j, math.factorial(2 * j))
-                la, ld, lj, lf = map(math.log, ints)
-                s, width = sums[-1]
-                s += la - ld - lj + lf - (2 * j + 1) * _LN_2PI
-                bits = sum(x.bit_length() for x in ints) + 2 * (2 * j + 1)
-                sums.append((s, width + 4.0**-j + _LN_SLACK * (bits + 3 + abs(s))))
-    return sums[m]
-
-
 @lru_cache(maxsize=None)
 def _generalized_bernoulli(k: int, D: int) -> Fraction:
     """Memoized body of generalized_bernoulli for validated arguments.
@@ -365,10 +311,9 @@ def _generalized_bernoulli(k: int, D: int) -> Fraction:
 
 def clear_caches() -> None:
     """Reset every memo table in this module (used by tests)."""
-    global _even_table, _words, _ln_sums
+    global _even_table, _words
     with _lock:
         _even_table = [Fraction(1)]
         _words = (0, 0, [])
-        _ln_sums = [(0.0, 0.0)]
     _power_state.cache_clear()
     _generalized_bernoulli.cache_clear()

@@ -108,8 +108,11 @@ def cmd_minimal(args: argparse.Namespace) -> int:
         raise InvalidInput("one of --n or --overall is required")
     mr = survey.minimal_field(args.n, args.safety_margin)
     cert = mr.certificate
-    if args.verbose:
-        rows = [lattice.covolume_result(c.field, args.n) for c in cert.candidates]
+    if args.verbose:  # the winner's row is mr.result, so each record is built once
+        rows = [
+            mr.result if c.field == mr.field else lattice.covolume_result(c.field, args.n)
+            for c in cert.candidates
+        ]
     else:
         rows = [mr.result]
     if fmt == "json" and args.verbose:

@@ -8,7 +8,9 @@ formula carries a factor epsilon that is pinned down only when the field
 has a single ramified prime; otherwise nu is reported as an exact
 interval whose endpoints differ by a power of two.  The L-product in it
 comes from the field's power-sum state in bernoulli, which keeps its
-prefix; this module keeps no per-index state.
+prefix; this module keeps no per-index state.  The certificate's float
+ranking by ln nu lives in survey, which reads the small factor's
+integers here (_small_factor_ints).
 
 An independent floating-point route evaluates the principal covolume
 through the adelic volume formula and renormalizes it by the index of
@@ -49,6 +51,10 @@ __all__ = [
     "cross_path_check",
     "clear_caches",
 ]
+
+# ln 2 pi to within 2^-51: 2 math.pi is within 2^-51 of 2 pi, which moves
+# ln by < 2^-53.6, and the log's ulp is 2^-52; survey's ranking reads it too
+_LN_2PI = math.log(2 * math.pi)
 
 
 class Interval(NamedTuple):
@@ -178,79 +184,14 @@ def _small_factor_ints(n: int) -> tuple[int, int]:
     return top, b.denominator << n
 
 
-def _small_factor_parts(field: QuadField, n: int) -> tuple[int, int, int]:
-    """(low, high, scale): F(n) (_small_factor_ints) lies in
-    [low / scale, high / scale], and is low / scale when low == high."""
+def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
+    """F(n) (_small_factor_ints), each endpoint normalized once."""
     top, scale = _small_factor_ints(n)
     eps = epsilon_status(field, n)
-    return eps.lower * top, eps.upper * top, scale * h_torsion(field, n + 1)
-
-
-def _small_factor(field: QuadField, n: int) -> ExactOrInterval:
-    """F(n) (_small_factor_parts), each endpoint normalized once."""
-    low, high, scale = _small_factor_parts(field, n)
-    if low == high:
-        return Fraction(low, scale)
-    return Interval(Fraction(low, scale), Fraction(high, scale))
-
-
-def _dim_terms(n: int) -> tuple[int, float, int, int, float, int, float, float, float]:
-    """The terms of ln nu_lower at one n that every field shares
-    (_ln_nu_interval), as the plain tuple (n, ln low, low's bits, scale,
-    ln scale, scale's bits, S(m), W(m), c(m)): the small factor's
-    integers for h_{ell,n+1} = 1, low = eps.lower top (eps.lower is 1 at
-    even n and 2 at odd n, for every field) and scale; and S, W and c of
-    ln P(m), m = floor(n/2) (bernoulli._ln_sum)."""
-    top, scale = _small_factor_ints(n)  # validates n
-    low = top << (n % 2)
-    m = n // 2
-    s, width = bernoulli._ln_sum(m)
-    return (
-        n,
-        math.log(low),
-        low.bit_length(),
-        scale,
-        math.log(scale),
-        scale.bit_length(),
-        s,
-        width,
-        m * (m + 1) + m / 2,
-    )
-
-
-def _field_terms(field: QuadField) -> tuple[QuadField, int, float, int]:
-    """The terms of ln nu_lower that one field shares across n, as the
-    plain tuple (field, h, ln q, q's bit length plus 1), for q = |D|."""
-    q = field.disc_abs
-    return field, class_number(field), math.log(q), q.bit_length() + 1
-
-
-def _ln_nu_interval(dim: tuple, fld: tuple) -> tuple[float, float]:
-    """Floats (low, high) with low <= ln nu_lower <= high, where nu_lower is
-    nu(field, n) or its lower endpoint, from dim = _dim_terms(n) and
-    fld = _field_terms(field).
-
-    ln P(m) = S(m) + c(m) ln q within W(m) (bernoulli._ln_sum), plus
-    ln low - ln scale from the integers of _small_factor_parts; scale
-    takes h_{ell,n+1}, read only where gcd(n + 1, h) > 1, since it is 1
-    elsewhere.  The float error, term by term: math.log(q) is within
-    2^-51 (b_q + 1) of ln q and c is exact, so c ln q + S is within
-    2^-50 c (b_q + 1) + 2^-53 |value| of its real sum, and the slack
-    added is four times that.  The two logs of F are within 2^-51 (b + 1)
-    each, and the two float sums round by 2^-53 of their magnitudes;
-    bernoulli._LN_SLACK (bits + 3 + |value|) pays for them as in
-    _ln_sum.  The float steps are taken in one order for every field.
-    """
-    n, ln_low, low_bits, scale, ln_scale, scale_bits, s, width, c = dim
-    field, h, ln_q, q_bits = fld
-    ln_prefix = s + c * ln_q
-    error = width + bernoulli._LN_SLACK * (c * q_bits + abs(ln_prefix))
-    if math.gcd(n + 1, h) > 1:
-        scale *= h_torsion(field, n + 1)
-        ln_scale, scale_bits = math.log(scale), scale.bit_length()
-    value = ln_low - ln_scale + ln_prefix
-    error += bernoulli._LN_SLACK * (low_bits + scale_bits + 3 + abs(value))
-    return value - error, value + error
+    scale *= h_torsion(field, n + 1)
+    if eps.lower == eps.upper:
+        return Fraction(eps.lower * top, scale)
+    return Interval(Fraction(eps.lower * top, scale), Fraction(eps.upper * top, scale))
 
 
 def nu(field: QuadField, n: int) -> ExactOrInterval:
@@ -357,7 +298,7 @@ def prasad_principal_covolume_numeric(field: QuadField, n: int) -> NumericValue:
         s = (n - 1) * (n + 2) / 4
     log_value = s * math.log(field.disc_abs)
     for j in range(1, n + 1):
-        log_value += math.log(math.factorial(j)) - (j + 1) * bernoulli._LN_2PI
+        log_value += math.log(math.factorial(j)) - (j + 1) * _LN_2PI
     rel_bound = 0.0
     for a in range(2, n + 2):
         nv = lvalues.zeta_numeric(a) if a % 2 == 0 else lvalues.l_numeric(field, a)

@@ -1,13 +1,13 @@
-"""Special values of the Riemann zeta function and of the Dirichlet
-L-function attached to an imaginary quadratic field.
+"""Numeric special values of the Riemann zeta function and of the
+Dirichlet L-function attached to an imaginary quadratic field.
 
-Two independent routes are provided.  Values at nonpositive integers are
-exact rationals: L(1 - k, chi) from the generalized Bernoulli number
-B_{k,chi}, which is built from the character's power sums alone.  Values
-at integer s >= 2 are floats obtained by direct series summation
+Values at integer s >= 2 are floats obtained by direct series summation
 accelerated with Euler-Maclaurin tail corrections, and each carries a
-rigorous bound on the truncation error.  The numeric route deliberately
-shares nothing with the exact route: its tail coefficients are hardcoded
+rigorous bound on the truncation error.  They are the second route
+against the exact values at nonpositive integers, which bernoulli builds
+from the character's power sums alone (B_{k,chi}, with
+L(1 - k, chi) = -B_{k,chi} / k).  The numeric route deliberately shares
+nothing with the exact route: its tail coefficients are hardcoded
 constants, and its character comes from one Kronecker symbol per
 residue, not from the tiled table the exact route reads.
 """
@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from . import bernoulli, quadfield
-from .errors import InvalidInput, require_int
+from . import quadfield
+from .errors import require_int
 from .quadfield import QuadField
 
 __all__ = [
     "NumericValue",
-    "l_negative",
     "zeta_numeric",
     "l_numeric",
     "clear_caches",
@@ -44,15 +42,6 @@ class NumericValue:
         if self.value == 0.0:
             return math.inf
         return self.abs_error_bound / abs(self.value)
-
-
-def l_negative(field: QuadField, k: int) -> Fraction:
-    """L(1 - k, chi) = -B_{k,chi} / k for odd k >= 1, as an exact rational."""
-    require_int(k, "k", 1)
-    if k % 2 == 0:
-        raise InvalidInput(f"k must be odd, got {k}")
-    b = bernoulli.generalized_bernoulli(k, field.disc_signed)
-    return Fraction(-b.numerator, k * b.denominator)
 
 
 # B_{2j} / (2j)! for j = 1..8, as plain float constants so the numeric

@@ -9,7 +9,12 @@ Hwang for smooth quotients.
 The field search is a finite certificate, not a heuristic scan: any
 field whose discriminant exceeds an explicit threshold loses to
 Q(sqrt(-3)) outright, so enumerating discriminants up to that threshold
-(plus a safety margin) examines every possible competitor.
+(plus a safety margin) examines every possible competitor.  The
+certificate ranks its candidates by rigorous float intervals on ln nu,
+which this module alone forms (_ln_sums, _dim_terms, _field_terms and
+_ln_nu_interval): bernoulli keeps exact values only, and lattice the
+covolume invariants.  Exact records are built only where two intervals
+overlap.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ _LN_2 = math.log(2)
 _LN_4PI = math.log(4 * math.pi)
 _LN_HUGE = math.log(sys.float_info.max)  # of the largest double
 _LN_TINY = math.log(sys.float_info.min)  # of the least normal double
+# each float step of a logarithm adds at most _LN_SLACK (bits + 3 + |value|)
+# to its error bound; see _ln_sums
+_LN_SLACK = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,7 @@ class GrowthReport:
 
 class Candidate(NamedTuple):
     """One enumerated field in a minimal-covolume certificate, with floats
-    ln_low <= ln(nu_lower) <= ln_high (lattice._ln_nu_interval), where
+    ln_low <= ln(nu_lower) <= ln_high (_ln_nu_interval), where
     nu_lower is the field's nu at the certificate's n, or its lower
     endpoint when nu is an interval.  From the functional equation with
     no power sum, the interval is under 2/3 wide, plus float error."""
@@ -260,28 +268,132 @@ def _certify(
     return winner
 
 
+def _ln_sums(top: int) -> list[tuple[float, float]]:
+    """(S(m), W(m)) for m = 0..top: the part of ln P(m), P as in
+    bernoulli._l_product, that every field shares, and its half-width; no
+    power sum is read, and _sweep builds the list once.
+
+    chi_D is primitive and odd, q = |D|, so |zeta(1-2j)| = |B_2j| / 2j
+    and, by the functional equation (Davenport, Multiplicative Number
+    Theory, ch. 9), |L(-2j, chi)| = 2 (2j)! q^(2j+1/2) (2 pi)^-(2j+1)
+    L(2j+1, chi).  By the Euler product zeta(2s)/zeta(s) <= L(s, chi) <=
+    zeta(s), and ln zeta(2j+1) <= zeta(2j+1) - 1 <= 4^-j; so ln P(m) =
+    S(m) + c(m) ln q within E(m) = sum_{j<=m} 4^-j < 1/3, where
+    c(m) = m(m+1) + m/2 and S(m) sums t_j = ln|B_2j| - ln j + ln (2j)! -
+    (2j+1) ln 2 pi.  W(m) is E(m) plus S's float error; _ln_nu_interval
+    adds the field's c(m) ln q.
+
+    The float error, term by term.  math.log of a b-bit int is within
+    2^-51 (b + 1) of ln, with a libm log within 1 ulp: below 2^1024 the
+    int rounds to a double (2^-53) and the log's ulp is < 2^-52 b; past
+    that CPython logs the frexp split f 2^e, e <= b, whose roundings cost
+    2^-53 (2.4 e + 3).  t_j takes four such logs, of |B_2j|'s numerator
+    and denominator, j and (2j)! (math.factorial, exact): within
+    2^-51 (B + 4) for B bits in all, each below 0.7 of its bits.
+    lattice._LN_2PI is within 2^-51 of ln 2 pi, and (2j + 1) _LN_2PI,
+    rounded once and below 1.9 (2j + 1), is within 1.5 (2j + 1) 2^-51.
+    The four float sums round by 2^-53 of partial sums below
+    0.7 B + 1.9 (2j + 1).  So t_j is within 2^-50 (bits + 2),
+    bits = B + 2 (2j + 1), and the sum S rounds by 2^-53 |S|: each step
+    adds _LN_SLACK (bits + 3 + |S|), four times that, whose rest pays for
+    the rounding of W's own sums while W < 2^6.
+    """
+    sums = [(0.0, 0.0)]
+    for j in range(1, top + 1):
+        b = bernoulli.bernoulli_number(2 * j)
+        ints = (abs(b.numerator), b.denominator, j, math.factorial(2 * j))
+        la, ld, lj, lf = map(math.log, ints)
+        s, width = sums[-1]
+        s += la - ld - lj + lf - (2 * j + 1) * lattice._LN_2PI
+        bits = sum(x.bit_length() for x in ints) + 2 * (2 * j + 1)
+        sums.append((s, width + 4.0**-j + _LN_SLACK * (bits + 3 + abs(s))))
+    return sums
+
+
+def _dim_terms(
+    n: int, sums: list[tuple[float, float]]
+) -> tuple[int, float, int, int, float, int, float, float, float]:
+    """The terms of ln nu_lower at one n that every field shares
+    (_ln_nu_interval), as the plain tuple (n, ln low, low's bits, scale,
+    ln scale, scale's bits, S(m), W(m), c(m)): the small factor's
+    integers for h_{ell,n+1} = 1 (lattice._small_factor_ints),
+    low = eps.lower top (eps.lower is 1 at even n and 2 at odd n, for
+    every field) and scale; and S, W and c of ln P(m), m = floor(n/2),
+    with S and W read from sums, the list _ln_sums(top) for a top >= m."""
+    top, scale = lattice._small_factor_ints(n)  # validates n
+    low = top << (n % 2)
+    m = n // 2
+    s, width = sums[m]
+    return (
+        n,
+        math.log(low),
+        low.bit_length(),
+        scale,
+        math.log(scale),
+        scale.bit_length(),
+        s,
+        width,
+        m * (m + 1) + m / 2,
+    )
+
+
+def _field_terms(field: QuadField) -> tuple[QuadField, int, float, int]:
+    """The terms of ln nu_lower that one field shares across n, as the
+    plain tuple (field, h, ln q, q's bit length plus 1), for q = |D|."""
+    q = field.disc_abs
+    return field, lattice.class_number(field), math.log(q), q.bit_length() + 1
+
+
+def _ln_nu_interval(dim: tuple, fld: tuple) -> tuple[float, float]:
+    """Floats (low, high) with low <= ln nu_lower <= high, where nu_lower is
+    nu(field, n) or its lower endpoint, from dim = _dim_terms(n, sums) and
+    fld = _field_terms(field).
+
+    ln P(m) = S(m) + c(m) ln q within W(m) (_ln_sums), plus
+    ln low - ln scale from the integers of lattice._small_factor; scale
+    takes h_{ell,n+1}, read only where gcd(n + 1, h) > 1, since it is 1
+    elsewhere.  The float error, term by term: math.log(q) is within
+    2^-51 (b_q + 1) of ln q and c is exact, so c ln q + S is within
+    2^-50 c (b_q + 1) + 2^-53 |value| of its real sum, and the slack
+    added is four times that.  The two logs of F are within 2^-51 (b + 1)
+    each, and the two float sums round by 2^-53 of their magnitudes;
+    _LN_SLACK (bits + 3 + |value|) pays for them as in _ln_sums.  The
+    float steps are taken in one order for every field.
+    """
+    n, ln_low, low_bits, scale, ln_scale, scale_bits, s, width, c = dim
+    field, h, ln_q, q_bits = fld
+    ln_prefix = s + c * ln_q
+    error = width + _LN_SLACK * (c * q_bits + abs(ln_prefix))
+    if math.gcd(n + 1, h) > 1:
+        scale *= lattice.h_torsion(field, n + 1)
+        ln_scale, scale_bits = math.log(scale), scale.bit_length()
+    value = ln_low - ln_scale + ln_prefix
+    error += _LN_SLACK * (low_bits + scale_bits + 3 + abs(value))
+    return value - error, value + error
+
+
 def _sweep(dims: range, safety_margin: int) -> tuple[MinimalResult, ...]:
     """The certified minimum of each n in dims, checked in that order.
 
     Each n's limit rounds the discriminant bound up with its error bound.
     Every candidate gets its ln interval from terms computed once per
-    sweep: those of each n (lattice._dim_terms) and those of each field
-    (lattice._field_terms), which the field-major loop takes once per
-    field; lattice._ln_nu_interval adds them up.  Then _certify builds
-    exact records, in ascending n, only where two intervals overlap; a
-    winner's record waits until it is read.
+    sweep: S and W up to the largest n (_ln_sums), those of each n
+    (_dim_terms) and those of each field (_field_terms), which the
+    field-major loop takes once per field; _ln_nu_interval adds them up.
+    Then _certify builds exact records, in ascending n, only where two
+    intervals overlap; a winner's record waits until it is read.
     """
     bounds = {n: discriminant_bound(n) for n in dims}
     ceils = {n: math.ceil(b.value + b.abs_error_bound) for n, b in bounds.items()}
     limits = {n: max(c, 4) + safety_margin for n, c in ceils.items()}
-    terms = [(n, lattice._dim_terms(n)) for n in dims]
-    rank = lattice._ln_nu_interval
+    sums = _ln_sums(max(dims) // 2)
+    terms = [(n, _dim_terms(n, sums)) for n in dims]
     candidates: dict[int, list[Candidate]] = {n: [] for n in dims}
     for field in quadfield.fields_with_disc_at_most(max(limits.values())):
-        shared = lattice._field_terms(field)
+        shared = _field_terms(field)
         for n, dim in terms:
             if field.disc_abs <= limits[n]:
-                candidates[n].append(Candidate(field, *rank(dim, shared)))
+                candidates[n].append(Candidate(field, *_ln_nu_interval(dim, shared)))
     return tuple(
         _certify(n, bounds[n].value, limits[n], tuple(candidates[n])) for n in dims
     )

@@ -16,7 +16,7 @@ the exact kernels that the tiled table, the one signed power list, its
 integer recurrence and the packed word table replaced, kept as their
 differential oracles; likewise nu with its L-product rebuilt from j = 1 on every
 call, which the prefix list of bernoulli._l_product replaced, each
-factor pair read through lvalues.l_negative, which the pair step of the
+factor pair read through l_negative, which the pair step of the
 power-sum state replaced, and the minimal-field certificate built one
 dimension at a time, which the field-major sweep of survey replaced;
 that sweep itself, with the full record of every candidate ranked by
@@ -26,7 +26,10 @@ sums is the oracle of the functional equation's closed form.  The ln
 interval of one candidate with every term computed anew is the oracle
 of the terms the sweep shares across fields and dimensions, and the
 rankings of the dimensions over every per-n record built up front are
-the oracle of the rankings by interval that build records on demand.
+the oracle of the rankings by interval that build records on demand;
+their exact minimum is found in one pass (least_or_tie), not by
+survey._unique_min, and the ln sums S(m), one memo entry per m, are the
+oracle of the list the sweep builds once.
 The growth closed form written out twice, as a float and as a
 logarithm, the descending search for the growth threshold, and the field
 enumeration that factored each d up to three times are kept the same way
@@ -41,10 +44,10 @@ powers on reduced triples.  The small factor F(n) as a chain of
 Fractions through zeta(-n) and the discriminant bound's exponent built
 from Fractions are the oracles of the single quotients that replaced
 them.
-The values zeta(1 - k), Bernoulli polynomial values, inverse classes
-and the Brauer-Siegel class number bound are not used by the package;
-the tests keep them as references for the zeta values, B_{k,chi}, the
-group law and the class number.
+The values zeta(1 - k) and L(1 - k, chi), Bernoulli polynomial values,
+inverse classes and the Brauer-Siegel class number bound are not used
+by the package; the tests keep them as references for the zeta values,
+B_{k,chi}, the group law and the class number.
 """
 
 from __future__ import annotations
@@ -54,12 +57,14 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
 import mpmath
 
 from covolume import bernoulli, lattice, lvalues, quadfield, survey
 from covolume.errors import InternalDefect, InvalidInput, TieDetected, require_int
+
+T = TypeVar("T")
 
 
 def bernoulli_series(k_max: int) -> list[Fraction]:
@@ -478,31 +483,60 @@ def ln_by_decimal(x: Fraction, digits: int = 50) -> decimal.Decimal:
         return decimal.Decimal(x.numerator).ln() - decimal.Decimal(x.denominator).ln()
 
 
+LN_SLACK = 2.0**-48  # the float slack per logarithm step of survey._ln_sums
+
+
+@lru_cache(maxsize=None)
+def ln_sum(m: int) -> tuple[float, float]:
+    """(S(m), W(m)) of survey._ln_sums, one m per call from ln_sum(m - 1),
+    with ln 2 pi and the slack taken anew: the per-m memo that the list
+    built once per sweep replaced, with the same float operations in the
+    same order."""
+    if m == 0:
+        return 0.0, 0.0
+    s, width = ln_sum(m - 1)
+    b = bernoulli.bernoulli_number(2 * m)
+    ints = (abs(b.numerator), b.denominator, m, math.factorial(2 * m))
+    la, ld, lm, lf = map(math.log, ints)
+    s += la - ld - lm + lf - (2 * m + 1) * math.log(2 * math.pi)
+    bits = sum(x.bit_length() for x in ints) + 2 * (2 * m + 1)
+    return s, width + 4.0**-m + LN_SLACK * (bits + 3 + abs(s))
+
+
 def ln_l_product(D: int, m: int) -> tuple[float, float]:
     """ln P(m), P as in bernoulli._l_product, as a float and a half-width
     that encloses the real value, for one field and one m: S(m) and W(m)
-    from bernoulli._ln_sum, plus c(m) ln q with its float slack (see
-    lattice._ln_nu_interval).  This is the per-call form that the sweep's
+    (ln_sum), plus c(m) ln q with its float slack (see
+    survey._ln_nu_interval).  This is the per-call form that the sweep's
     shared terms replaced."""
-    s, width = bernoulli._ln_sum(m)
+    s, width = ln_sum(m)
     q, c = -D, m * (m + 1) + m / 2
     value = s + c * math.log(q)
-    return value, width + bernoulli._LN_SLACK * (c * (q.bit_length() + 1) + abs(value))
+    return value, width + LN_SLACK * (c * (q.bit_length() + 1) + abs(value))
 
 
 def ln_nu_bounds(field: quadfield.QuadField, n: int) -> tuple[float, float]:
     """Floats (low, high) with low <= ln nu_lower <= high, each term
-    computed anew for the one (field, n): ln F(n) from the integers of
-    lattice._small_factor_parts, plus ln P(floor(n/2)) (ln_l_product)
-    with its half-width and bernoulli._LN_SLACK (bits + 3 + |value|) for
-    the two logarithms of F and the float sums.  This is the per-candidate
-    form that lattice._ln_nu_interval replaced, with the same float
-    operations in the same order."""
-    low, _, scale = lattice._small_factor_parts(field, n)  # validates n
+    computed anew for the one (field, n): ln F(n) from its unreduced
+    integers low = eps.lower (n+1) and scale = 2^n h_{ell,n+1} at even n,
+    low = eps.lower (-1)^((n+1)/2) (-B_{n+1})'s numerator and scale =
+    2^n h_{ell,n+1} times its denominator at odd n, plus ln P(floor(n/2))
+    (ln_l_product) with its half-width and LN_SLACK (bits + 3 + |value|)
+    for the two logarithms of F and the float sums.  This is the
+    per-candidate form that survey._ln_nu_interval replaced, with the
+    same float operations in the same order."""
+    eps = lattice.epsilon_status(field, n).lower
+    scale = lattice.h_torsion(field, n + 1) << n
+    if n % 2 == 0:
+        low = eps * (n + 1)
+    else:
+        b = bernoulli.bernoulli_number(n + 1)
+        low = eps * (b.numerator if n % 4 == 1 else -b.numerator)
+        scale *= b.denominator
     ln_prefix, error = ln_l_product(field.disc_signed, n // 2)
     value = math.log(low) - math.log(scale) + ln_prefix
     bits = low.bit_length() + scale.bit_length()
-    error += bernoulli._LN_SLACK * (bits + 3 + abs(value))
+    error += LN_SLACK * (bits + 3 + abs(value))
     return value - error, value + error
 
 
@@ -513,7 +547,7 @@ def ln_pair_by_power_sums(D: int, j: int) -> tuple[float, int]:
     d = 2j (2j+1) 4^j q times B_2j's denominator, and no product formed.
     Each of the three logs is within 2^-51 (b + 1) of ln, and the two
     float sums round by 2^-53 of their magnitudes, so the term is within
-    2^-50 (bits + 3) of ln pair(j) (see bernoulli._ln_sum)."""
+    2^-50 (bits + 3) of ln pair(j) (see survey._ln_sums)."""
     state = bernoulli._power_state(D)
     with bernoulli._lock:
         state.extend(2 * j + 1)
@@ -527,7 +561,7 @@ def ln_pair_by_power_sums(D: int, j: int) -> tuple[float, int]:
 def ln_l_products_by_power_sums(D: int, m: int) -> list[tuple[float, float]]:
     """(ln P(i), error bound) for i = 0..m, with P as in bernoulli._l_product:
     the sum of ln_pair_by_power_sums over j <= i, each step adding
-    bernoulli._LN_SLACK (bits + 3 + |sum|) to the bound.  This is the
+    LN_SLACK (bits + 3 + |sum|) to the bound.  This is the
     route that the closed form of ln_l_product replaced; it
     reads the field's exact g_(2j+1), so its bound is float error alone."""
     logs = [(0.0, 0.0)]
@@ -535,15 +569,24 @@ def ln_l_products_by_power_sums(D: int, m: int) -> list[tuple[float, float]]:
         value, error = logs[-1]
         term, bits = ln_pair_by_power_sums(D, j)
         value += term
-        logs.append((value, error + bernoulli._LN_SLACK * (bits + 3 + abs(value))))
+        logs.append((value, error + LN_SLACK * (bits + 3 + abs(value))))
     return logs
+
+
+def l_negative(field: quadfield.QuadField, k: int) -> Fraction:
+    """L(1 - k, chi) = -B_{k,chi} / k for odd k >= 1, as an exact rational."""
+    require_int(k, "k", 1)
+    if k % 2 == 0:
+        raise InvalidInput(f"k must be odd, got {k}")
+    b = bernoulli.generalized_bernoulli(k, field.disc_signed)
+    return Fraction(-b.numerator, k * b.denominator)
 
 
 def l_pair_by_l_negative(field: quadfield.QuadField, j: int) -> Fraction:
     """zeta(1-2j) L(-2j, chi) = -B_2j L(-2j, chi) / 2j, with L(-2j, chi)
-    read through lvalues.l_negative and the memo of B_{k,chi}."""
+    read through l_negative and the memo of B_{k,chi}."""
     b = bernoulli.bernoulli_number(2 * j)
-    el = lvalues.l_negative(field, 2 * j + 1)
+    el = l_negative(field, 2 * j + 1)
     return Fraction(-b.numerator * el.numerator, 2 * j * b.denominator * el.denominator)
 
 
@@ -555,7 +598,7 @@ def nu_by_loop(field: quadfield.QuadField, n: int) -> lattice.ExactOrInterval:
         acc *= zeta_negative(n + 1)  # zeta(-n)
     for j in range(1, n // 2 + 1):
         acc *= zeta_negative(2 * j)
-        acc *= lvalues.l_negative(field, 2 * j + 1)
+        acc *= l_negative(field, 2 * j + 1)
     if n % 2 == 0:
         return acc
     eps = lattice.epsilon_status(field, n)
@@ -600,11 +643,29 @@ def minimal_field_by_loop(n: int, safety_margin: int = 20) -> ExactMinimum:
     return ExactMinimum(winner.field, winner.result, certificate)
 
 
+def least_or_tie(
+    items: Sequence[T], key: Callable[[T], Any], name: Callable[[T], str], message: str
+) -> T:
+    """The item of least key in one pass over items, or TieDetected(message)
+    naming, in their order, every item that shares it.  This is the
+    oracle of survey._unique_min, and shares no code with it."""
+    best, winners = None, []
+    for item in items:
+        k = key(item)
+        if not winners or k < best:
+            best, winners = k, [item]
+        elif k == best:
+            winners.append(item)
+    if len(winners) > 1:
+        raise TieDetected(message.format(", ".join(name(w) for w in winners)))
+    return winners[0]
+
+
 def _certify_by_exact_ranking(
     n: int, bound: float, limit: int, candidates: tuple[ExactCandidate, ...]
 ) -> ExactMinimum:
     """The unique exact minimum among candidates, or TieDetected."""
-    winner = survey._unique_min(
+    winner = least_or_tie(
         candidates,
         lambda c: c.result.nu_lower,
         lambda c: str(c.field),
@@ -664,13 +725,13 @@ def overall_minima_by_records(
     answers = {}
     for n_max in n_maxes:
         per_n = records[: n_max - 1]
-        winner = survey._unique_min(
+        winner = least_or_tie(
             per_n,
             lambda r: r.nu_lower,
             lambda r: str(r.n),
             "overall minimum is shared by dimensions {}",
         )
-        volume_winner = survey._unique_min(
+        volume_winner = least_or_tie(
             per_n,
             survey._volume_value,
             lambda r: str(r.n),

@@ -458,7 +458,7 @@ class TestPackedWords:
 
 class TestLProduct:
     """The factor pairs and the prefix product P(m) of the power-sum state
-    against the route through lvalues.l_negative that they replaced."""
+    against the route through oracles.l_negative that they replaced."""
 
     @staticmethod
     def _check(field, j_max):
@@ -489,7 +489,7 @@ class TestLProduct:
     def test_scan_reads_no_b_k_chi(self):
         # every CLI path reads the pairs from the state's g_k, so the memo
         # of B_{k,chi} stays empty; it held 3055 entries after this scan
-        # when the pairs went through lvalues.l_negative
+        # when the pairs went through L(-2j, chi) and that memo
         covolume.clear_caches()
         survey.scan(10, 2000)
         assert bernoulli._generalized_bernoulli.cache_info().currsize == 0

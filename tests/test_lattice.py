@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import covolume
-from covolume import bernoulli, lattice, lvalues, quadfield
+from covolume import bernoulli, lattice, quadfield
 from covolume.errors import InternalDefect, InvalidDimension, UnknownMultiplicity
 from covolume.lattice import Interval, is_exact
 
@@ -36,7 +36,7 @@ class TestNu:
                 product = Fraction(1)
                 for j in range(1, n // 2 + 1):
                     product *= oracles.zeta_negative(2 * j)
-                    product *= lvalues.l_negative(field, 2 * j + 1)
+                    product *= oracles.l_negative(field, 2 * j + 1)
                 lhs = lattice.nu(field, n) * 2**n * h_t / (n + 1)
                 assert lhs == product, (field.d, n)
 
@@ -46,7 +46,7 @@ class TestNu:
             Fraction(4 * 2, 8)
             * oracles.zeta_negative(4)
             * oracles.zeta_negative(2)
-            * lvalues.l_negative(f3, 3)
+            * oracles.l_negative(f3, 3)
         )
         assert lattice.nu(f3, 3) == expected == Fraction(1, 6480)
 

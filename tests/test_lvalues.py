@@ -46,29 +46,32 @@ class TestZetaNegative:
 
 
 class TestLNegative:
+    """L(1 - k, chi) = -B_{k,chi} / k through oracles.l_negative, which no
+    command calls; it ties B_{k,chi} to known L-values."""
+
     def test_known_values(self):
         for (D, k), expected in oracles.L_NEGATIVE.items():
             d = -D if -D % 4 == 3 else -D // 4
             field = quadfield.from_squarefree_d(d)
-            assert lvalues.l_negative(field, k) == expected, (D, k)
+            assert oracles.l_negative(field, k) == expected, (D, k)
 
     def test_nonvanishing(self, fields_500):
         for field in fields_500:
             for k in range(1, 22, 2):
-                assert lvalues.l_negative(field, k) != 0, (field.d, k)
+                assert oracles.l_negative(field, k) != 0, (field.d, k)
 
     def test_k_one_gives_class_number_formula(self, fields_200):
         # L(0, chi) = 2 h / mu for imaginary quadratic fields
         for field in fields_200:
             h = quadfield.reduced_forms(field).h
-            assert lvalues.l_negative(field, 1) == Fraction(
+            assert oracles.l_negative(field, 1) == Fraction(
                 2 * h, field.mu_order
             ), field.d
 
     @pytest.mark.parametrize("k", [0, 2, 4, -1, 1.5, True])
     def test_rejects_bad_k(self, k, f3):
         with pytest.raises(InvalidInput):
-            lvalues.l_negative(f3, k)
+            oracles.l_negative(f3, k)
 
 
 class TestZetaNumeric:
@@ -191,7 +194,7 @@ class TestFunctionalEquations:
             if field.disc_abs > 40:
                 continue
             q = field.disc_abs
-            exact = float(lvalues.l_negative(field, k))
+            exact = float(oracles.l_negative(field, k))
             via_series = (
                 (q / math.pi) ** (k - 0.5)
                 * math.gamma((k + 1) / 2)

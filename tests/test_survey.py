@@ -5,10 +5,8 @@ growth certificates, and the cusped-volume lower bound.
 import dataclasses
 import itertools
 import math
-import random
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -123,12 +121,12 @@ def _overlap(monkeypatch, where, interval=(-1000.0, -999.0)):
     """Give every (field, n) that where() picks one ln interval, below
     every true one at n <= 60, so that their records, and only theirs,
     reach the exact comparison together."""
-    real = lattice._ln_nu_interval
+    real = survey._ln_nu_interval
 
     def bounds(dim, shared):
         return interval if where(shared[0], dim[0]) else real(dim, shared)
 
-    monkeypatch.setattr(lattice, "_ln_nu_interval", bounds)
+    monkeypatch.setattr(survey, "_ln_nu_interval", bounds)
 
 
 def _counting_records(monkeypatch):
@@ -337,6 +335,15 @@ class TestOverallMinimum:
         assert sorted(records) == [(3, n) for n in range(2, 61)]
         assert len(capsys.readouterr().out.splitlines()) == 1
 
+    def test_minimal_n_verbose_builds_each_record_once(self, monkeypatch):
+        # one record per candidate: the winner's row is the record that its
+        # MinimalResult keeps, which the json line's "winner" reads too
+        candidates = survey.minimal_field(4).certificate.candidates
+        records = _counting_records(monkeypatch)
+        assert cli.main(["minimal", "--n", "4", "--verbose", "--format", "json"]) == 0
+        assert len(records) == len(candidates) == 10
+        assert records == [(c.field.d, 4) for c in candidates]
+
     def test_volume_near_tie_is_compared_by_floats(self, monkeypatch):
         # Q(sqrt(-3))'s ln nu at n = 4 and 6 forced to points whose ln
         # volumes differ by 1e-13, below what the floats of a volume can
@@ -348,7 +355,7 @@ class TestOverallMinimum:
         x4 = -30.0
         x6 = x4 + shift(4) - shift(6) + 1e-13
         points = {4: (x4, x4), 6: (x6, x6)}
-        real_bounds = lattice._ln_nu_interval
+        real_bounds = survey._ln_nu_interval
 
         def bounds(dim, shared):
             if shared[0].d == 3 and dim[0] in points:
@@ -363,7 +370,7 @@ class TestOverallMinimum:
                 return dataclasses.replace(result, volume=1e-300)
             return result
 
-        monkeypatch.setattr(lattice, "_ln_nu_interval", bounds)
+        monkeypatch.setattr(survey, "_ln_nu_interval", bounds)
         monkeypatch.setattr(lattice, "covolume_result", tied)
         message = "volume minimum is shared by dimensions 4, 6"
         with pytest.raises(TieDetected, match=f"^{re.escape(message)}$"):
@@ -560,14 +567,15 @@ class TestLnRanking:
     def test_shared_terms_match_per_candidate_oracle(self):
         # the same float operations in the same order as the per-candidate
         # form, so every interval is equal to its
-        dims = [lattice._dim_terms(n) for n in range(2, 401)]
+        sums = survey._ln_sums(200)
+        dims = [survey._dim_terms(n, sums) for n in range(2, 401)]
         fields = quadfield.fields_with_disc_at_most(1000)
         assert len(fields) == 305
         for field in fields:
-            shared = lattice._field_terms(field)
+            shared = survey._field_terms(field)
             for dim in dims:
                 expected = oracles.ln_nu_bounds(field, dim[0])
-                assert lattice._ln_nu_interval(dim, shared) == expected, (field, dim[0])
+                assert survey._ln_nu_interval(dim, shared) == expected, (field, dim[0])
 
     def test_intervals_enclose_ln_nu(self):
         entries = sorted(
@@ -582,7 +590,7 @@ class TestLnRanking:
         for _, n, c in entries:
             ln = oracles.ln_by_decimal(lattice._lower(lattice.nu(c.field, n)))
             assert Decimal(c.ln_low) <= ln <= Decimal(c.ln_high), (c.field, n)
-            # twice E(m) of bernoulli._ln_sum, plus float error
+            # twice E(m) of survey._ln_sums, plus float error
             width = 2 * _e(n // 2)
             assert width <= c.ln_high - c.ln_low < width + 1e-8, (c.field, n)
 
@@ -592,9 +600,10 @@ class TestLnRanking:
         covolume.clear_caches()
         logs = [oracles.ln_l_product(D, m) for m in range(41)]
         field = quadfield.from_squarefree_d(-D // 4 if D % 4 == 0 else -D)
-        shared = lattice._field_terms(field)
+        shared = survey._field_terms(field)
+        sums = survey._ln_sums(40)
         for n in range(2, 82):
-            lattice._ln_nu_interval(lattice._dim_terms(n), shared)
+            survey._ln_nu_interval(survey._dim_terms(n, sums), shared)
         assert bernoulli._power_state.cache_info().misses == 0
         assert logs[0] == (0.0, 0.0)
         _check_ln_l_products(D, logs)
@@ -604,41 +613,25 @@ class TestLnRanking:
             D = field.disc_signed
             _check_ln_l_products(D, [oracles.ln_l_product(D, m) for m in range(21)])
 
-    def test_ln_sums_under_concurrency(self):
-        # the shared table grows under the lock, and a clear_caches in
-        # between leaves every caller with the value a sequential run gives
-        pairs = [(D, m) for D in (-3, -4, -455) for m in range(0, 60, 7)] * 3
-        random.Random(5).shuffle(pairs)
-        covolume.clear_caches()
-        expected = {p: oracles.ln_l_product(*p) for p in set(pairs)}
-
-        def worker(i):
-            if i % 11 == 0:
-                bernoulli.clear_caches()
-            return oracles.ln_l_product(*pairs[i])
-
-        covolume.clear_caches()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(worker, i) for i in range(len(pairs))]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [expected[p] for p in pairs]
+    def test_ln_sums_match_per_m_oracle(self):
+        # one list per sweep, with the float steps of the per-m memo
+        sums = survey._ln_sums(500)
+        assert len(sums) == 501
+        assert sums == [oracles.ln_sum(m) for m in range(501)]
+        assert survey._ln_sums(0) == [(0.0, 0.0)]
 
     def test_ln_2pi_within_its_bound(self):
         with mpmath.workdps(50):
             ln_2pi = Decimal(str(mpmath.log(2 * mpmath.pi)))
-        assert abs(Decimal(bernoulli._LN_2PI) - ln_2pi) <= Decimal(2.0**-51)
+        assert abs(Decimal(lattice._LN_2PI) - ln_2pi) <= Decimal(2.0**-51)
 
     @pytest.mark.parametrize("margin", [1, 20])
     def test_limits_round_outward_and_stay(self, monkeypatch, margin):
         # the enumeration limit rounds the discriminant bound up with its
         # error bound; over n = 2..5000 no limit moves from the bare value
-        monkeypatch.setattr(lattice, "_dim_terms", lambda n: None)
-        monkeypatch.setattr(lattice, "_ln_nu_interval", lambda dim, shared: (0.0, 0.0))
+        monkeypatch.setattr(survey, "_ln_sums", lambda top: None)
+        monkeypatch.setattr(survey, "_dim_terms", lambda n, sums: None)
+        monkeypatch.setattr(survey, "_ln_nu_interval", lambda dim, shared: (0.0, 0.0))
         monkeypatch.setattr(survey, "_certify", lambda n, bound, limit, cands: limit)
         dims = range(2, 5001)
         for n, limit in zip(dims, survey._sweep(dims, margin)):
@@ -1008,17 +1001,12 @@ class TestMemoInventory:
         """The words in bernoulli's shared table, a memo with no cache_info."""
         return len(bernoulli._words[2])
 
-    @staticmethod
-    def _ln_sum_count():
-        """The sums past S(0) in bernoulli's shared table of ln terms."""
-        return len(bernoulli._ln_sums) - 1
-
     def test_clear_caches_empties_every_memo(self):
         survey.scan(10, 400)
         serialize.format_rational(lattice.nu(quadfield.from_squarefree_d(3), 100))
         survey.minimal_field(40)
         assert serialize._power_of_five.cache_info().currsize
-        assert self._word_count() and self._ln_sum_count()
+        assert self._word_count()
         covolume.clear_caches()
         held = {
             name: memo.cache_info().currsize
@@ -1026,7 +1014,6 @@ class TestMemoInventory:
             if name != "cli._parser"  # holds no computed value
         }
         held["bernoulli._words"] = self._word_count()
-        held["bernoulli._ln_sums"] = self._ln_sum_count()
         assert len(held) > 1 and set(held.values()) == {0}, held
 
     @pytest.mark.parametrize(
